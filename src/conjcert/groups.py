@@ -1,10 +1,14 @@
 """Generic group machinery: closure enumeration, element orders, conjugacy
-and rational classes, and the brute-force reality/rationality oracle.
+and rational classes, and the finite reality/rationality oracle.
 
 Group elements are duck-typed: anything hashable with ``__mul__``,
 ``inverse()`` and ``identity()`` works (matrices, affine elements,
-semidirect pairs, ...).  Every certificate surfaced from this module has
-already been re-verified by exact multiplication.
+semidirect pairs, ...).  A ``FiniteGroup`` walks the orbits of conjugation
+by its generators once, on element indices, into a class table holding each
+element's class and a transversal t_y with t_y r t_y^-1 = y for the class
+representative r (Holt, Eick & O'Brien, *Handbook of Computational Group
+Theory*, 2005, ch. 4).  Oracle verdicts are lookups in that table; every
+certificate surfaced from this module is re-verified by exact multiplication.
 """
 
 from __future__ import annotations
@@ -121,15 +125,16 @@ class OrderResult:
 
 
 class FiniteGroup:
-    """A finite group as an explicit element list in deterministic
-    (breadth-first closure) order."""
+    """A finite group as an explicit element list in deterministic (breadth-first
+    closure) order; ``right[i][j]`` is the index of elements[i] * generators[j]."""
 
-    def __init__(self, elements, generators):
+    def __init__(self, elements, generators, right):
         self.elements = tuple(elements)
         self.generators = tuple(generators)
+        self._right = right
         self._index = {g: i for i, g in enumerate(self.elements)}
         self._inverses: dict = {}
-        self._classes: Optional[tuple] = None
+        self._table: Optional[tuple] = None
 
     def __len__(self):
         return len(self.elements)
@@ -153,29 +158,59 @@ class FiniteGroup:
             inv = self._inverses[g] = g.inverse()
         return inv
 
+    def class_table(self) -> tuple:
+        """(classes, class_of, transversal) on indices, built once: orbits of
+        conjugation by the generators, each walked breadth first from its least
+        member r, members sorted; transversal[y] is t_y with t_y r t_y^-1 = y."""
+        if self._table is None:
+            inv, right = [self.index(self.inverse_of(g)) for g in self.elements], self._right
+            class_of, transversal, classes = [-1] * len(inv), [0] * len(inv), []
+            for r in range(len(inv)):
+                if class_of[r] < 0:
+                    class_of[r] = len(classes)
+                    orbit = [r]
+                    for y in orbit:  # grows while walked: breadth first
+                        for j in range(len(self.generators)):
+                            z = inv[right[inv[right[y][j]]][j]]  # g^-1 y g
+                            if class_of[z] < 0:
+                                class_of[z] = len(classes)
+                                transversal[z] = inv[right[inv[transversal[y]]][j]]
+                                orbit.append(z)
+                    classes.append(sorted(orbit))
+            self._table = (classes, class_of, transversal)
+        return self._table
+
+    def conjugator(self, s, target):
+        """t_target t_s^-1 when s and target share a class, else None."""
+        if s not in self:
+            raise UsageError(f"{s!r} is not in the group")
+        _, class_of, transversal = self.class_table()
+        i, j = self.index(s), self.index(target)
+        if class_of[i] != class_of[j]:
+            return None
+        return self.elements[transversal[j]] * self.inverse_of(self.elements[transversal[i]])
+
 
 def generate_closure(generators, cap: int = 100_000) -> FiniteGroup:
     """Breadth-first closure of the generators; raises if it grows past cap."""
     generators = list(generators)
     if not generators:
         raise UsageError("generate_closure needs at least one generator")
-    identity = generators[0].identity()
-    seen = {identity}
-    order = [identity]
-    frontier = [identity]
-    while frontier:
-        new = []
-        for cur in frontier:
-            for gen in generators:
-                cand = cur * gen
-                if cand not in seen:
-                    seen.add(cand)
-                    order.append(cand)
-                    new.append(cand)
-                    if len(order) > cap:
-                        raise ClosureCapExceeded(f"closure exceeded cap {cap}")
-        frontier = new
-    return FiniteGroup(order, generators)
+    order = [generators[0].identity()]
+    index = {order[0]: 0}
+    right = []
+    for cur in order:  # grows while walked: breadth first
+        row = []
+        for gen in generators:
+            cand = cur * gen
+            if cand not in index:
+                index[cand] = len(order)
+                order.append(cand)
+                if len(order) > cap:
+                    raise ClosureCapExceeded(f"closure exceeded cap {cap}")
+            row.append(index[cand])
+        right.append(row)
+    return FiniteGroup(order, generators, right)
 
 
 def element_order(g, bound: int = DEFAULT_ORDER_BOUND) -> OrderResult:
@@ -192,35 +227,29 @@ def element_order(g, bound: int = DEFAULT_ORDER_BOUND) -> OrderResult:
 
 
 def is_real_bruteforce(G: FiniteGroup, g) -> Optional[Certificate]:
-    """First h in enumeration order with h g h^-1 = g^-1, as a certificate."""
-    target = g.inverse()
-    for h in G.elements:
-        if h * g * G.inverse_of(h) == target:
-            return Certificate.make(g, h, Inverse())
-    return None
+    """g is real iff g^-1 lies in its class; the certified witness is the
+    class-table conjugator t_{g^-1} t_g^-1 (the identity for an involution)."""
+    h = G.conjugator(g, G.inverse_of(g))
+    return None if h is None else Certificate.make(g, h, Inverse())
 
 
 def is_rational_bruteforce(G: FiniteGroup, g) -> Optional[dict]:
-    """Certificates {k: h_k} for every k coprime to Ord(g), or None if any
-    power class is unreachable.  k = 1 is always present (witnessed by e)."""
-    order = element_order(g, bound=len(G) + 1)
-    if not order.is_finite:
-        raise UsageError("element order exceeds group size; not a member?")
-    m = order.value
+    """Certificates {k: h_k} for every k coprime to Ord(g), or None if some
+    such g^k lies outside the class of g.  h_1 = e; every other h_k is the
+    class-table conjugator t_{g^k} t_g^-1."""
+    if g not in G:
+        raise UsageError(f"{g!r} is not in the group")
+    m = element_order(g, bound=len(G)).value
     certs = {1: Certificate.make(g, G.identity, Power(1))}
     power = g
     for k in range(2, m):
         power = power * g
         if gcd(k, m) != 1:
             continue
-        found = None
-        for h in G.elements:
-            if h * g * G.inverse_of(h) == power:
-                found = Certificate.make(g, h, Power(k))
-                break
-        if found is None:
+        h = G.conjugator(g, power)
+        if h is None:
             return None
-        certs[k] = found
+        certs[k] = Certificate.make(g, h, Power(k))
     return certs
 
 
@@ -231,55 +260,24 @@ def all_conjugators(G: FiniteGroup, s, target) -> list:
 
 def conjugacy_classes(G: FiniteGroup) -> list[tuple]:
     """Partition into conjugacy classes, ordered by least member index."""
-    if G._classes is not None:
-        return list(G._classes)
-    seen = set()
-    classes = []
-    for g in G.elements:
-        if g in seen:
-            continue
-        orbit = {h * g * G.inverse_of(h) for h in G.elements}
-        seen |= orbit
-        classes.append(tuple(sorted(orbit, key=G.index)))
-    G._classes = tuple(classes)
-    return classes
+    return [tuple(G.elements[i] for i in cls) for cls in G.class_table()[0]]
 
 
 def rational_classes(G: FiniteGroup) -> list[tuple]:
-    """Conjugacy classes merged along g ~ g^k for all k coprime to Ord(g)."""
-    classes = conjugacy_classes(G)
-    class_of = {}
-    for idx, cls in enumerate(classes):
-        for g in cls:
-            class_of[g] = idx
-    parent = list(range(len(classes)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    for idx, cls in enumerate(classes):
-        g = cls[0]
+    """Conjugacy classes merged along g ~ g^k for all k coprime to Ord(g):
+    each class joins the least-indexed class among those of its generating powers."""
+    classes, class_of, _ = G.class_table()
+    merged: dict[int, list] = {}
+    for cls in classes:
+        g = G.elements[cls[0]]
         m = element_order(g, bound=len(G) + 1).value
-        power = g
+        roots, power = [class_of[cls[0]]], g
         for k in range(2, m):
             power = power * g
             if gcd(k, m) == 1:
-                union(idx, class_of[power])
-    merged: dict[int, list] = {}
-    for idx, cls in enumerate(classes):
-        merged.setdefault(find(idx), []).extend(cls)
-    result = []
-    for root in sorted(merged, key=lambda r: G.index(merged[r][0])):
-        result.append(tuple(sorted(merged[root], key=G.index)))
-    return result
+                roots.append(class_of[G.index(power)])
+        merged.setdefault(min(roots), []).extend(cls)
+    return [tuple(G.elements[i] for i in sorted(merged[root])) for root in sorted(merged)]
 
 
 def psl_canonical(m: Matrix) -> Matrix:
