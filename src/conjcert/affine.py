@@ -196,12 +196,11 @@ def extract_block_certificate(g: Matrix, x: Matrix, k: int,
 
 
 def telescoped_translation(x: Matrix, v: Vector, l: int) -> Vector:
-    """(x^(l-1) + ... + x + I) v, the translation part of (x, v)^l."""
+    """(x^(l-1) + ... + x + I) v, the translation part of (x, v)^l, built
+    by the step t -> x t + v from t = 0."""
     total = Vector.zero(x.field, v.dim)
-    power = Matrix.identity_of(x.field, x.rows)
     for _ in range(l):
-        total = total + power.apply(v)
-        power = power * x
+        total = x.apply(total) + v
     return total
 
 
@@ -369,8 +368,9 @@ def classify_affine_rational(x: Matrix, v: Vector, m: int, certs: dict,
                  "telescoping order argument needs characteristic zero")
 
     telescope = []
+    tele = Vector.zero(x.field, v.dim)
     for l in range(1, telescope_steps + 1):
-        tele = telescoped_translation(x, v, l)
+        tele = x.apply(tele) + v  # telescoped_translation(x, v, l), one step on
         tele_kernel = Vector(x.field, splitting.inverse_basis.apply(tele).entries[:d])
         expected = v_kernel.scale(x.field.coerce(l))
         if tele_kernel != expected:

@@ -214,7 +214,12 @@ def generate_closure(generators, cap: int = 100_000) -> FiniteGroup:
 
 
 def element_order(g, bound: int = DEFAULT_ORDER_BOUND) -> OrderResult:
-    """Order by iterated multiplication; no eigenvalue shortcuts."""
+    """Order by iterated multiplication; no eigenvalue shortcuts.
+
+    Each step multiplies g on the left, g * g^m rather than g^m * g: the
+    power is the same, but a product acts by its left factor, so the action
+    of g (for ``SL2VElement`` the cached ``rho(g.h)``) is reused at every
+    step instead of the action of g^m being built afresh."""
     if bound < 1:
         raise UsageError("bound must be >= 1")
     identity = g.identity()
@@ -222,7 +227,7 @@ def element_order(g, bound: int = DEFAULT_ORDER_BOUND) -> OrderResult:
     for m in range(1, bound + 1):
         if acc == identity:
             return OrderResult.finite(m, bound)
-        acc = acc * g
+        acc = g * acc
     return OrderResult.exceeds(bound)
 
 

@@ -1,8 +1,21 @@
-"""Dense exact linear algebra over the scalar fields in :mod:`conjcert.fields`.
+"""Exact linear algebra over the scalar fields in :mod:`conjcert.fields`.
 
 Matrices and vectors are immutable value types with structural equality.
-Elimination uses the first nonzero pivot in column order; with exact
-scalars there is no need for magnitude-based pivoting.
+Every elimination goes through one routine, :func:`_echelon`: Gauss-Jordan
+reduction to reduced row echelon form with the first nonzero pivot in
+column order (exact scalars need no magnitude-based pivoting), which also
+returns the determinant as the product of the pivots, negated once per row
+swap.  ``Matrix.det``, ``Matrix.inverse`` (on ``[A | I]``),
+``solve_linear``, ``kernel_basis`` and ``column_space_basis`` all read it.
+
+The kernels skip zeros rather than multiply them out: the row update runs
+over the nonzero entries of the pivot row and passes over rows whose factor
+is zero; products accumulate row by row over the nonzero entries of both
+factors; ``apply``, ``dot`` and ``kron`` skip zero factors.  The matrices
+met here (``kron`` systems above all) are mostly zero, so this removes most
+of the scalar operations.  The results are the same as those of a dense
+loop: every field is exact, so a skipped term is exactly zero, and the
+reduced row echelon form of a matrix is unique.
 """
 
 from __future__ import annotations
@@ -20,8 +33,6 @@ __all__ = [
     "kernel_basis",
     "has_fixed_point",
     "matrix_power",
-    "matrix_inverse",
-    "matrix_det",
     "column_space_basis",
     "kron",
 ]
@@ -75,7 +86,8 @@ class Vector:
         self._same_shape(other)
         total = self.field.zero()
         for a, b in zip(self.entries, other.entries):
-            total = total + a * b
+            if a and b:
+                total = total + a * b
         return total
 
     def is_zero(self) -> bool:
@@ -169,17 +181,17 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-            n, m, k = self.rows, other.cols, self.cols
-            a, b = self.entries, other.entries
+            m = other.cols
+            zero = self.field.zero()
+            b_rows = [_nonzeros(other.row(t)) for t in range(other.rows)]
             out = []
-            for i in range(n):
-                arow = a[i * k : (i + 1) * k]
-                for j in range(m):
-                    total = self.field.zero()
-                    for t in range(k):
-                        total = total + arow[t] * b[t * m + j]
-                    out.append(total)
-            return Matrix(self.field, n, m, tuple(out))
+            for i in range(self.rows):
+                acc = [zero] * m
+                for t, x in _nonzeros(self.row(i)):
+                    for j, y in b_rows[t]:
+                        acc[j] = acc[j] + x * y
+                out += acc
+            return Matrix(self.field, self.rows, m, tuple(out))
         if isinstance(other, Vector):
             return self.apply(other)
         return NotImplemented
@@ -187,12 +199,16 @@ class Matrix:
     def apply(self, v: Vector) -> Vector:
         if self.cols != v.dim:
             raise DimensionMismatch(f"{self.rows}x{self.cols} applied to dim {v.dim}")
+        zero = self.field.zero()
+        terms = _nonzeros(v.entries)
         out = []
         for i in range(self.rows):
-            total = self.field.zero()
+            total = zero
             row = self.row(i)
-            for t in range(self.cols):
-                total = total + row[t] * v[t]
+            for t, y in terms:
+                x = row[t]
+                if x:
+                    total = total + x * y
             out.append(total)
         return Vector(self.field, tuple(out))
 
@@ -210,55 +226,20 @@ class Matrix:
 
     def det(self):
         self._require_square("det")
-        n = self.rows
-        if n == 0:
-            return self.field.one()
-        rows = [list(self.row(i)) for i in range(n)]
-        det = self.field.one()
-        for col in range(n):
-            pivot_row = None
-            for r in range(col, n):
-                if rows[r][col]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                return self.field.zero()
-            if pivot_row != col:
-                rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-                det = -det
-            pivot = rows[col][col]
-            det = det * pivot
-            for r in range(col + 1, n):
-                factor = rows[r][col] / pivot
-                if factor:
-                    rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-        return det
+        rows = [list(self.row(i)) for i in range(self.rows)]
+        _, pivots, det = _echelon(rows, self.cols, self.field.one())
+        return det if len(pivots) == self.rows else self.field.zero()
 
     def inverse(self) -> "Matrix":
+        """Row-reduces [A | I] to [I | A^-1]."""
         self._require_square("inverse")
         n = self.rows
-        if n == 0:
-            return self
-        aug = [list(self.row(i)) + [self.field.one() if i == j else self.field.zero()
-                                    for j in range(n)] for i in range(n)]
-        row = 0
-        for col in range(n):
-            pivot_row = None
-            for r in range(row, n):
-                if aug[r][col]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                raise SingularMatrixError("matrix is singular")
-            aug[row], aug[pivot_row] = aug[pivot_row], aug[row]
-            pivot = aug[row][col]
-            aug[row] = [x / pivot for x in aug[row]]
-            for r in range(n):
-                if r != row and aug[r][col]:
-                    factor = aug[r][col]
-                    aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
-            row += 1
-        return Matrix(self.field, n, n, tuple(aug[i][n + j] for i in range(n) for j in range(n)))
+        z, o = self.field.zero(), self.field.one()
+        aug = [list(self.row(i)) + [o if i == j else z for j in range(n)] for i in range(n)]
+        aug, pivots, _ = _echelon(aug, n, o)
+        if len(pivots) < n:
+            raise SingularMatrixError("matrix is singular")
+        return Matrix(self.field, n, n, tuple(x for row in aug for x in row[n:]))
 
     def __pow__(self, k: int) -> "Matrix":
         self._require_square("power")
@@ -289,9 +270,20 @@ class Matrix:
         return "Matrix[" + "; ".join(rows) + "]"
 
 
-def _echelon(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot_columns)."""
+def _nonzeros(entries) -> list:
+    """The (index, value) pairs of the nonzero entries."""
+    return [(j, x) for j, x in enumerate(entries) if x]
+
+
+def _echelon(rows: list[list], ncols: int, one) -> tuple[list[list], list[int], object]:
+    """In-place reduced row echelon form, pivoting in the first ncols columns.
+
+    Returns (rows, pivot_columns, det), where det is the product of the
+    pivots, negated once per row swap: the determinant when rows is square
+    and every column has a pivot.  Only the nonzero entries of the pivot row
+    enter the row update, and rows with a zero factor are left alone."""
     pivots: list[int] = []
+    det = one
     r = 0
     for col in range(ncols):
         pivot_row = None
@@ -301,18 +293,26 @@ def _echelon(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
                 break
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][col]
-        rows[r] = [x / pivot for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            det = -det
+        prow = rows[r]
+        pivot = prow[col]
+        det = det * pivot
+        # entries left of col are zero: earlier columns are already reduced
+        terms = [(col + j, x / pivot) for j, x in _nonzeros(prow[col:])]
+        for j, x in terms:
+            prow[j] = x
+        for i, row in enumerate(rows):
+            factor = row[col]
+            if i != r and factor:
+                for j, y in terms:
+                    row[j] = row[j] - factor * y
         pivots.append(col)
         r += 1
         if r == len(rows):
             break
-    return rows, pivots
+    return rows, pivots, det
 
 
 def solve_linear(A: Matrix, b: Vector) -> Optional[Vector]:
@@ -323,7 +323,7 @@ def solve_linear(A: Matrix, b: Vector) -> Optional[Vector]:
         raise DimensionMismatch(f"{A.rows}x{A.cols} system with rhs dim {b.dim}")
     n = A.cols
     rows = [list(A.row(i)) + [b[i]] for i in range(A.rows)]
-    rows, pivots = _echelon(rows, n)
+    rows, pivots, _ = _echelon(rows, n, A.field.one())
     rank = len(pivots)
     for i in range(rank, A.rows):
         if rows[i][n]:
@@ -338,7 +338,7 @@ def kernel_basis(A: Matrix) -> list[Vector]:
     """Exact basis of the null space; empty iff A is injective."""
     n = A.cols
     rows = [list(A.row(i)) for i in range(A.rows)]
-    rows, pivots = _echelon(rows, n)
+    rows, pivots, _ = _echelon(rows, n, A.field.one())
     pivot_set = set(pivots)
     basis = []
     for free in range(n):
@@ -355,7 +355,7 @@ def kernel_basis(A: Matrix) -> list[Vector]:
 def column_space_basis(A: Matrix) -> list[Vector]:
     """Basis of the column space: the columns at the pivot positions."""
     rows = [list(A.row(i)) for i in range(A.rows)]
-    _, pivots = _echelon(rows, A.cols)
+    _, pivots, _ = _echelon(rows, A.cols, A.field.one())
     return [A.column(j) for j in pivots]
 
 
@@ -369,24 +369,16 @@ def matrix_power(A: Matrix, k: int) -> Matrix:
     return A ** k
 
 
-def matrix_inverse(A: Matrix) -> Matrix:
-    return A.inverse()
-
-
-def matrix_det(A: Matrix):
-    return A.det()
-
-
 def kron(A: Matrix, B: Matrix) -> Matrix:
     """Kronecker product, used to flatten matrix equations like gX = Yg."""
     if A.field != B.field:
         raise UsageError("kron over mixed fields")
-    rows = A.rows * B.rows
-    cols = A.cols * B.cols
+    zero = A.field.zero()
     out = []
-    for i in range(rows):
-        ia, ib = divmod(i, B.rows)
-        for j in range(cols):
-            ja, jb = divmod(j, B.cols)
-            out.append(A[ia, ja] * B[ib, jb])
-    return Matrix(A.field, rows, cols, tuple(out))
+    for ia in range(A.rows):
+        a_row = A.row(ia)
+        for ib in range(B.rows):
+            b_row = B.row(ib)
+            for x in a_row:
+                out += [x * y if x and y else zero for y in b_row]
+    return Matrix(A.field, A.rows * B.rows, A.cols * B.cols, tuple(out))
