@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .errors import TheoremViolation, UsageError
@@ -52,8 +53,10 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=64)
 def symplectic_form(field, base_dim: int) -> Matrix:
-    """J = [[0, I], [-I, 0]] on F^base_dim (base_dim even)."""
+    """J = [[0, I], [-I, 0]] on F^base_dim (base_dim even); built once per
+    (field, base_dim), since every Heisenberg product reads it."""
     if base_dim % 2:
         raise UsageError("symplectic form needs an even dimension")
     m = base_dim // 2
@@ -131,7 +134,7 @@ class GSpElement:
         return GSpElement(self.g * other.g, self.mu * other.mu)
 
     def inverse(self) -> "GSpElement":
-        return GSpElement(self.g.inverse(), self.g.field.one() / self.mu)
+        return _gsp_inverse(self)
 
     def identity(self) -> "GSpElement":
         field = self.g.field
@@ -139,6 +142,13 @@ class GSpElement:
 
     def __repr__(self):
         return f"GSp({self.g!r}, mu={self.mu})"
+
+
+@lru_cache(maxsize=1024)
+def _gsp_inverse(x: GSpElement) -> GSpElement:
+    """Inverses memoised by value: every semidirect product inverts its
+    right factor's GSp part, and a run re-inverts the same few elements."""
+    return GSpElement(x.g.inverse(), x.g.field.one() / x.mu)
 
 
 def gsp_act(g: GSpElement, h: HeisenbergElement) -> HeisenbergElement:

@@ -10,6 +10,14 @@ diag(r^n, r^(n-2), ..., r^-n) and the antidiagonal witnesses
 [[0, t], [-1/t, 0]] map to antidiagonal matrices whose middle entry for
 even n is (-1)^(n/2) -- the sign that decides solvability of the
 conjugation system on the invariant middle coordinate.
+
+rho(h) is built column by column from the nonzero terms of the two
+binomial expansions only: a linear form with a zero coefficient expands
+to a single monomial.  So rho of a diagonal or antidiagonal h -- the
+monomial matrices the classifier uses -- costs one product per column,
+and a general h costs the full convolution.  Q is exact and only terms
+that are exactly zero are dropped, so every entry is the same sum as
+the full convolution gives.
 """
 
 from __future__ import annotations
@@ -114,9 +122,13 @@ def antidiagonal_witness(t) -> SL2Element:
     return SL2Element.of(0, t, -1 / t, 0)
 
 
-def _binomial_expansion(p, q, e: int) -> list[Fraction]:
-    """Coefficients of (p x + q y)^e on x^(e-j) y^j, j = 0..e."""
-    return [comb(e, j) * p ** (e - j) * q ** j for j in range(e + 1)]
+def _binomial_expansion(p, q, e: int) -> list[tuple[int, Fraction]]:
+    """Nonzero terms (j, c) of (p x + q y)^e, c the coefficient on x^(e-j) y^j."""
+    if not p:
+        return [(e, q ** e)]
+    if not q:
+        return [(0, p ** e)]
+    return [(j, comb(e, j) * p ** (e - j) * q ** j) for j in range(e + 1)]
 
 
 def _substitution_matrix(g: SL2Element, n: int, row_convention: bool) -> Matrix:
@@ -134,8 +146,8 @@ def _substitution_matrix(g: SL2Element, n: int, row_convention: bool) -> Matrix:
         lhs = _binomial_expansion(first[0], first[1], n - i)
         rhs = _binomial_expansion(second[0], second[1], i)
         out = [Fraction(0)] * (n + 1)
-        for j1, c1 in enumerate(lhs):
-            for j2, c2 in enumerate(rhs):
+        for j1, c1 in lhs:
+            for j2, c2 in rhs:
                 out[j1 + j2] += c1 * c2
         cols.append(out)
     return Matrix(QQ, n + 1, n + 1,
@@ -362,8 +374,6 @@ def classify_rational_sl2v(x: SL2Element, v: Vector, bound: int = 10_000,
         raise UsageError("x must be diagonal; conjugate into diag(r, 1/r) first")
     subject = SL2VElement(x, v)
     order = element_order(subject, bound=min(bound, 64))
-    if not order.is_finite:
-        order = OrderResult.exceeds(bound)
 
     if order.is_finite:
         m = order.value

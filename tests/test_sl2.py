@@ -245,3 +245,12 @@ def test_sl2v_order_matches_structure():
     assert element_order(s, bound=10).value == 2
     t = SL2VElement(SL2Element.diagonal(2), vec([1, 0, 0]))
     assert not element_order(t, bound=50).is_finite
+
+
+def test_classify_rational_records_the_probed_bound():
+    x, v = SL2Element.diagonal(2), vec([1, 1, 1])
+    wide = classify_rational_sl2v(x, v, bound=10_000)
+    narrow = classify_rational_sl2v(x, v, bound=10)
+    assert not wide.order.is_finite and wide.order.bound == 64
+    assert not narrow.order.is_finite and narrow.order.bound == 10
+    assert wide.verdict == narrow.verdict == "rational"
