@@ -6,7 +6,9 @@ exactly and stays computable over Q; no Jordan form over R is needed.
 Certificates for (x, v) are produced either directly (no fixed point), or
 by restricting to the image block and lifting the block witness back, or --
 when the translation has a nonzero kernel component -- by proving the
-element has infinite order via the telescoping translation.
+element has infinite order via the telescoping translation and building
+its inverse witness: g = -1 on the kernel and the block conjugator of
+x -> x^-1 on the image, with the translation solved from one n x n system.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from .errors import ConjcertError, TheoremViolation, UsageError
+from .errors import ConjcertError, SingularMatrixError, TheoremViolation, UsageError
 from .groups import Certificate, Inverse, Power, element_order
 from .linalg import (
     Matrix,
@@ -188,9 +190,11 @@ def extract_block_certificate(g: Matrix, x: Matrix, k: int,
         raise ConjcertError(f"mixing block failed to vanish at {offending}")
     block = Matrix(x.field, n - d, n - d,
                    tuple(adapted[i, j] for i in range(d, n) for j in range(d, n)))
-    if not block.det():
-        raise ConjcertError("restricted block is singular")
-    if block * splitting.restricted * block.inverse() != splitting.restricted ** k:
+    try:
+        block_inv = block.inverse()
+    except SingularMatrixError:
+        raise ConjcertError("restricted block is singular") from None
+    if block * splitting.restricted * block_inv != splitting.restricted ** k:
         raise ConjcertError("restricted block fails the conjugation relation")
     return block
 
@@ -206,6 +210,10 @@ def telescoped_translation(x: Matrix, v: Vector, l: int) -> Vector:
 
 @dataclass(frozen=True)
 class AffineRationalityResult:
+    """Verdict on (x, v).  For "infinite_order", ``reality`` is the inverse
+    certificate built from the kernel/image splitting; rational and real
+    coincide there, and ``reality_refuted`` is always False."""
+
     verdict: str  # "rational" | "infinite_order" | "inconclusive"
     order: Optional[int]
     certificates: dict
@@ -216,104 +224,67 @@ class AffineRationalityResult:
     note: str = ""
 
 
-def _lift_block_certificate(x: Matrix, v: Vector, k: int, splitting: EigenOneSplitting,
-                            block_witness: AffineElement) -> Certificate:
-    """Assemble identity-on-kernel + block witness and verify in the full group."""
-    field = x.field
+def _block_diagonal(splitting: EigenOneSplitting, c, block: Matrix) -> Matrix:
+    """P (c I_K + block) P^-1: c on the kernel summand, block on the image."""
+    field = splitting.restricted.field
     d = splitting.kernel_dim
-    n = x.rows
-    P, P_inv = splitting.change_of_basis, splitting.inverse_basis
-    z, o = field.zero(), field.one()
+    n = d + splitting.image_dim
+    z = field.zero()
     entries = []
     for i in range(n):
         for j in range(n):
             if i < d or j < d:
-                entries.append(o if i == j else z)
+                entries.append(c if i == j else z)
             else:
-                entries.append(block_witness.linear[i - d, j - d])
-    lifted_linear = P * Matrix(field, n, n, tuple(entries)) * P_inv
-    lifted_translation = P.apply(
-        Vector(field, (z,) * d + tuple(block_witness.translation.entries))
-    )
+                entries.append(block[i - d, j - d])
+    return (splitting.change_of_basis * Matrix(field, n, n, tuple(entries))
+            * splitting.inverse_basis)
+
+
+def _lift_block_certificate(x: Matrix, v: Vector, k: int, splitting: EigenOneSplitting,
+                            block_witness: AffineElement) -> Certificate:
+    """Assemble identity-on-kernel + block witness and verify in the full group."""
+    field = x.field
+    lifted_linear = _block_diagonal(splitting, field.one(), block_witness.linear)
+    lifted_translation = splitting.change_of_basis.apply(
+        Vector(field, (field.zero(),) * splitting.kernel_dim
+               + tuple(block_witness.translation.entries)))
     witness = AffineElement(lifted_linear, lifted_translation)
     return Certificate.make(AffineElement(x, v), witness, Power(k))
 
 
-def _bounded_reality_search(x: Matrix, v: Vector, seed: int,
-                            retries: int) -> tuple[Optional[Certificate], bool]:
-    """Structured search for g (x,v) g^-1 = (x,v)^-1 when x has fixed points.
+def _inverse_witness(x: Matrix, v: Vector, order: int, certs: dict,
+                     splitting: EigenOneSplitting) -> Certificate:
+    """Certificate g (x, v) g^-1 = (x, v)^-1 for any v.
 
-    Any witness has linear part Y in the solution space of Y x = x^-1 Y, and
-    the singular translation equation (I - x^-1) w = -Y v - x^-1 v is
-    consistent exactly when every left-null functional of I - x^-1 kills the
-    right-hand side -- a condition linear in the coordinates of Y.  Solving
-    it cuts out an affine subspace; if that subspace is empty, (x, v) is
-    provably not real (second return value True).  Otherwise invertible
-    members are probed (deterministically seeded); absence after the retry
-    budget is an honest partial result, not a proof."""
+    g = P (-I_K + g_I) P^-1, where g_I conjugates x to x^-1 on the image
+    (the identity when order <= 2, where x is -1 there), so g x g^-1 = x^-1.
+    The translation w solves (I - x^-1) w = -x^-1 v - g v; the kernel rows
+    of that system vanish because x^-1 fixes and g negates the kernel
+    component of v, so it is always consistent."""
     field = x.field
-    basis = _conjugation_solution_space(x, x.inverse())
-    if not basis:
-        return None, True  # x is not even real in the linear group
-    ident = Matrix.identity_of(field, x.rows)
-    shifted = ident - x.inverse()
-    functionals = kernel_basis(shifted.transpose())
-    if functionals:
-        rows = [[f.dot(b.apply(v)) for b in basis] for f in functionals]
-        rhs = Vector(field, tuple(-(f.dot(x.inverse().apply(v)))
-                                  for f in functionals))
-        system = Matrix(field, len(functionals), len(basis),
-                        tuple(e for row in rows for e in row))
-        particular = solve_linear(system, rhs)
-        if particular is None:
-            return None, True  # no linear part admits a consistent translation
-        homogeneous = kernel_basis(system)
+    if order <= 2:
+        block = Matrix.identity_of(field, splitting.image_dim)
     else:
-        particular = Vector.zero(field, len(basis))
-        homogeneous = [Vector.unit(field, len(basis), i) for i in range(len(basis))]
-
-    def assemble(coeffs: Vector) -> Matrix:
-        total = Matrix.zero_of(field, x.rows, x.cols)
-        for c, b in zip(coeffs.entries, basis):
-            if c:
-                total = total + b.scale(c)
-        return total
-
-    rng = random.Random(seed)
-    coefficient_choices = [particular]
-    for h in homogeneous:
-        coefficient_choices.append(particular + h)
-        coefficient_choices.append(particular - h)
-    for _ in range(retries):
-        combo = particular
-        for h in homogeneous:
-            combo = combo + h.scale(field.coerce(rng.randint(-3, 3)))
-        coefficient_choices.append(combo)
-
-    subject = AffineElement(x, v)
-    for coeffs in coefficient_choices:
-        y = assemble(coeffs)
-        if not y.det():
-            continue
-        w = solve_linear(shifted, -(y.apply(v)) - x.inverse().apply(v))
-        if w is None:
-            continue  # only possible without functionals; defensive
-        try:
-            return Certificate.make(subject, AffineElement(y, w), Inverse()), False
-        except ConjcertError:
-            continue
-    return None, False
+        block = extract_block_certificate(certs[order - 1], x, order - 1, splitting)
+    g = _block_diagonal(splitting, -field.one(), block)
+    x_inv = x.inverse()
+    w = solve_linear(Matrix.identity_of(field, x.rows) - x_inv,
+                     -x_inv.apply(v) - g.apply(v))
+    if w is None:
+        raise TheoremViolation("inverse witness translation equation is inconsistent")
+    return Certificate.make(AffineElement(x, v), AffineElement(g, w), Inverse())
 
 
 def classify_affine_rational(x: Matrix, v: Vector, m: int, certs: dict,
-                             telescope_steps: int = TELESCOPE_STEPS,
-                             seed: int = 0) -> AffineRationalityResult:
+                             telescope_steps: int = TELESCOPE_STEPS) -> AffineRationalityResult:
     """Rationality of (x, v) given conjugators for the linear part.
 
     Case split follows the eigenvalue-1 geometry: no fixed point -> direct
     construction; zero kernel component -> block restriction and lift;
     nonzero kernel component -> infinite order (characteristic zero), where
-    rational and real coincide and only a bounded witness search is offered."""
+    rational and real coincide and the inverse witness is constructed from
+    the splitting and the k = order - 1 conjugator."""
     x._require_square("classify_affine_rational")
     ident = Matrix.identity_of(x.field, x.rows)
     if x ** m != ident:
@@ -324,7 +295,11 @@ def classify_affine_rational(x: Matrix, v: Vector, m: int, certs: dict,
         g = certs.get(k)
         if g is None:
             raise UsageError(f"missing conjugator for k = {k}")
-        if not g.det() or g * x * g.inverse() != x ** k:
+        try:
+            g_inv = g.inverse()
+        except SingularMatrixError:
+            g_inv = None
+        if g_inv is None or g * x * g_inv != x ** k:
             raise UsageError(f"supplied conjugator for k = {k} fails verification")
 
     subject = AffineElement(x, v)
@@ -378,16 +353,9 @@ def classify_affine_rational(x: Matrix, v: Vector, m: int, certs: dict,
                 f"telescoped kernel coordinate at step {l} is {tele_kernel!r}, "
                 f"expected {expected!r}")
         telescope.append(tele_kernel)
-    reality, refuted = _bounded_reality_search(x, v, seed, retries=16)
-    note = ("kernel component grows linearly, so (x, v) has infinite order; "
-            "rational iff real")
-    if refuted:
-        note += ("; no linear part admits a consistent translation equation, "
-                 "so (x, v) is provably not real (hence not rational)")
-    elif reality is None:
-        note += "; no reality witness found in the bounded search (partial)"
-    return AffineRationalityResult("infinite_order", None, {},
-                                   kernel_component=v_kernel,
-                                   telescope=tuple(telescope),
-                                   reality=reality, reality_refuted=refuted,
-                                   note=note)
+    return AffineRationalityResult(
+        "infinite_order", None, {}, kernel_component=v_kernel,
+        telescope=tuple(telescope),
+        reality=_inverse_witness(x, v, order, certs, splitting),
+        note="kernel component grows linearly, so (x, v) has infinite order; "
+             "rational iff real")

@@ -182,7 +182,7 @@ class GroupCodec:
 # scenario runners
 # ---------------------------------------------------------------------------
 
-def _run_finite(codec: GroupCodec, params: dict, elements, bound: int) -> list:
+def _run_finite(codec: GroupCodec, params: dict, elements, bound: int, seed: int) -> list:
     field = codec.field
     n = None
     gens = []
@@ -226,7 +226,7 @@ def _run_finite(codec: GroupCodec, params: dict, elements, bound: int) -> list:
     return results
 
 
-def _run_sl2v(codec: GroupCodec, params: dict, elements, bound: int) -> list:
+def _run_sl2v(codec: GroupCodec, params: dict, elements, bound: int, seed: int) -> list:
     t = _scalar_in(QQ, params.get("t", "1"))
     results = []
     for payload in elements:
@@ -277,7 +277,7 @@ def _run_affine(codec: GroupCodec, params: dict, elements, bound: int, seed: int
                           f"k in {list(linear.inconclusive)}"],
             })
             continue
-        outcome = classify_affine_rational(x, v, m, linear.certificates, seed=seed)
+        outcome = classify_affine_rational(x, v, m, linear.certificates)
         certs = [codec.certificate_payload(outcome.certificates[k])
                  for k in sorted(outcome.certificates)]
         if outcome.reality is not None:
@@ -293,7 +293,7 @@ def _run_affine(codec: GroupCodec, params: dict, elements, bound: int, seed: int
     return results
 
 
-def _run_heisenberg(codec: GroupCodec, params: dict, elements, bound: int) -> list:
+def _run_heisenberg(codec: GroupCodec, params: dict, elements, bound: int, seed: int) -> list:
     if "x" in params:
         x = GSpElement.of(_matrix_in(QQ, params["x"]))
         y = GSpElement.of(_matrix_in(QQ, params["witness"]))
@@ -314,7 +314,7 @@ def _run_heisenberg(codec: GroupCodec, params: dict, elements, bound: int) -> li
     return results
 
 
-def _run_solvable(codec: GroupCodec, params: dict, elements, bound: int) -> list:
+def _run_solvable(codec: GroupCodec, params: dict, elements, bound: int, seed: int) -> list:
     group = complex_heisenberg_group()
     results = []
     for payload in elements:
@@ -335,13 +335,8 @@ def _run_solvable(codec: GroupCodec, params: dict, elements, bound: int) -> list
     return results
 
 
-_RUNNERS = {
-    "finite": lambda codec, params, elements, bound, seed: _run_finite(codec, params, elements, bound),
-    "sl2v": lambda codec, params, elements, bound, seed: _run_sl2v(codec, params, elements, bound),
-    "affine": _run_affine,
-    "heisenberg": lambda codec, params, elements, bound, seed: _run_heisenberg(codec, params, elements, bound),
-    "solvable": lambda codec, params, elements, bound, seed: _run_solvable(codec, params, elements, bound),
-}
+_RUNNERS = {"finite": _run_finite, "sl2v": _run_sl2v, "affine": _run_affine,
+            "heisenberg": _run_heisenberg, "solvable": _run_solvable}
 
 
 # ---------------------------------------------------------------------------

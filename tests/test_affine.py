@@ -1,11 +1,15 @@
+import importlib.util
+import pathlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conjcert import linalg
 from conjcert.errors import UsageError
 from conjcert.fields import GF, QQ
-from conjcert.groups import element_order, generate_closure, is_rational_bruteforce
-from conjcert.linalg import Matrix, Vector
+from conjcert.groups import Inverse, element_order, generate_closure, is_rational_bruteforce
+from conjcert.linalg import Matrix, Vector, kernel_basis
 from conjcert.affine import (
     classify_affine_rational,
     extract_block_certificate,
@@ -249,3 +253,87 @@ def test_oracle_agreement_f3_direct_route():
         brute = is_rational_bruteforce(G, AffineElement.of(x, v))
         assert brute is not None
         assert set(brute) == set(res.certificates)
+
+
+# -- the constructive inverse witness on the infinite-order route -------------
+
+def _bench_linear_part(name):
+    """A linear part of the affine benchmark, as a QQ matrix, with its order."""
+    root = pathlib.Path(__file__).parent.parent
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  root / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    order, blocks = next((order, blocks) for part, order, blocks, _ in
+                         workloads.AFFINE_LINEAR_PARTS if part == name)
+    rows, _ = workloads._linear_part(order, blocks)
+    return Matrix.from_rows(QQ, rows), order
+
+
+O12_D6, O12_ORDER = _bench_linear_part("o12_d6")
+INFINITE_ORDER_CASES = [
+    (x, m, rationality_certificates_linear(x, m).certificates,
+     kernel_basis(x - Matrix.identity_of(QQ, x.rows)))
+    for x, m in ((THREE_CYCLE, 3), (O12_D6, O12_ORDER),
+                 (Matrix.identity_of(QQ, 2), 1), (mat([[-1, 0], [0, 1]]), 2))
+]
+
+
+def test_infinite_order_route_eliminates_at_most_n_columns(monkeypatch):
+    """The inverse witness on the order-12, dimension-6 linear part needs
+    only n x n systems; a search over the solution space of Y x = x^-1 Y
+    eliminates its n^2 = 36-column kron system."""
+    x, m = O12_D6, O12_ORDER
+    certs = rationality_certificates_linear(x, m).certificates
+    f = kernel_basis(x - Matrix.identity_of(QQ, x.rows))[0]
+    v = (x - Matrix.identity_of(QQ, x.rows)).apply(vec([1, 2, 0, -1, 3, 1])) + f
+    widest = [0]
+    echelon = linalg._echelon
+
+    def recorded(rows, ncols, one):
+        widest[0] = max(widest[0], ncols)
+        return echelon(rows, ncols, one)
+
+    monkeypatch.setattr(linalg, "_echelon", recorded)
+    res = classify_affine_rational(x, v, m, certs)
+    monkeypatch.undo()
+    assert res.verdict == "infinite_order" and res.reality.verified
+    assert widest[0] <= x.rows, widest[0]
+
+
+_small = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(INFINITE_ORDER_CASES), data=st.data())
+def test_infinite_order_reality_is_always_constructed(case, data):
+    """v = (x - I) u + c f with f in K = ker(x - I) and c != 0 has a nonzero
+    kernel component, so (x, v) has infinite order; the paper's construction
+    makes it real, with a witness that negates K."""
+    x, m, certs, kernel = case
+    n = x.rows
+    u = vec(data.draw(st.lists(_small, min_size=n, max_size=n), label="u"))
+    coeffs = data.draw(st.lists(_small, min_size=len(kernel), max_size=len(kernel))
+                       .filter(any), label="f")
+    c = data.draw(_small.filter(bool), label="c")
+    f = Vector.zero(QQ, n)
+    for a, k in zip(coeffs, kernel):
+        f = f + k.scale(a)
+    v = (x - Matrix.identity_of(QQ, n)).apply(u) + f.scale(c)
+
+    res = classify_affine_rational(x, v, m, certs)
+    assert res.verdict == "infinite_order" and not res.reality_refuted
+    cert = res.reality
+    assert cert is not None and cert.verified and isinstance(cert.relation, Inverse)
+    assert cert.check()
+    g = cert.witness.linear
+    for k in kernel:
+        assert g.apply(k) == -k
+    assert g.apply(f) == -f
+
+
+def test_classify_rejects_singular_conjugator():
+    with pytest.raises(UsageError):
+        classify_affine_rational(THREE_CYCLE, vec([1, -1, 0]), 3,
+                                 {1: Matrix.identity_of(QQ, 3),
+                                  2: Matrix.zero_of(QQ, 3, 3)})
