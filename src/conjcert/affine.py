@@ -3,6 +3,11 @@ linear part.
 
 A finite-order x is semisimple, so F^n = ker(x - I) + im(x - I) splits
 exactly and stays computable over Q; no Jordan form over R is needed.
+Over Q the conjugators g x g^-1 = x^k of the linear part are read off
+cyclic (Krylov) bases: each primary component ker Phi_d(x) is a sum of
+cyclic subspaces with minimal polynomial Phi_d, and the same seeds span
+them for x and for x^k, so every finite-order x over Q is rational.  Over
+other fields the conjugators come from the solution space of g x = x^k g.
 Certificates for (x, v) are produced either directly (no fixed point), or
 by restricting to the image block and lifting the block witness back, or --
 when the translation has a nonzero kernel component -- by proving the
@@ -19,6 +24,7 @@ from math import gcd
 from typing import Optional
 
 from .errors import ConjcertError, SingularMatrixError, TheoremViolation, UsageError
+from .fields import QQ
 from .groups import Certificate, Inverse, Power, element_order
 from .linalg import (
     Matrix,
@@ -100,6 +106,7 @@ def split_at_eigenvalue_one(x: Matrix, m: int) -> EigenOneSplitting:
 class LinearRationalityResult:
     """Conjugators g_k with g_k x g_k^-1 = x^k for the generating powers.
 
+    Over Q the result is always complete.  Over other fields
     ``not_rational`` lists k whose conjugation equation has no solution at
     all (a proof that x is not rational); ``inconclusive`` lists k where a
     solution space exists but no invertible member was found within the
@@ -113,6 +120,94 @@ class LinearRationalityResult:
     @property
     def complete(self) -> bool:
         return not self.not_rational and not self.inconclusive
+
+
+def _divide_monic(p: list, q: list) -> list:
+    """Quotient of the integer polynomial p by the monic q, both lowest
+    degree first; the division is exact wherever it is used here."""
+    p = list(p)
+    quotient = [0] * (len(p) - len(q) + 1)
+    for i in reversed(range(len(quotient))):
+        c = quotient[i] = p[i + len(q) - 1]
+        for j, b in enumerate(q):
+            p[i + j] -= c * b
+    return quotient
+
+
+def _cyclotomic_polynomials(m: int) -> dict:
+    """Phi_d for every d | m, lowest degree first: t^d - 1 divided by the
+    Phi_e of its proper divisors e."""
+    phis = {}
+    for d in range(1, m + 1):
+        if m % d == 0:
+            poly = [-1] + [0] * (d - 1) + [1]
+            for e, q in phis.items():
+                if d % e == 0:
+                    poly = _divide_monic(poly, q)
+            phis[d] = poly
+    return phis
+
+
+def _poly_at(coeffs: list, x: Matrix) -> Matrix:
+    """The integer polynomial with the given coefficients at x (Horner)."""
+    ident = Matrix.identity_of(x.field, x.rows)
+    result = Matrix.zero_of(x.field, x.rows, x.cols)
+    for c in reversed(coeffs):
+        result = result * x + ident.scale(c)
+    return result
+
+
+def _krylov_block(a: Matrix, u: Vector, length: int) -> list[Vector]:
+    """u, a u, ..., a^(length-1) u."""
+    block = [u]
+    for _ in range(length - 1):
+        block.append(a.apply(block[-1]))
+    return block
+
+
+def _krylov_conjugators(x: Matrix, order: int):
+    """A map y -> g with g x g^-1 = y, for y = x^k and k coprime to order.
+
+    x is semisimple over Q, and on V_d = ker Phi_d(x) its minimal
+    polynomial is the irreducible Phi_d, so each nonzero u in V_d spans a
+    cyclic subspace Z(u) of dimension phi(d), and Z(u) either meets a sum
+    of such subspaces trivially or lies inside it, as u does.  Seeds kept
+    greedily from a basis of each V_d therefore give a basis B_x of Q^n
+    from their Krylov blocks.  y = x^k is a polynomial in x with the same
+    minimal polynomial Phi_d on V_d, so the Krylov blocks of y from the
+    same seeds give a basis B_y, and g = B_y B_x^-1 sends x^j u to y^j u,
+    hence g x = y g."""
+    seeds, columns = [], []
+    for phi in _cyclotomic_polynomials(order).values():
+        length = len(phi) - 1
+        basis = kernel_basis(_poly_at(phi, x))
+        kept = []
+        for u in basis:
+            if len(kept) == len(basis):
+                break
+            if kept and solve_linear(Matrix.from_columns(x.field, kept), u) is not None:
+                continue
+            seeds.append((u, length))
+            kept += _krylov_block(x, u, length)
+        columns += kept
+    basis_inv = Matrix.from_columns(x.field, columns).inverse()
+
+    def conjugator(y: Matrix) -> Matrix:
+        images = []
+        for u, length in seeds:
+            images += _krylov_block(y, u, length)
+        return Matrix.from_columns(x.field, images) * basis_inv
+
+    return conjugator
+
+
+def _coprime_powers(x: Matrix, order: int):
+    """(k, x^k) for 1 < k < order coprime to order, by one running product."""
+    power = x
+    for k in range(2, order):
+        power = power * x
+        if gcd(k, order) == 1:
+            yield k, power
 
 
 def _conjugation_solution_space(x: Matrix, target: Matrix) -> list[Matrix]:
@@ -140,31 +235,36 @@ def _invertible_combination(basis: list[Matrix], rng: random.Random,
 
 def rationality_certificates_linear(x: Matrix, m: int, seed: int = 0,
                                     retries: int = DEFAULT_RETRIES) -> LinearRationalityResult:
-    """Solve g x = x^k g over the matrix space for every generating power k.
+    """Conjugators g x g^-1 = x^k for every generating power k.
 
-    Invertible solutions are picked deterministically: basis elements first,
-    then seeded random small-coefficient combinations."""
+    Over Q each g is built from cyclic (Krylov) bases, so the result is
+    always complete.  Over other fields g is solved from g x = x^k g over
+    the matrix space, and an invertible solution is picked
+    deterministically: basis elements first, then seeded random
+    small-coefficient combinations; ``seed`` and ``retries`` only matter
+    there."""
     x._require_square("rationality_certificates_linear")
     ident = Matrix.identity_of(x.field, x.rows)
     if x ** m != ident:
         raise UsageError(f"x^{m} != I")
     order = element_order(x, bound=m + 1).value
+    krylov = _krylov_conjugators(x, order) if x.field is QQ and order > 2 else None
     rng = random.Random(seed)
     certs = {1: ident}
     not_rational = []
     inconclusive = []
-    for k in range(2, order):
-        if gcd(k, order) != 1:
-            continue
-        target = x ** k
-        basis = _conjugation_solution_space(x, target)
-        if not basis:
-            not_rational.append(k)
-            continue
-        g = _invertible_combination(basis, rng, retries)
-        if g is None:
-            inconclusive.append(k)
-            continue
+    for k, target in _coprime_powers(x, order):
+        if krylov is not None:
+            g = krylov(target)
+        else:
+            basis = _conjugation_solution_space(x, target)
+            if not basis:
+                not_rational.append(k)
+                continue
+            g = _invertible_combination(basis, rng, retries)
+            if g is None:
+                inconclusive.append(k)
+                continue
         assert g * x * g.inverse() == target
         certs[k] = g
     return LinearRationalityResult(order, certs, tuple(not_rational), tuple(inconclusive))
@@ -291,7 +391,7 @@ def classify_affine_rational(x: Matrix, v: Vector, m: int, certs: dict,
         raise UsageError(f"x^{m} != I")
     order = element_order(x, bound=m + 1).value
     needed = [k for k in range(2, order) if gcd(k, order) == 1]
-    for k in needed:
+    for k, power in _coprime_powers(x, order):
         g = certs.get(k)
         if g is None:
             raise UsageError(f"missing conjugator for k = {k}")
@@ -299,7 +399,7 @@ def classify_affine_rational(x: Matrix, v: Vector, m: int, certs: dict,
             g_inv = g.inverse()
         except SingularMatrixError:
             g_inv = None
-        if g_inv is None or g * x * g_inv != x ** k:
+        if g_inv is None or g * x * g_inv != power:
             raise UsageError(f"supplied conjugator for k = {k} fails verification")
 
     subject = AffineElement(x, v)

@@ -318,7 +318,8 @@ def lift_central_series(x, n, pres: CentralSeriesPresentation):
     """u in N with (e,u) (x,e) (e,u)^-1 = (x,n), by descending the series.
 
     At each level the quotient equation (act^-1 - I) w = project(residual)
-    is solved, the solution lifted through the section, and the residual
+    is solved in the inverse-free form (I - act) w = act project(residual),
+    the solution lifted through the section, and the residual
     pushed into the next term of the series; the final conjugator is
     re-verified by exact multiplication."""
     check_fixed_point_free(x, pres)
@@ -331,7 +332,7 @@ def lift_central_series(x, n, pres: CentralSeriesPresentation):
         a = lvl.act(x)
         ident = Matrix.identity_of(pres.field, lvl.dim)
         v_j = lvl.project(residual)
-        omega = solve_linear(a.inverse() - ident, v_j)
+        omega = solve_linear(ident - a, a.apply(v_j))
         assert omega is not None  # invertible by the fixed-point check
         w_j = lvl.section(omega)
         u = pres.multiply(w_j, u)

@@ -1,6 +1,7 @@
 import importlib.util
 import pathlib
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -337,3 +338,80 @@ def test_classify_rejects_singular_conjugator():
         classify_affine_rational(THREE_CYCLE, vec([1, -1, 0]), 3,
                                  {1: Matrix.identity_of(QQ, 3),
                                   2: Matrix.zero_of(QQ, 3, 3)})
+
+
+# -- Krylov conjugators over Q -------------------------------------------------
+
+# cyclotomic polynomials t^phi(d) + ... + c_0 as (c_0, ..., c_(phi(d)-1))
+_CYCLOTOMIC = {1: (-1,), 2: (1,), 3: (1, 1), 4: (1, 0), 5: (1, 1, 1, 1),
+               12: (1, 0, -1, 0)}
+
+
+def _companion_sum(orders):
+    """The block diagonal sum of the companion matrices of Phi_d."""
+    sizes = [len(_CYCLOTOMIC[d]) for d in orders]
+    n = sum(sizes)
+    rows = [[0] * n for _ in range(n)]
+    at = 0
+    for d, size in zip(orders, sizes):
+        for i in range(size):
+            if i:
+                rows[at + i][at + i - 1] = 1
+            rows[at + i][at + size - 1] = -_CYCLOTOMIC[d][i]
+        at += size
+    return mat(rows)
+
+
+def _unit_triangular(entries, n, lower):
+    """Unit lower or upper triangular matrix filled from entries."""
+    it = iter(entries)
+    return mat([[1 if i == j else (next(it) if (i > j) == lower else 0)
+                 for j in range(n)] for i in range(n)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(orders=st.sampled_from([(3, 3, 1), (4, 4, 2, 1), (12, 3, 4), (5, 1)]),
+       data=st.data())
+def test_krylov_conjugators_with_repeated_blocks(orders, data):
+    """x = P (companion sum of Phi_d) P^-1 over Q, with repeated d: every
+    coprime power gets a conjugator, which keeps ker(x - I) and im(x - I)."""
+    c = _companion_sum(orders)
+    n = c.rows
+    m = 1
+    for d in orders:
+        m = m * d // gcd(m, d)
+    small = st.lists(st.integers(-3, 3), min_size=n * (n - 1) // 2,
+                     max_size=n * (n - 1) // 2)
+    P = (_unit_triangular(data.draw(small, label="lower"), n, True)
+         * _unit_triangular(data.draw(small, label="upper"), n, False))
+    x = P * c * P.inverse()
+    res = rationality_certificates_linear(x, m)
+    assert res.complete and res.order == m
+    splitting = split_at_eigenvalue_one(x, m)
+    coprime = [k for k in range(1, m) if gcd(k, m) == 1]
+    assert sorted(res.certificates) == coprime
+    for k in coprime:
+        g = res.certificates[k]
+        assert g * x * g.inverse() == x ** k
+        block = extract_block_certificate(g, x, k, splitting)
+        assert block.rows == splitting.image_dim
+
+
+def test_linear_certificates_eliminate_at_most_2n_columns(monkeypatch):
+    """On the order-12, dimension-8 linear part of the affine benchmark the
+    conjugators need n x n eliminations only (the widest is [A | I], 2n
+    columns); solving g x = x^k g over the matrix space eliminates an
+    n^2 = 64-column kron system."""
+    x, m = _bench_linear_part("o12_d8")
+    widest = [0]
+    echelon = linalg._echelon
+
+    def recorded(rows, ncols, one):
+        widest[0] = max(widest[0], ncols, *(len(row) for row in rows[:1]))
+        return echelon(rows, ncols, one)
+
+    monkeypatch.setattr(linalg, "_echelon", recorded)
+    res = rationality_certificates_linear(x, m)
+    monkeypatch.undo()
+    assert res.complete and len(res.certificates) == 4
+    assert widest[0] <= 2 * x.rows, widest[0]
