@@ -19,7 +19,8 @@ import json
 import os
 import sys
 import time
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from .affine import classify_affine_rational, rationality_certificates_linear
 from .errors import ConjcertError, UsageError
@@ -50,8 +51,9 @@ SCHEMA_VERSION = 1
 SEED_ENV_VAR = "CONJCERT_SEED"
 DEFAULT_BOUND = 10_000
 CLOSURE_CAP = 50_000
-
-KINDS = ("finite", "sl2v", "affine", "heisenberg", "solvable")
+MAX_RELATION_POWER = 10 ** 6
+# is_prime is trial division: about 8 ms at this cap, minutes near 10**18
+MAX_FIELD_MODULUS = 2 ** 31 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +66,10 @@ def _field_from_descriptor(desc) -> Field:
     if desc == "Qi":
         return QQI
     if isinstance(desc, dict) and desc.get("type") == "Fp":
-        return GF(int(desc["p"]))
+        p = int(desc["p"])
+        if p > MAX_FIELD_MODULUS:
+            raise UsageError(f"field modulus {p} exceeds the sanity cap {MAX_FIELD_MODULUS}")
+        return GF(p)
     raise UsageError(f"unknown field descriptor {desc!r}")
 
 
@@ -74,16 +79,12 @@ def _scalar_in(field: Field, token) -> object:
     return field.coerce(token if isinstance(token, int) else field.parse(token))
 
 
-def _scalar_out(field: Field, value) -> str:
-    return field.format(value)
-
-
 def _matrix_in(field: Field, rows) -> Matrix:
     return Matrix.from_rows(field, [[_scalar_in(field, v) for v in row] for row in rows])
 
 
 def _matrix_out(m: Matrix) -> list:
-    return [[_scalar_out(m.field, m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+    return [[m.field.format(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
 
 
 def _vector_in(field: Field, values) -> Vector:
@@ -91,16 +92,7 @@ def _vector_in(field: Field, values) -> Vector:
 
 
 def _vector_out(v: Vector) -> list:
-    return [_scalar_out(v.field, x) for x in v.entries]
-
-
-def _relation_out(relation) -> object:
-    if isinstance(relation, Inverse):
-        return "inverse"
-    return {"power": relation.k}
-
-
-MAX_RELATION_POWER = 10 ** 6
+    return [v.field.format(x) for x in v.entries]
 
 
 def _relation_in(payload):
@@ -114,68 +106,99 @@ def _relation_in(payload):
     raise UsageError(f"unknown relation {payload!r}")
 
 
+def _encode_affine(field: Field, element: AffineElement) -> dict:
+    return {"linear": _matrix_out(element.linear),
+            "translation": _vector_out(element.translation)}
+
+
+def _decode_affine(field: Field, payload: dict) -> AffineElement:
+    return AffineElement.of(_matrix_in(field, payload["linear"]),
+                            _vector_in(field, payload["translation"]))
+
+
+def _encode_sl2v(field: Field, element: SL2VElement) -> dict:
+    h = element.h
+    return {"h": [field.format(v) for v in (h.a, h.b, h.c, h.d)],
+            "v": _vector_out(element.v)}
+
+
+def _decode_sl2v(field: Field, payload: dict) -> SL2VElement:
+    a, b, c, d = (_scalar_in(field, v) for v in payload["h"])
+    return SL2VElement(SL2Element.of(a, b, c, d), _vector_in(field, payload["v"]))
+
+
+def _encode_heisenberg(field: Field, element) -> dict:
+    return {"h": _matrix_out(element.h.g),
+            "n": {"v": _vector_out(element.n.v), "t": field.format(element.n.t)}}
+
+
+def _decode_heisenberg(field: Field, payload: dict):
+    g = GSpElement.of(_matrix_in(field, payload["h"]))
+    n = HeisenbergElement.of(field, _vector_in(field, payload["n"]["v"]),
+                             _scalar_in(field, payload["n"]["t"]))
+    return heisenberg_presentation().semidirect(g.identity()).element(g, n)
+
+
+def _encode_solvable(field: Field, element) -> dict:
+    n = element.n
+    return {"h": field.format(element.h.value),
+            "n": {"a": field.format(n.a), "b": field.format(n.b), "c": field.format(n.c)}}
+
+
+def _decode_solvable(field: Field, payload: dict):
+    lam = UnitScalar.of(_scalar_in(field, payload["h"]))
+    n = ComplexHeisenbergElement.of(*(_scalar_in(field, payload["n"][key])
+                                      for key in ("a", "b", "c")))
+    return complex_heisenberg_group().element(lam, n)
+
+
+@dataclass(frozen=True)
+class Kind:
+    """What a scenario kind is: the scalar field it reads from its params,
+    the JSON codec of its elements over that field, and its runner.  A record
+    holds codec bodies and runners only.  The classifiers stay module-level
+    names and the codec is reached through ``GroupCodec``'s methods, because
+    ``bench/tracer.py`` rebinds module and class attributes: a traced
+    function held inside a record would escape it."""
+
+    field: Callable[[dict], Field]
+    encode: Callable[[Field, object], dict]
+    decode: Callable[[Field, dict], object]
+    run: Callable[..., list]
+
+
 class GroupCodec:
-    """Encode/decode group elements of one scenario's ambient group."""
+    """Encode/decode group elements of one scenario's ambient group, as its
+    ``Kind`` record says."""
 
     def __init__(self, kind: str, params: dict):
-        self.kind = kind
-        self.params = params
-        if kind == "finite":
-            self.field = GF(int(params["p"]))
-        elif kind == "affine":
-            self.field = _field_from_descriptor(params.get("field", "Q"))
-        elif kind in ("sl2v", "heisenberg"):
-            self.field = QQ
-        elif kind == "solvable":
-            self.field = QQI
-        else:
-            raise UsageError(f"unknown scenario kind {kind!r}")
+        try:
+            self.kind = KINDS[kind]
+        except (KeyError, TypeError):
+            raise UsageError(f"unknown scenario kind {kind!r}") from None
+        if not isinstance(params, dict):
+            raise UsageError(f"scenario params must be an object, got {params!r}")
+        self.field = self.kind.field(params)
 
     def encode(self, element) -> dict:
-        if self.kind in ("finite", "affine"):
-            return {"linear": _matrix_out(element.linear),
-                    "translation": _vector_out(element.translation)}
-        if self.kind == "sl2v":
-            h = element.h
-            return {"h": [_scalar_out(QQ, v) for v in (h.a, h.b, h.c, h.d)],
-                    "v": _vector_out(element.v)}
-        if self.kind == "heisenberg":
-            return {"h": _matrix_out(element.h.g),
-                    "n": {"v": _vector_out(element.n.v),
-                          "t": _scalar_out(QQ, element.n.t)}}
-        if self.kind == "solvable":
-            return {"h": _scalar_out(QQI, element.h.value),
-                    "n": {"a": _scalar_out(QQI, element.n.a),
-                          "b": _scalar_out(QQI, element.n.b),
-                          "c": _scalar_out(QQI, element.n.c)}}
-        raise UsageError(f"unknown scenario kind {self.kind!r}")
+        return self.kind.encode(self.field, element)
 
     def decode(self, payload: dict):
-        if self.kind in ("finite", "affine"):
-            return AffineElement.of(_matrix_in(self.field, payload["linear"]),
-                                    _vector_in(self.field, payload["translation"]))
-        if self.kind == "sl2v":
-            a, b, c, d = (_scalar_in(QQ, v) for v in payload["h"])
-            return SL2VElement(SL2Element.of(a, b, c, d),
-                               _vector_in(QQ, payload["v"]))
-        if self.kind == "heisenberg":
-            g = GSpElement.of(_matrix_in(QQ, payload["h"]))
-            n = HeisenbergElement.of(QQ, _vector_in(QQ, payload["n"]["v"]),
-                                     _scalar_in(QQ, payload["n"]["t"]))
-            group = heisenberg_presentation().semidirect(g.identity())
-            return group.element(g, n)
-        if self.kind == "solvable":
-            lam = UnitScalar.of(_scalar_in(QQI, payload["h"]))
-            n = ComplexHeisenbergElement.of(_scalar_in(QQI, payload["n"]["a"]),
-                                            _scalar_in(QQI, payload["n"]["b"]),
-                                            _scalar_in(QQI, payload["n"]["c"]))
-            return complex_heisenberg_group().element(lam, n)
-        raise UsageError(f"unknown scenario kind {self.kind!r}")
+        return self.kind.decode(self.field, payload)
 
-    def certificate_payload(self, cert: Certificate) -> dict:
-        return {"relation": _relation_out(cert.relation),
-                "witness": self.encode(cert.witness),
-                "verified": bool(cert.verified)}
+    def result(self, element, verdicts: dict, certificates, notes=()) -> dict:
+        """One report entry: the element, its verdicts, every certificate in
+        the given order, and the non-empty notes (the key only if any)."""
+        result = {"element": self.encode(element),
+                  "verdicts": verdicts,
+                  "certificates": [{"relation": ("inverse" if isinstance(c.relation, Inverse)
+                                                 else {"power": c.relation.k}),
+                                    "witness": self.encode(c.witness),
+                                    "verified": bool(c.verified)} for c in certificates]}
+        notes = [note for note in notes if note]
+        if notes:
+            result["notes"] = notes
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -209,20 +232,13 @@ def _run_finite(codec: GroupCodec, params: dict, elements, bound: int, seed: int
     for s in subjects:
         real_cert = is_real_bruteforce(G, s)
         rational_certs = is_rational_bruteforce(G, s)
-        certs = []
-        if real_cert is not None:
-            certs.append(codec.certificate_payload(real_cert))
+        certs = [] if real_cert is None else [real_cert]
         if rational_certs is not None:
-            certs.extend(codec.certificate_payload(rational_certs[k])
-                         for k in sorted(rational_certs))
-        results.append({
-            "element": codec.encode(s),
-            "verdicts": {
-                "real": "real" if real_cert is not None else "not_real",
-                "rational": "rational" if rational_certs is not None else "not_rational",
-            },
-            "certificates": certs,
-        })
+            certs.extend(rational_certs[k] for k in sorted(rational_certs))
+        results.append(codec.result(s, {
+            "real": "real" if real_cert is not None else "not_real",
+            "rational": "rational" if rational_certs is not None else "not_rational",
+        }, certs))
     return results
 
 
@@ -240,21 +256,12 @@ def _run_sl2v(codec: GroupCodec, params: dict, elements, bound: int, seed: int) 
                              f"{int(params['n']) + 1}")
         reality = classify_real(x, v, t=t)
         rationality = classify_rational_sl2v(x, v, bound=bound, t=t)
-        certs = []
-        if reality.certificate is not None:
-            certs.append(codec.certificate_payload(reality.certificate))
-        for k in sorted(rationality.certificates):
-            if isinstance(rationality.certificates[k].relation, Power):
-                certs.append(codec.certificate_payload(rationality.certificates[k]))
-        result = {
-            "element": codec.encode(SL2VElement(x, v)),
-            "verdicts": {"real": reality.verdict, "rational": rationality.verdict},
-            "certificates": certs,
-        }
-        notes = [m for m in (reality.reason, rationality.reason) if m]
-        if notes:
-            result["notes"] = notes
-        results.append(result)
+        certs = [] if reality.certificate is None else [reality.certificate]
+        certs.extend(c for _, c in sorted(rationality.certificates.items())
+                     if isinstance(c.relation, Power))
+        results.append(codec.result(
+            SL2VElement(x, v), {"real": reality.verdict, "rational": rationality.verdict},
+            certs, (reality.reason, rationality.reason)))
     return results
 
 
@@ -268,28 +275,17 @@ def _run_affine(codec: GroupCodec, params: dict, elements, bound: int, seed: int
         v = _vector_in(field, payload["v"])
         subject = AffineElement.of(x, v)
         if not linear.complete:
-            results.append({
-                "element": codec.encode(subject),
-                "verdicts": {"rational": "refused"},
-                "certificates": [],
-                "notes": [f"linear part lacks conjugators: not rational for "
-                          f"k in {list(linear.not_rational)}, inconclusive for "
-                          f"k in {list(linear.inconclusive)}"],
-            })
+            results.append(codec.result(subject, {"rational": "refused"}, [], [
+                f"linear part lacks conjugators: not rational for "
+                f"k in {list(linear.not_rational)}, inconclusive for "
+                f"k in {list(linear.inconclusive)}"]))
             continue
         outcome = classify_affine_rational(x, v, m, linear.certificates)
-        certs = [codec.certificate_payload(outcome.certificates[k])
-                 for k in sorted(outcome.certificates)]
+        certs = [outcome.certificates[k] for k in sorted(outcome.certificates)]
         if outcome.reality is not None:
-            certs.append(codec.certificate_payload(outcome.reality))
-        result = {
-            "element": codec.encode(subject),
-            "verdicts": {"rational": outcome.verdict},
-            "certificates": certs,
-        }
-        if outcome.note:
-            result["notes"] = [outcome.note]
-        results.append(result)
+            certs.append(outcome.reality)
+        results.append(codec.result(subject, {"rational": outcome.verdict}, certs,
+                                    [outcome.note]))
     return results
 
 
@@ -306,11 +302,7 @@ def _run_heisenberg(codec: GroupCodec, params: dict, elements, bound: int, seed:
         n = HeisenbergElement.of(QQ, _vector_in(QQ, payload["v"]),
                                  _scalar_in(QQ, payload["t"]))
         cert = real_witness_via_lift(x, n, pres, y)
-        results.append({
-            "element": codec.encode(group.element(x, n)),
-            "verdicts": {"real": "real"},
-            "certificates": [codec.certificate_payload(cert)],
-        })
+        results.append(codec.result(group.element(x, n), {"real": "real"}, [cert]))
     return results
 
 
@@ -324,19 +316,22 @@ def _run_solvable(codec: GroupCodec, params: dict, elements, bound: int, seed: i
         x_sign = int(payload.get("x", -1))
         verdict = complex_heisenberg_reality(n, x_sign)
         subject = group.element(UnitScalar.of(QQI.coerce(x_sign)), n)
-        result = {
-            "element": codec.encode(subject),
-            "verdicts": {"real": "real" if verdict.real else "not_real"},
-            "certificates": [codec.certificate_payload(c) for c in verdict.certificates],
-        }
-        if verdict.reason:
-            result["notes"] = [verdict.reason]
-        results.append(result)
+        results.append(codec.result(subject, {"real": "real" if verdict.real else "not_real"},
+                                    verdict.certificates, [verdict.reason]))
     return results
 
 
-_RUNNERS = {"finite": _run_finite, "sl2v": _run_sl2v, "affine": _run_affine,
-            "heisenberg": _run_heisenberg, "solvable": _run_solvable}
+# The one map from a scenario kind's name to its behaviour.
+KINDS = {
+    "finite": Kind(lambda params: _field_from_descriptor({"type": "Fp", "p": params["p"]}),
+                   _encode_affine, _decode_affine, _run_finite),
+    "affine": Kind(lambda params: _field_from_descriptor(params.get("field", "Q")),
+                   _encode_affine, _decode_affine, _run_affine),
+    "sl2v": Kind(lambda params: QQ, _encode_sl2v, _decode_sl2v, _run_sl2v),
+    "heisenberg": Kind(lambda params: QQ, _encode_heisenberg, _decode_heisenberg,
+                       _run_heisenberg),
+    "solvable": Kind(lambda params: QQI, _encode_solvable, _decode_solvable, _run_solvable),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +350,10 @@ def build_report(scenario: dict, seed: int, bound: int, timing: bool = False) ->
     if scenario.get("schema_version") != SCHEMA_VERSION:
         raise UsageError(f"unsupported scenario schema_version "
                          f"{scenario.get('schema_version')!r}")
-    kind = scenario.get("kind")
-    if kind not in KINDS:
-        raise UsageError(f"unknown scenario kind {kind!r}")
     params = scenario.get("params", {})
-    elements = scenario.get("elements", [])
-    codec = GroupCodec(kind, params)
+    codec = GroupCodec(scenario.get("kind"), params)
     started = time.monotonic()
-    results = _RUNNERS[kind](codec, params, elements, bound, seed)
+    results = codec.kind.run(codec, params, scenario.get("elements", []), bound, seed)
     elapsed = time.monotonic() - started
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -379,8 +370,9 @@ def build_report(scenario: dict, seed: int, bound: int, timing: bool = False) ->
 
 def verify_report(report: dict) -> list[str]:
     """Re-check a report from scratch.  Returns a list of failure messages
-    (empty = accepted): digest mismatch, undecodable entries, or any
-    certificate whose relation fails exact re-multiplication."""
+    (empty = accepted): digest mismatch, undecodable entries, any certificate
+    whose relation fails exact re-multiplication, a ``real`` verdict without
+    an ``inverse`` certificate, or a ``rational`` verdict without any."""
     failures = []
     payload = {k: v for k, v in report.items() if k != "integrity"}
     if report.get("integrity") != _digest(payload):
@@ -388,7 +380,7 @@ def verify_report(report: dict) -> list[str]:
     try:
         scenario = report["scenario"]
         codec = GroupCodec(scenario["kind"], scenario.get("params", {}))
-    except (KeyError, UsageError, TypeError) as exc:
+    except (KeyError, UsageError, TypeError, ValueError) as exc:
         failures.append(f"cannot reconstruct scenario group: {exc}")
         return failures
     for i, result in enumerate(report.get("results", [])):
@@ -397,13 +389,23 @@ def verify_report(report: dict) -> list[str]:
         except (ConjcertError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             failures.append(f"result {i}: undecodable element ({exc})")
             continue
-        for j, cert in enumerate(result.get("certificates", [])):
+        certificates = result.get("certificates", [])
+        for j, cert in enumerate(certificates):
             try:
                 witness = codec.decode(cert["witness"])
                 relation = _relation_in(cert["relation"])
                 Certificate.make(subject, witness, relation)
             except (ConjcertError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
                 failures.append(f"result {i} certificate {j}: {exc}")
+        verdicts = result.get("verdicts")
+        if not isinstance(verdicts, dict):
+            failures.append(f"result {i}: verdicts must be an object")
+            continue
+        if verdicts.get("real") == "real" and not any(
+                isinstance(c, dict) and c.get("relation") == "inverse" for c in certificates):
+            failures.append(f"result {i}: verdict real without an inverse certificate")
+        if verdicts.get("rational") == "rational" and not certificates:
+            failures.append(f"result {i}: verdict rational without a certificate")
     return failures
 
 
@@ -479,29 +481,21 @@ def main(argv=None) -> int:
             scenario = _load_json(args.scenario)
             seed = _resolve_seed(args.seed, scenario)
             report = build_report(scenario, seed, args.bound, timing=args.timing)
-            failures = verify_report(report)
-            if failures:
-                for f in failures:
-                    print(f"verification failure: {f}", file=sys.stderr)
-                return 1
-            if args.verify_only:
-                print(json.dumps({"verified_results": len(report["results"]),
-                                  "failures": 0}, sort_keys=True))
-            elif args.as_json:
-                print(json.dumps(report, sort_keys=True, indent=2))
-            else:
-                print(_render_text(report))
-            return 0
-        if args.command == "verify":
+        else:
             report = _load_json(args.report)
-            failures = verify_report(report)
-            if failures:
-                for f in failures:
-                    print(f"verification failure: {f}", file=sys.stderr)
-                return 1
+        failures = verify_report(report)
+        for f in failures:
+            print(f"verification failure: {f}", file=sys.stderr)
+        if failures:
+            return 1
+        if args.command == "verify" or args.verify_only:
             print(json.dumps({"verified_results": len(report.get("results", [])),
                               "failures": 0}, sort_keys=True))
-            return 0
+        elif args.as_json:
+            print(json.dumps(report, sort_keys=True, indent=2))
+        else:
+            print(_render_text(report))
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -511,8 +505,6 @@ def main(argv=None) -> int:
     except ConjcertError as exc:
         print(f"internal failure: {exc}", file=sys.stderr)
         return 1
-    return 2
-
 
 if __name__ == "__main__":
     sys.exit(main())

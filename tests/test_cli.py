@@ -1,9 +1,25 @@
 import copy
 import json
+import pathlib
+import subprocess
+import sys
+import time
 
 import pytest
 
-from conjcert.cli import build_report, main, verify_report
+from conjcert import fields
+from conjcert.cli import (
+    KINDS,
+    MAX_FIELD_MODULUS,
+    GroupCodec,
+    _digest,
+    build_report,
+    main,
+    verify_report,
+)
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
 
 
 def write_json(path, data):
@@ -215,3 +231,105 @@ def test_shipped_scenarios_run_clean(tmp_path, capsys):
         assert main(["run", str(path)]) == 0, path.name
         report = json.loads(capsys.readouterr().out)
         assert verify_report(report) == []
+
+
+# -- the kind registry -----------------------------------------------------------
+
+def forge(report, edit):
+    """Apply ``edit`` to a copy of ``report`` and recompute its unkeyed digest."""
+    payload = {k: v for k, v in copy.deepcopy(report).items() if k != "integrity"}
+    edit(payload)
+    return {**payload, "integrity": _digest(payload)}
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_codec_round_trips_shipped_elements_and_witnesses(path):
+    scenario = json.loads(path.read_text())
+    report = build_report(scenario, 0, 10_000)
+    codec = GroupCodec(scenario["kind"], scenario.get("params", {}))
+    payloads = [r["element"] for r in report["results"]]
+    payloads += [c["witness"] for r in report["results"] for c in r["certificates"]]
+    assert payloads
+    for payload in payloads:
+        element = codec.decode(payload)
+        assert codec.encode(element) == payload
+        assert codec.decode(codec.encode(element)) == element
+
+
+def test_shipped_scenarios_cover_every_kind():
+    assert {json.loads(p.read_text())["kind"] for p in SCENARIOS} == set(KINDS)
+
+
+@pytest.mark.parametrize("edit,message", [
+    ({"kind": ["sl2v"]}, "unknown scenario kind"),
+    ({"kind": "affine", "params": []}, "params must be an object"),
+], ids=["list_kind", "list_params"])
+def test_malformed_kind_or_params_rejected(tmp_path, capsys, edit, message):
+    scenario = {**sl2v_scenario(elements=[]), **edit}
+    assert main(["run", write_json(tmp_path / "scenario.json", scenario)]) == 2
+    assert message in capsys.readouterr().err
+    report = forge(build_report(sl2v_scenario(), 0, 100),
+                   lambda payload: payload["scenario"].update(edit))
+    failures = verify_report(report)
+    assert len(failures) == 1 and message in failures[0]
+
+
+HOSTILE_MODULUS = 1_000_000_000_000_000_003
+HOSTILE_PARAMS = {
+    "finite": {"p": HOSTILE_MODULUS, "linear_generators": [[["1"]]]},
+    "affine": {"field": {"type": "Fp", "p": HOSTILE_MODULUS}, "x": [["1"]], "order": 1},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HOSTILE_PARAMS))
+def test_hostile_field_modulus_rejected_quickly(tmp_path, capsys, monkeypatch, kind):
+    trial_division = fields.is_prime
+
+    def capped(n):  # fail at once instead of dividing for hours
+        assert n <= MAX_FIELD_MODULUS, f"trial division of {n}"
+        return trial_division(n)
+
+    monkeypatch.setattr(fields, "is_prime", capped)
+    scenario = {"schema_version": 1, "kind": kind, "params": HOSTILE_PARAMS[kind],
+                "elements": []}
+    started = time.monotonic()
+    assert main(["run", write_json(tmp_path / "scenario.json", scenario)]) == 2
+    assert "exceeds the sanity cap" in capsys.readouterr().err
+    report = {"schema_version": 1, "tool": "conjcert", "scenario": scenario,
+              "seed": 0, "bound": 100, "results": []}
+    failures = verify_report({**report, "integrity": _digest(report)})
+    assert len(failures) == 1 and "exceeds the sanity cap" in failures[0]
+    assert time.monotonic() - started < 1.0
+
+
+def test_verify_rejects_forged_positive_verdicts():
+    scenario = json.loads((ROOT / "scenarios" / "sl2v_quadratic.json").read_text())
+    report = build_report(scenario, 0, 10_000)
+    assert verify_report(report) == []
+    assert report["results"][1]["certificates"] == []
+
+    def real(payload):
+        payload["results"][1]["verdicts"]["real"] = "real"
+
+    def rational(payload):
+        payload["results"][1]["verdicts"]["rational"] = "rational"
+
+    assert verify_report(forge(report, real)) == [
+        "result 1: verdict real without an inverse certificate"]
+    assert verify_report(forge(report, rational)) == [
+        "result 1: verdict rational without a certificate"]
+
+
+def test_traced_benchmark_sees_every_cli_layer():
+    """bench/tracer.py wraps GroupCodec.encode and GroupCodec.decode by name;
+    a kind record that the runners or verify_report call past those methods
+    leaves a cli metric at zero."""
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", "lift_verify",
+                           "--seconds", "0", "--trace", "1"],
+                          cwd=ROOT, capture_output=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert summary["correct"] is True, proc.stdout.decode(errors="replace")[-2000:]
+    cli = {name: m["value"] for name, m in summary["metrics"].items()
+           if name.startswith("cli.")}
+    assert cli and all(cli.values()), cli
