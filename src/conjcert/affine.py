@@ -1,18 +1,19 @@
 """Rationality in affine groups GL(n) |x F^n from a rational finite-order
 linear part.
 
-A finite-order x is semisimple, so F^n = ker(x - I) + im(x - I) splits
-exactly and stays computable over Q; no Jordan form over R is needed.
+In characteristic zero a finite-order x is semisimple, so
+F^n = ker(x - I) + im(x - I) splits exactly and stays computable over Q;
+no Jordan form over R is needed.
 Over Q the conjugators g x g^-1 = x^k of the linear part are read off
 cyclic (Krylov) bases: each primary component ker Phi_d(x) is a sum of
 cyclic subspaces with minimal polynomial Phi_d, and the same seeds span
 them for x and for x^k, so every finite-order x over Q is rational.  Over
 other fields the conjugators come from the solution space of g x = x^k g.
-Certificates for (x, v) are produced either directly (no fixed point), or
-by restricting to the image block and lifting the block witness back, or --
-when the translation has a nonzero kernel component -- by proving the
-element has infinite order via the telescoping translation and building
-its inverse witness: g = -1 on the kernel and the block conjugator of
+Certificates for (x, v) come from one of two constructions.  If v lies in
+im(x - I), then (x, v) is conjugate to (x, 0) by a pure translation and
+every conjugator of x carries over.  Otherwise (characteristic zero) the
+kernel component of v telescopes, so (x, v) has infinite order, and its
+inverse witness is g = -1 on the kernel and the block conjugator of
 x -> x^-1 on the image, with the translation solved from one n x n system.
 """
 
@@ -312,7 +313,8 @@ def telescoped_translation(x: Matrix, v: Vector, l: int) -> Vector:
 class AffineRationalityResult:
     """Verdict on (x, v).  For "infinite_order", ``reality`` is the inverse
     certificate built from the kernel/image splitting; rational and real
-    coincide there, and ``reality_refuted`` is always False."""
+    coincide there, and ``reality_refuted`` is always False.
+    ``kernel_component`` and ``telescope`` are set on that route only."""
 
     verdict: str  # "rational" | "infinite_order" | "inconclusive"
     order: Optional[int]
@@ -339,18 +341,6 @@ def _block_diagonal(splitting: EigenOneSplitting, c, block: Matrix) -> Matrix:
                 entries.append(block[i - d, j - d])
     return (splitting.change_of_basis * Matrix(field, n, n, tuple(entries))
             * splitting.inverse_basis)
-
-
-def _lift_block_certificate(x: Matrix, v: Vector, k: int, splitting: EigenOneSplitting,
-                            block_witness: AffineElement) -> Certificate:
-    """Assemble identity-on-kernel + block witness and verify in the full group."""
-    field = x.field
-    lifted_linear = _block_diagonal(splitting, field.one(), block_witness.linear)
-    lifted_translation = splitting.change_of_basis.apply(
-        Vector(field, (field.zero(),) * splitting.kernel_dim
-               + tuple(block_witness.translation.entries)))
-    witness = AffineElement(lifted_linear, lifted_translation)
-    return Certificate.make(AffineElement(x, v), witness, Power(k))
 
 
 def _inverse_witness(x: Matrix, v: Vector, order: int, certs: dict,
@@ -380,17 +370,19 @@ def classify_affine_rational(x: Matrix, v: Vector, m: int, certs: dict,
                              telescope_steps: int = TELESCOPE_STEPS) -> AffineRationalityResult:
     """Rationality of (x, v) given conjugators for the linear part.
 
-    Case split follows the eigenvalue-1 geometry: no fixed point -> direct
-    construction; zero kernel component -> block restriction and lift;
-    nonzero kernel component -> infinite order (characteristic zero), where
-    rational and real coincide and the inverse witness is constructed from
-    the splitting and the k = order - 1 conjugator."""
+    If v lies in im(x - I), say v = (x - I) w, then c = (I, w) gives
+    (x, v) = c^-1 (x, 0) c, and each conjugator g_k of x yields the witness
+    c^-1 (g_k, 0) c.  Otherwise, in characteristic zero, (x, v) has
+    infinite order: its kernel component telescopes linearly, rational and
+    real coincide, and the inverse witness is constructed from the splitting
+    and the k = order - 1 conjugator.  Over finite characteristic that case
+    is inconclusive."""
     x._require_square("classify_affine_rational")
     ident = Matrix.identity_of(x.field, x.rows)
     if x ** m != ident:
         raise UsageError(f"x^{m} != I")
     order = element_order(x, bound=m + 1).value
-    needed = [k for k in range(2, order) if gcd(k, order) == 1]
+    needed = []
     for k, power in _coprime_powers(x, order):
         g = certs.get(k)
         if g is None:
@@ -401,47 +393,28 @@ def classify_affine_rational(x: Matrix, v: Vector, m: int, certs: dict,
             g_inv = None
         if g_inv is None or g * x * g_inv != power:
             raise UsageError(f"supplied conjugator for k = {k} fails verification")
+        needed.append(k)
 
     subject = AffineElement(x, v)
-    if not kernel_basis(x - ident):
+    if solve_linear(x - ident, v) is not None:
         certificates = {1: Certificate.make(subject, subject.identity(), Power(1))}
         for k in needed:
             certificates[k] = make_power_witness(x, v, certs[k], k)
-        return AffineRationalityResult("rational", order, certificates,
-                                       note="no nonzero fixed point; direct construction")
-
-    try:
-        splitting = split_at_eigenvalue_one(x, order)
-    except UsageError:
-        # only reachable when the characteristic divides the order (e.g.
-        # unipotent parts over F_p): x is not semisimple at 1
-        return AffineRationalityResult(
-            "inconclusive", None, {},
-            note="eigenvalue-1 splitting unavailable: x is not semisimple "
-                 "at 1 (characteristic divides the order)")
-    coords = splitting.inverse_basis.apply(v)
-    d = splitting.kernel_dim
-    v_kernel = Vector(x.field, coords.entries[:d])
-    v_image = Vector(x.field, coords.entries[d:])
-
-    if v_kernel.is_zero():
-        certificates = {1: Certificate.make(subject, subject.identity(), Power(1))}
-        for k in needed:
-            block_g = extract_block_certificate(certs[k], x, k, splitting)
-            block_cert = make_power_witness(splitting.restricted, v_image, block_g, k)
-            certificates[k] = _lift_block_certificate(x, v, k, splitting,
-                                                      block_cert.witness)
         return AffineRationalityResult(
             "rational", order, certificates,
-            kernel_component=v_kernel,
-            note="zero kernel component; block certificates lifted")
+            note="v in im(x - I), so (x, v) is conjugate to (x, 0)")
 
     if x.field.characteristic != 0:
         return AffineRationalityResult(
-            "inconclusive", None, {}, kernel_component=v_kernel,
-            note="nonzero kernel component over finite characteristic: the "
+            "inconclusive", None, {},
+            note="v outside im(x - I) over finite characteristic: the "
                  "telescoping order argument needs characteristic zero")
 
+    # characteristic zero: x has finite order, so it is semisimple and the
+    # splitting exists; v outside im(x - I) has a nonzero kernel component
+    splitting = split_at_eigenvalue_one(x, order)
+    d = splitting.kernel_dim
+    v_kernel = Vector(x.field, splitting.inverse_basis.apply(v).entries[:d])
     telescope = []
     tele = Vector.zero(x.field, v.dim)
     for l in range(1, telescope_steps + 1):

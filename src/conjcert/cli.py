@@ -383,13 +383,20 @@ def verify_report(report: dict) -> list[str]:
     except (KeyError, UsageError, TypeError, ValueError) as exc:
         failures.append(f"cannot reconstruct scenario group: {exc}")
         return failures
-    for i, result in enumerate(report.get("results", [])):
+    results = report.get("results", [])
+    if not isinstance(results, list):
+        failures.append("results must be a list")
+        return failures
+    for i, result in enumerate(results):
         try:
             subject = codec.decode(result["element"])
         except (ConjcertError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             failures.append(f"result {i}: undecodable element ({exc})")
             continue
         certificates = result.get("certificates", [])
+        if not isinstance(certificates, list):
+            failures.append(f"result {i}: certificates must be a list")
+            continue
         for j, cert in enumerate(certificates):
             try:
                 witness = codec.decode(cert["witness"])

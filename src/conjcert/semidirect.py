@@ -10,9 +10,10 @@ Two realizations are used throughout:
 They are intertwined by the documented change of variable b = h.v: the map
 (h, v) -> (h, h.v) is an isomorphism onto the affine picture for vector N.
 
-The one-level conjugator solves (x - I) w = b; the multi-level lift walks a
-central series, solving one quotient equation per level and re-verifying the
-accumulated conjugator by exact multiplication at the end.
+The one-level conjugator solves (x - I) w = b for b in im(x - I); the
+multi-level lift walks a central series, solving one quotient equation per
+level and re-verifying the accumulated conjugator by exact multiplication at
+the end.
 """
 
 from __future__ import annotations
@@ -178,18 +179,19 @@ def affine_from_pair(h: Matrix, v: Vector) -> AffineElement:
 # ---------------------------------------------------------------------------
 
 def reduce_translation(x: Matrix, b: Vector) -> Vector:
-    """The unique w with (I,w) (x,b) (I,w)^-1 = (x,0), i.e. (x - I) w = b.
+    """A w with (I,w) (x,b) (I,w)^-1 = (x,0), i.e. (x - I) w = b.
 
-    Requires x to act without nonzero fixed points."""
+    Solvable exactly when b lies in im(x - I); free coordinates are set to
+    zero, so w is deterministic, and unique when x has no nonzero fixed
+    point.  Otherwise raises ``FixedPointError`` carrying ker(x - I)."""
     x._require_square("reduce_translation")
     if x.rows != b.dim:
         raise UsageError("translation dimension does not match x")
     shifted = x - Matrix.identity_of(x.field, x.rows)
-    if has_fixed_point(x):
-        raise FixedPointError("x has a nonzero fixed point; no unique conjugator",
-                              kernel=kernel_basis(shifted))
     w = solve_linear(shifted, b)
-    assert w is not None  # shifted is invertible here
+    if w is None:
+        raise FixedPointError("translation lies outside im(x - I); no conjugator "
+                              "to (x, 0)", kernel=kernel_basis(shifted))
     return w
 
 
@@ -200,7 +202,8 @@ def _conjugating_frame(x: Matrix, b: Vector) -> AffineElement:
 
 
 def make_real_witness(x: Matrix, b: Vector, h: Matrix) -> Certificate:
-    """Certificate g with g (x,b) g^-1 = (x,b)^-1, built as c^-1 (h,0) c."""
+    """Certificate g with g (x,b) g^-1 = (x,b)^-1, built as c^-1 (h,0) c;
+    b must lie in im(x - I)."""
     if h * x * h.inverse() != x.inverse():
         raise UsageError("h does not conjugate x to its inverse")
     c = _conjugating_frame(x, b)
@@ -210,7 +213,8 @@ def make_real_witness(x: Matrix, b: Vector, h: Matrix) -> Certificate:
 
 
 def make_power_witness(x: Matrix, b: Vector, h: Matrix, k: int) -> Certificate:
-    """Certificate g with g (x,b) g^-1 = (x,b)^k, built as c^-1 (h,0) c."""
+    """Certificate g with g (x,b) g^-1 = (x,b)^k, built as c^-1 (h,0) c;
+    b must lie in im(x - I)."""
     if h * x * h.inverse() != x ** k:
         raise UsageError(f"h does not conjugate x to x^{k}")
     c = _conjugating_frame(x, b)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb
 from typing import Optional, Sequence
 
 from .errors import UsageError
@@ -36,10 +36,9 @@ from .groups import (
     OrderResult,
     Power,
     element_order,
-    element_power,
 )
 from .linalg import Matrix, Vector
-from .semidirect import make_power_witness, make_real_witness
+from .semidirect import make_real_witness
 
 __all__ = [
     "SL2Element",
@@ -376,27 +375,10 @@ def classify_rational_sl2v(x: SL2Element, v: Vector, bound: int = 10_000,
     order = element_order(subject, bound=min(bound, 64))
 
     if order.is_finite:
-        m = order.value
-        certs = {1: Certificate.make(subject, subject.identity(), Power(1))}
-        missing = []
-        for k in range(2, m):
-            if gcd(k, m) != 1:
-                continue
-            h = _power_witness_in_sl2(x, k)
-            n = v.dim - 1
-            if h is not None and not (rho(x, n) - Matrix.identity_of(QQ, n + 1)).det() == 0:
-                affine_cert = make_power_witness(rho(x, n), v, rho(h, n), k)
-                witness = SL2VElement(h, affine_cert.witness.translation)
-                certs[k] = Certificate.make(subject, witness, Power(k))
-            elif h is not None and _central_power_ok(x, v, h, k):
-                witness = SL2VElement(h, Vector.zero(QQ, v.dim))
-                certs[k] = Certificate.make(subject, witness, Power(k))
-            else:
-                missing.append(k)
-        if missing:
-            return RationalityResult("unknown", order, certs,
-                                     reason=f"no fixed-point-free route for k in {missing}")
-        return RationalityResult("rational", order, certs)
+        # a finite-order diagonal x over Q is +-I, so the order is 1 or 2
+        # and k = 1 is the only generating power
+        return RationalityResult(
+            "rational", order, {1: Certificate.make(subject, subject.identity(), Power(1))})
 
     if not _certified_infinite(x, v):
         return RationalityResult("unknown", order, {},
@@ -410,21 +392,3 @@ def classify_rational_sl2v(x: SL2Element, v: Vector, bound: int = 10_000,
         return RationalityResult("not_rational", order, {},
                                  reason="infinite order and not real: " + reality.reason)
     return RationalityResult("unknown", order, {}, reason=reality.reason)
-
-
-def _power_witness_in_sl2(x: SL2Element, k: int) -> Optional[SL2Element]:
-    """h with h x h^-1 = x^k for diagonal x, from the structured families."""
-    target = element_power(x, k)
-    if target == x:
-        return SL2Element.identity_element()
-    if target == x.inverse():
-        return antidiagonal_witness(1)
-    return None
-
-
-def _central_power_ok(x: SL2Element, v: Vector, h: SL2Element, k: int) -> bool:
-    """For central rho(x) the translation correction vanishes, so only a
-    directly verifiable zero-translation witness is accepted."""
-    subject = SL2VElement(x, v)
-    witness = SL2VElement(h, Vector.zero(QQ, v.dim))
-    return witness * subject * witness.inverse() == element_power(subject, k)

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conjcert import linalg
+from conjcert import affine, linalg
 from conjcert.errors import UsageError
 from conjcert.fields import GF, QQ
 from conjcert.groups import Inverse, element_order, generate_closure, is_rational_bruteforce
@@ -135,7 +135,7 @@ def test_classify_block_route():
     assert res.verdict == "rational"
     cert = res.certificates[2]
     assert cert.verified
-    # round trip: the lifted witness restricts back to a block witness
+    # round trip: the witness's linear part restricts to a block witness
     s = split_at_eigenvalue_one(THREE_CYCLE, 3)
     lifted = cert.witness.linear
     block = extract_block_certificate(lifted, THREE_CYCLE, 2, s)
@@ -194,9 +194,8 @@ def test_classify_finite_characteristic_kernel_component_is_inconclusive():
     assert res.verdict == "inconclusive"
 
 
-def test_oracle_agreement_gl2_f3_full_enumeration():
-    """Pipeline verdicts coincide with brute force on every element of
-    GL(2,F_3) |x F_3^2 where the pipeline's preconditions hold."""
+def _gl2_f3_affine():
+    """GL(2,F_3) and GL(2,F_3) |x F_3^2 as closures of their generators."""
     f3 = GF(3)
     linear_gens = [
         mat([[1, 1], [0, 1]], f3),
@@ -204,10 +203,62 @@ def test_oracle_agreement_gl2_f3_full_enumeration():
         mat([[2, 0], [0, 1]], f3),
     ]
     H = generate_closure(linear_gens, cap=100)
-    assert len(H) == 48
     gens = [AffineElement.of(g, [0, 0]) for g in linear_gens]
     gens += [AffineElement.of(Matrix.identity_of(f3, 2), v) for v in ([1, 0], [0, 1])]
-    G = generate_closure(gens, cap=1000)
+    return H, generate_closure(gens, cap=1000)
+
+
+def test_non_semisimple_translation_in_image_is_rational():
+    """x = [[1,1],[0,1]] over F_3 has order 3 and is not semisimple, but
+    v = (1, 0) lies in im(x - I), so (x, v) is conjugate to (x, 0) and
+    rational, as brute force agrees; v = (0, 1) lies outside the image and
+    stays inconclusive."""
+    f3 = GF(3)
+    x = mat([[1, 1], [0, 1]], f3)
+    linear = rationality_certificates_linear(x, 3)
+    assert linear.complete
+    res = classify_affine_rational(x, vec([1, 0], f3), 3, linear.certificates)
+    assert res.verdict == "rational" and set(res.certificates) == {1, 2}
+    assert all(c.verified for c in res.certificates.values())
+    _, G = _gl2_f3_affine()
+    brute = is_rational_bruteforce(G, AffineElement.of(x, vec([1, 0], f3)))
+    assert brute is not None and set(brute) == {1, 2}
+    res = classify_affine_rational(x, vec([0, 1], f3), 3, linear.certificates)
+    assert res.verdict == "inconclusive"
+
+
+def test_image_translation_takes_no_splitting(monkeypatch):
+    """v in im(x - I) is certified from the conjugators of x alone; only an
+    infinite-order (x, v) splits F^n at the eigenvalue 1, and once."""
+    certs = rationality_certificates_linear(THREE_CYCLE, 3).certificates
+    split = affine.split_at_eigenvalue_one
+
+    def refuse(*args):
+        raise AssertionError("splitting used for v in im(x - I)")
+
+    monkeypatch.setattr(affine, "split_at_eigenvalue_one", refuse)
+    monkeypatch.setattr(affine, "extract_block_certificate", refuse)
+    res = classify_affine_rational(THREE_CYCLE, vec([1, -1, 0]), 3, certs)
+    assert res.verdict == "rational" and res.certificates[2].verified
+    monkeypatch.undo()
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return split(*args)
+
+    monkeypatch.setattr(affine, "split_at_eigenvalue_one", counted)
+    res = classify_affine_rational(THREE_CYCLE, vec([1, 1, 1]), 3, certs)
+    assert res.verdict == "infinite_order" and res.reality.verified
+    assert len(calls) == 1
+
+
+def test_oracle_agreement_gl2_f3_full_enumeration():
+    """Pipeline verdicts coincide with brute force on every element of
+    GL(2,F_3) |x F_3^2 where the pipeline's preconditions hold."""
+    H, G = _gl2_f3_affine()
+    assert len(H) == 48
     assert len(G) == 432
 
     linear_cache = {}
@@ -227,13 +278,13 @@ def test_oracle_agreement_gl2_f3_full_enumeration():
             continue  # no invertible conjugator found; nothing to compare
         res = classify_affine_rational(x, v, m, linear.certificates)
         if res.verdict == "inconclusive":
-            continue  # nonzero kernel component needs characteristic zero
+            continue  # v outside im(x - I) needs characteristic zero
         applicable += 1
         assert res.verdict == "rational"
         brute = is_rational_bruteforce(G, s)
         assert brute is not None
         assert set(brute) == set(res.certificates)
-    assert applicable > 100
+    assert applicable == 196
 
 
 def test_oracle_agreement_f3_direct_route():

@@ -320,6 +320,19 @@ def test_verify_rejects_forged_positive_verdicts():
         "result 1: verdict rational without a certificate"]
 
 
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda payload: payload["results"][1].update(certificates=None),
+     "result 1: certificates must be a list"),
+    (lambda payload: payload.update(results=5), "results must be a list"),
+], ids=["null_certificates", "integer_results"])
+def test_verify_rejects_non_list_fields(tmp_path, capsys, edit, message):
+    scenario = json.loads((ROOT / "scenarios" / "sl2v_quadratic.json").read_text())
+    report = forge(build_report(scenario, 0, 10_000), edit)
+    assert verify_report(report) == [message]
+    assert main(["verify", write_json(tmp_path / "report.json", report)]) == 1
+    assert f"verification failure: {message}" in capsys.readouterr().err
+
 def test_traced_benchmark_sees_every_cli_layer():
     """bench/tracer.py wraps GroupCodec.encode and GroupCodec.decode by name;
     a kind record that the runners or verify_report call past those methods

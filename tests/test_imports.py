@@ -1,0 +1,58 @@
+"""Every module of the package uses every name it imports.
+
+No linter ships with the project, so this is the guard against imports left
+behind when code is deleted.  A name counts as used when it is read anywhere
+in the module (annotations included, also string annotations) or listed in
+``__all__``.  ``__init__.py`` only re-exports and is skipped."""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "conjcert"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree: ast.Module) -> dict:
+    """Bound name -> line of every import outside ``from __future__``."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _annotations(node: ast.AST):
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        yield node.returns
+    elif isinstance(node, ast.arg):
+        yield node.annotation
+    elif isinstance(node, ast.AnnAssign):
+        yield node.annotation
+
+
+def _used(tree: ast.Module) -> set:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        for annotation in _annotations(node):
+            if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                used |= _used(ast.parse(annotation.value, mode="eval"))
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used(tree)
+    unused = {name: line for name, line in _imported(tree).items() if name not in used}
+    assert not unused, f"{path.name}: unused imports {unused}"

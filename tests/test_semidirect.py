@@ -109,6 +109,16 @@ def test_reduce_translation_fixed_point_error_carries_kernel():
     assert err.value.kernel and err.value.kernel[0] == vec([1, 0])
 
 
+
+def test_reduce_translation_solves_for_translations_in_the_image():
+    # x fixes e_1, but b = (0, 2) lies in im(x - I): w has its free
+    # coordinate at zero, and the witness c^-1 (h, 0) c is still valid
+    x = mat([[1, 0], [0, -1]])
+    b = vec([0, 2])
+    assert reduce_translation(x, b) == vec([0, -1])
+    assert make_real_witness(x, b, Matrix.identity_of(QQ, 2)).verified
+    assert make_power_witness(x, b, Matrix.identity_of(QQ, 2), 3).verified
+
 def test_make_real_witness_zero_translation():
     x = mat([[2, 0], [0, "1/2"]])
     h = mat([[0, 1], [-1, 0]])

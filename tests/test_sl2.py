@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conjcert.errors import UsageError
 from conjcert.fields import QQ
@@ -246,6 +247,24 @@ def test_sl2v_order_matches_structure():
     t = SL2VElement(SL2Element.diagonal(2), vec([1, 0, 0]))
     assert not element_order(t, bound=50).is_finite
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 10), sign=st.sampled_from([1, -1]), data=st.data())
+def test_sl2v_finite_order_is_one_or_two(n, sign, data):
+    """A finite-order (x, v) with x = +-I has order 1 or 2, so k = 1 is its
+    only generating power and the certificate set is exactly {1}."""
+    v = vec(data.draw(st.lists(st.fractions(-3, 3, max_denominator=3),
+                               min_size=n + 1, max_size=n + 1), label="v"))
+    x = SL2Element.of(sign, 0, 0, sign)
+    order = element_order(SL2VElement(x, v), bound=64)
+    # rho(-I) = (-1)^n I, so only odd n with x = -I negates the translation
+    assert order.is_finite == (v.is_zero() or (sign == -1 and n % 2 == 1))
+    if order.is_finite:
+        assert order.value in (1, 2)
+        res = classify_rational_sl2v(x, v)
+        assert res.verdict == "rational" and set(res.certificates) == {1}
+        assert res.certificates[1].verified
 
 def test_classify_rational_records_the_probed_bound():
     x, v = SL2Element.diagonal(2), vec([1, 1, 1])
