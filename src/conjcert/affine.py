@@ -9,12 +9,14 @@ cyclic (Krylov) bases: each primary component ker Phi_d(x) is a sum of
 cyclic subspaces with minimal polynomial Phi_d, and the same seeds span
 them for x and for x^k, so every finite-order x over Q is rational.  Over
 other fields the conjugators come from the solution space of g x = x^k g.
-Certificates for (x, v) come from one of two constructions.  If v lies in
-im(x - I), then (x, v) is conjugate to (x, 0) by a pure translation and
+Every certificate for (x, v) pairs a conjugator h of the linear part with
+the translation w that ``semidirect``'s one witness equation
+(I - y) w = c - h v solves.  If v lies in im(x - I), then (x, v) is
+conjugate to (x, 0) by a pure translation, so it has the order of x and
 every conjugator of x carries over.  Otherwise (characteristic zero) the
 kernel component of v telescopes, so (x, v) has infinite order, and its
-inverse witness is g = -1 on the kernel and the block conjugator of
-x -> x^-1 on the image, with the translation solved from one n x n system.
+inverse witness takes h = -1 on the kernel and the block conjugator of
+x -> x^-1 on the image.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from .errors import ConjcertError, SingularMatrixError, TheoremViolation, UsageError
+from .errors import (ConjcertError, FixedPointError, SingularMatrixError, TheoremViolation,
+                     UsageError)
 from .fields import QQ
-from .groups import Certificate, Inverse, Power, element_order
+from .groups import Certificate, Power, element_order, element_power
 from .linalg import (
     Matrix,
     Vector,
@@ -35,7 +38,7 @@ from .linalg import (
     kron,
     solve_linear,
 )
-from .semidirect import AffineElement, make_power_witness
+from .semidirect import AffineElement, make_power_witness, make_real_witness
 
 __all__ = [
     "EigenOneSplitting",
@@ -347,23 +350,21 @@ def _inverse_witness(x: Matrix, v: Vector, order: int, certs: dict,
                      splitting: EigenOneSplitting) -> Certificate:
     """Certificate g (x, v) g^-1 = (x, v)^-1 for any v.
 
-    g = P (-I_K + g_I) P^-1, where g_I conjugates x to x^-1 on the image
-    (the identity when order <= 2, where x is -1 there), so g x g^-1 = x^-1.
-    The translation w solves (I - x^-1) w = -x^-1 v - g v; the kernel rows
-    of that system vanish because x^-1 fixes and g negates the kernel
-    component of v, so it is always consistent."""
+    The linear part is h = P (-I_K + g_I) P^-1, where g_I conjugates x to
+    x^-1 on the image (the identity when order <= 2, where x is -1 there),
+    so h x h^-1 = x^-1.  The translation equation (I - x^-1) w = -x^-1 v - h v
+    is always consistent: x^-1 fixes and h negates the kernel component of
+    v, so its kernel rows vanish."""
     field = x.field
     if order <= 2:
         block = Matrix.identity_of(field, splitting.image_dim)
     else:
         block = extract_block_certificate(certs[order - 1], x, order - 1, splitting)
-    g = _block_diagonal(splitting, -field.one(), block)
-    x_inv = x.inverse()
-    w = solve_linear(Matrix.identity_of(field, x.rows) - x_inv,
-                     -x_inv.apply(v) - g.apply(v))
-    if w is None:
-        raise TheoremViolation("inverse witness translation equation is inconsistent")
-    return Certificate.make(AffineElement(x, v), AffineElement(g, w), Inverse())
+    h = _block_diagonal(splitting, -field.one(), block)
+    try:
+        return make_real_witness(x, v, h)
+    except FixedPointError:
+        raise TheoremViolation("inverse witness translation equation is inconsistent") from None
 
 
 def classify_affine_rational(x: Matrix, v: Vector, m: int, certs: dict,
@@ -371,12 +372,13 @@ def classify_affine_rational(x: Matrix, v: Vector, m: int, certs: dict,
     """Rationality of (x, v) given conjugators for the linear part.
 
     If v lies in im(x - I), say v = (x - I) w, then c = (I, w) gives
-    (x, v) = c^-1 (x, 0) c, and each conjugator g_k of x yields the witness
-    c^-1 (g_k, 0) c.  Otherwise, in characteristic zero, (x, v) has
-    infinite order: its kernel component telescopes linearly, rational and
-    real coincide, and the inverse witness is constructed from the splitting
-    and the k = order - 1 conjugator.  Over finite characteristic that case
-    is inconclusive."""
+    (x, v) = c^-1 (x, 0) c, so (x, v) has the order of x (checked once) and
+    ``make_power_witness`` completes each conjugator g_k of x to a witness.
+    Otherwise, in characteristic zero, (x, v) has infinite order: its
+    kernel component telescopes linearly, rational and real coincide, and
+    the inverse witness is constructed from the splitting and the
+    k = order - 1 conjugator.  Over finite characteristic that case is
+    inconclusive."""
     x._require_square("classify_affine_rational")
     ident = Matrix.identity_of(x.field, x.rows)
     if x ** m != ident:
@@ -397,6 +399,8 @@ def classify_affine_rational(x: Matrix, v: Vector, m: int, certs: dict,
 
     subject = AffineElement(x, v)
     if solve_linear(x - ident, v) is not None:
+        if element_power(subject, order) != subject.identity():
+            raise TheoremViolation(f"(x, v)^{order} != e although v lies in im(x - I)")
         certificates = {1: Certificate.make(subject, subject.identity(), Power(1))}
         for k in needed:
             certificates[k] = make_power_witness(x, v, certs[k], k)

@@ -45,7 +45,7 @@ from .heisenberg import (
 )
 from .linalg import Matrix, Vector
 from .semidirect import AffineElement, real_witness_via_lift
-from .sl2 import SL2Element, SL2VElement, classify_rational_sl2v, classify_real
+from .sl2 import SL2Element, SL2VElement, classify_rational_sl2v
 
 SCHEMA_VERSION = 1
 SEED_ENV_VAR = "CONJCERT_SEED"
@@ -99,7 +99,9 @@ def _relation_in(payload):
     if payload == "inverse":
         return Inverse()
     if isinstance(payload, dict) and "power" in payload:
-        k = int(payload["power"])
+        k = payload["power"]
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise UsageError(f"relation power must be an integer, got {k!r}")
         if abs(k) > MAX_RELATION_POWER:
             raise UsageError(f"relation power {k} exceeds the sanity cap")
         return Power(k)
@@ -254,8 +256,8 @@ def _run_sl2v(codec: GroupCodec, params: dict, elements, bound: int, seed: int) 
         if "n" in params and v.dim != int(params["n"]) + 1:
             raise UsageError(f"v has dimension {v.dim}, expected n + 1 = "
                              f"{int(params['n']) + 1}")
-        reality = classify_real(x, v, t=t)
         rationality = classify_rational_sl2v(x, v, bound=bound, t=t)
+        reality = rationality.reality
         certs = [] if reality.certificate is None else [reality.certificate]
         certs.extend(c for _, c in sorted(rationality.certificates.items())
                      if isinstance(c.relation, Power))
@@ -266,9 +268,11 @@ def _run_sl2v(codec: GroupCodec, params: dict, elements, bound: int, seed: int) 
 
 
 def _run_affine(codec: GroupCodec, params: dict, elements, bound: int, seed: int) -> list:
+    m = int(params["order"])
+    if not 1 <= m <= bound:
+        raise UsageError(f"order {m} lies outside [1, bound = {bound}]")
     field = codec.field
     x = _matrix_in(field, params["x"])
-    m = int(params["order"])
     linear = rationality_certificates_linear(x, m, seed=seed)
     results = []
     for payload in elements:

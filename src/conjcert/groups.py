@@ -33,7 +33,6 @@ __all__ = [
     "is_rational_bruteforce",
     "conjugacy_classes",
     "rational_classes",
-    "all_conjugators",
     "PSLElement",
     "psl_canonical",
 ]
@@ -48,6 +47,9 @@ class Inverse:
     def describe(self) -> str:
         return "inverse"
 
+    def of(self, s):
+        return s.inverse()
+
 
 @dataclass(frozen=True)
 class Power:
@@ -57,6 +59,9 @@ class Power:
 
     def describe(self) -> str:
         return f"power {self.k}"
+
+    def of(self, s):
+        return element_power(s, self.k)
 
 
 def element_power(g, k: int):
@@ -92,11 +97,7 @@ class Certificate:
         return Certificate(subject, witness, relation, verified=True)
 
     def target(self):
-        if isinstance(self.relation, Inverse):
-            return self.subject.inverse()
-        if isinstance(self.relation, Power):
-            return element_power(self.subject, self.relation.k)
-        raise UsageError(f"unknown relation {self.relation!r}")
+        return self.relation.of(self.subject)
 
     def check(self) -> bool:
         """Re-multiply from scratch; independent of the construction path."""
@@ -256,11 +257,6 @@ def is_rational_bruteforce(G: FiniteGroup, g) -> Optional[dict]:
             return None
         certs[k] = Certificate.make(g, h, Power(k))
     return certs
-
-
-def all_conjugators(G: FiniteGroup, s, target) -> list:
-    """Every h in G with h s h^-1 = target, in enumeration order."""
-    return [h for h in G.elements if h * s * G.inverse_of(h) == target]
 
 
 def conjugacy_classes(G: FiniteGroup) -> list[tuple]:

@@ -10,10 +10,12 @@ Two realizations are used throughout:
 They are intertwined by the documented change of variable b = h.v: the map
 (h, v) -> (h, h.v) is an isomorphism onto the affine picture for vector N.
 
-The one-level conjugator solves (x - I) w = b for b in im(x - I); the
-multi-level lift walks a central series, solving one quotient equation per
-level and re-verifying the accumulated conjugator by exact multiplication at
-the end.
+For a vector group every witness comes from one equation: (h, w)
+conjugates (x, b) to t = (y, c) exactly when h x h^-1 = y and
+(I - y) w = c - h b, so given the linear witness h the translation w is one
+linear solve.  The multi-level lift walks a central series, solving one
+quotient equation per level and re-verifying the accumulated conjugator by
+exact multiplication at the end.
 """
 
 from __future__ import annotations
@@ -21,14 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence
 
-from .errors import (
-    CertificateError,
-    FixedPointError,
-    PresentationError,
-    UsageError,
-)
+from .errors import FixedPointError, PresentationError, UsageError
 from .fields import Field
-from .groups import Certificate, Inverse, Power, element_order, element_power
+from .groups import Certificate, Inverse, Power
 from .linalg import Matrix, Vector, has_fixed_point, kernel_basis, solve_linear
 
 __all__ = [
@@ -48,8 +45,6 @@ __all__ = [
     "pair_from_affine",
     "affine_from_pair",
 ]
-
-ORDER_PROBE_BOUND = 1024
 
 
 @dataclass(frozen=True)
@@ -195,38 +190,35 @@ def reduce_translation(x: Matrix, b: Vector) -> Vector:
     return w
 
 
-def _conjugating_frame(x: Matrix, b: Vector) -> AffineElement:
-    w = reduce_translation(x, b)
-    ident = Matrix.identity_of(x.field, x.rows)
-    return AffineElement(ident, w)
+def _vector_witness(x: Matrix, b: Vector, h: Matrix, relation) -> Certificate:
+    """Certificate (h, w) (x, b) (h, w)^-1 = t for the relation's target
+    t = (y, c).  The product is (h x h^-1, (I - y) w + h b), so it is t
+    exactly when h x = y h and (I - y) w = c - h b; ``FixedPointError``
+    carries ker(I - y) when that system has no solution."""
+    subject = AffineElement(x, b)
+    target = relation.of(subject)
+    y = target.linear
+    if h * x != y * h:
+        raise UsageError(f"h does not witness the {relation.describe()} relation for x")
+    fixed = Matrix.identity_of(x.field, x.rows) - y
+    w = solve_linear(fixed, target.translation - h.apply(b))
+    if w is None:
+        raise FixedPointError(f"(I - y) w = c - h b has no solution for the "
+                              f"{relation.describe()} relation", kernel=kernel_basis(fixed))
+    return Certificate.make(subject, AffineElement(h, w), relation)
 
 
 def make_real_witness(x: Matrix, b: Vector, h: Matrix) -> Certificate:
-    """Certificate g with g (x,b) g^-1 = (x,b)^-1, built as c^-1 (h,0) c;
-    b must lie in im(x - I)."""
-    if h * x * h.inverse() != x.inverse():
-        raise UsageError("h does not conjugate x to its inverse")
-    c = _conjugating_frame(x, b)
-    g = c.inverse() * AffineElement(h, Vector.zero(x.field, x.rows)) * c
-    subject = AffineElement(x, b)
-    return Certificate.make(subject, g, Inverse())
+    """Certificate (h, w) (x,b) (h, w)^-1 = (x,b)^-1 for h x h^-1 = x^-1:
+    w solves (I - x^-1) w = -x^-1 b - h b (free coordinates zero), which
+    has a solution whenever b lies in im(x - I)."""
+    return _vector_witness(x, b, h, Inverse())
 
 
 def make_power_witness(x: Matrix, b: Vector, h: Matrix, k: int) -> Certificate:
-    """Certificate g with g (x,b) g^-1 = (x,b)^k, built as c^-1 (h,0) c;
-    b must lie in im(x - I)."""
-    if h * x * h.inverse() != x ** k:
-        raise UsageError(f"h does not conjugate x to x^{k}")
-    c = _conjugating_frame(x, b)
-    g = c.inverse() * AffineElement(h, Vector.zero(x.field, x.rows)) * c
-    subject = AffineElement(x, b)
-    cert = Certificate.make(subject, g, Power(k))
-    order = element_order(x, bound=ORDER_PROBE_BOUND)
-    if order.is_finite:
-        # Ord((x,b)) divides Ord(x): (x,b)^m = c^-1 (x^m, 0) c = e
-        if element_power(subject, order.value) != subject.identity():
-            raise CertificateError("order of (x,b) fails to divide order of x")
-    return cert
+    """Certificate (h, w) (x,b) (h, w)^-1 = (x,b)^k for h x h^-1 = x^k:
+    w solves (I - x^k) w = c - h b, c the translation of (x,b)^k."""
+    return _vector_witness(x, b, h, Power(k))
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +350,7 @@ def lift_central_series(x, n, pres: CentralSeriesPresentation):
 
 def _witness_via_lift(x, n, pres: CentralSeriesPresentation, h, relation) -> Certificate:
     G = pres.semidirect(x.identity())
-    if isinstance(relation, Inverse):
-        expected = x.inverse()
-    else:
-        expected = element_power(x, relation.k)
-    if h * x * h.inverse() != expected:
+    if h * x * h.inverse() != relation.of(x):
         raise UsageError(f"h does not witness the {relation.describe()} relation for x")
     u = lift_central_series(x, n, pres)
     u_elem = G.embed_n(u)

@@ -9,7 +9,8 @@ homomorphism.  Under that convention diag(r, 1/r) maps to
 diag(r^n, r^(n-2), ..., r^-n) and the antidiagonal witnesses
 [[0, t], [-1/t, 0]] map to antidiagonal matrices whose middle entry for
 even n is (-1)^(n/2) -- the sign that decides solvability of the
-conjugation system on the invariant middle coordinate.
+conjugation system on the invariant middle coordinate.  That system is
+``semidirect``'s one witness equation for (rho(x), v) and rho(h).
 
 rho(h) is built column by column from the nonzero terms of the two
 binomial expansions only: a linear form with a zero coefficient expands
@@ -225,9 +226,12 @@ class RealityResult:
 
 @dataclass(frozen=True)
 class RationalityResult:
+    """Rationality verdict with the ``classify_real`` result it used."""
+
     verdict: str  # "rational" | "not_rational" | "unknown"
     order: OrderResult
     certificates: dict
+    reality: RealityResult
     reason: str = ""
 
 
@@ -277,43 +281,28 @@ def _searched_families(t_grid) -> tuple:
             "diagonal-conjugated antidiagonals")
 
 
-def _reality_certificate_central(x: SL2Element, v: Vector, h: SL2Element) -> Certificate:
-    """Certificate for central x (rho(x) = +-I up to parity): witness (h, 0)."""
-    witness = SL2VElement(h, Vector.zero(QQ, v.dim))
-    return Certificate.make(SL2VElement(x, v), witness, Inverse())
-
-
 def classify_real(x: SL2Element, v: Vector, t=Fraction(1)) -> RealityResult:
     """Decide whether (x, v) is conjugate to its inverse in SL(2,Q) |x V_n.
 
-    x must already be diagonal (conjugate it into diag(r, 1/r) first); t
-    selects the antidiagonal witness family member used in certificates."""
+    x must already be diagonal (conjugate it into diag(r, 1/r) first).  If
+    rho(x) = I, the witness is (h, 0) for a negating rho(h) from
+    ``negation_witness_search``.  Otherwise h is the antidiagonal
+    [[0, t], [-1/t, 0]] and ``make_real_witness`` solves for the
+    translation; for even n only its middle row can be inconsistent."""
     t = QQ.coerce(t)
     if not t:
         raise UsageError("t must be nonzero")
     if not x.is_diagonal:
         raise UsageError("x must be diagonal; conjugate into diag(r, 1/r) first")
     n = v.dim - 1
-    r = x.a
     subject = SL2VElement(x, v)
+    X = rho(x, n)
 
-    if n % 2 == 1:
-        if r == 1:
-            # rho(-I) = -I negates every vector
-            h = SL2Element.of(-1, 0, 0, -1)
-            return RealityResult("real", _reality_certificate_central(x, v, h))
-        # rho(x) has no exponent-zero entry for odd n, so the one-level
-        # conjugator construction applies for every translation
-        y = antidiagonal_witness(t)
-        affine_cert = make_real_witness(rho(x, n), v, rho(y, n))
-        witness = SL2VElement(y, affine_cert.witness.translation)
-        return RealityResult("real", Certificate.make(subject, witness, Inverse()))
-
-    # even n
-    if r == 1 or r == -1:
+    if X.is_identity():
         h = negation_witness_search(v, n)
         if h is not None:
-            return RealityResult("real", _reality_certificate_central(x, v, h))
+            witness = SL2VElement(h, Vector.zero(QQ, v.dim))
+            return RealityResult("real", Certificate.make(subject, witness, Inverse()))
         forced = _forced_not_real(v, n)
         if forced is not None:
             return RealityResult("not_real", reason=forced)
@@ -321,34 +310,17 @@ def classify_real(x: SL2Element, v: Vector, t=Fraction(1)) -> RealityResult:
                              reason="no negating element found in the bounded families",
                              searched=_searched_families(DEFAULT_T_GRID))
 
-    # even n, r != +-1: the conjugator linear part is forced to be an
-    # antidiagonal rho(y_t); solve the translation system row by row
-    X = rho(x, n)
-    Y = rho(antidiagonal_witness(t), n)
-    Xinv = X.inverse()
+    h = antidiagonal_witness(t)
+    Y = rho(h, n)
     m = n // 2
-    middle_scale = Y[m, m] + QQ.one()
-    if middle_scale * v[m] != 0:
-        return RealityResult(
-            "not_real",
-            reason=(
-                "every element conjugating diag(r,1/r) to its inverse is an "
-                "antidiagonal [[0,t],[-1/t,0]], whose symmetric power scales the "
-                f"invariant middle coordinate by {Y[m, m]}; the middle row of the "
-                "conjugation system reads 0 = "
-                f"-({Y[m, m]} + 1) v_mid with v_mid = {v[m]}, which is unsolvable"
-            ),
-        )
-    Yv = Y.apply(v)
-    w = []
-    for i in range(n + 1):
-        if i == m:
-            w.append(QQ.zero())  # free coordinate, fixed to 0
-            continue
-        denom = QQ.one() - Xinv[i, i]
-        w.append((-Yv[i] - Xinv[i, i] * v[i]) / denom)
-    witness = SL2VElement(antidiagonal_witness(t), Vector(QQ, tuple(w)))
-    return RealityResult("real", Certificate.make(subject, witness, Inverse()))
+    if n % 2 == 0 and (Y[m, m] + QQ.one()) * v[m] != 0:
+        return RealityResult("not_real", reason=(
+            "every element conjugating diag(r,1/r) to its inverse is an antidiagonal "
+            "[[0,t],[-1/t,0]], whose symmetric power scales the invariant middle "
+            f"coordinate by {Y[m, m]}; the middle row of the conjugation system reads "
+            f"0 = -({Y[m, m]} + 1) v_mid with v_mid = {v[m]}, which is unsolvable"))
+    w = make_real_witness(X, v, Y).witness.translation
+    return RealityResult("real", Certificate.make(subject, SL2VElement(h, w), Inverse()))
 
 
 def _certified_infinite(x: SL2Element, v: Vector) -> bool:
@@ -367,10 +339,10 @@ def classify_rational_sl2v(x: SL2Element, v: Vector, bound: int = 10_000,
                            t=Fraction(1)) -> RationalityResult:
     """Rationality of (x, v): conjugacy onto every generating power.
 
-    Infinite order leaves only the k = -1 generator, so rationality is
-    exactly reality and the reality certificate is reused."""
-    if not x.is_diagonal:
-        raise UsageError("x must be diagonal; conjugate into diag(r, 1/r) first")
+    Reality is classified first and returned in ``reality``.  Infinite
+    order leaves only the k = -1 generator, so rationality is exactly
+    reality and the reality certificate is reused."""
+    reality = classify_real(x, v, t)
     subject = SL2VElement(x, v)
     order = element_order(subject, bound=min(bound, 64))
 
@@ -378,17 +350,17 @@ def classify_rational_sl2v(x: SL2Element, v: Vector, bound: int = 10_000,
         # a finite-order diagonal x over Q is +-I, so the order is 1 or 2
         # and k = 1 is the only generating power
         return RationalityResult(
-            "rational", order, {1: Certificate.make(subject, subject.identity(), Power(1))})
+            "rational", order, {1: Certificate.make(subject, subject.identity(), Power(1))},
+            reality)
 
     if not _certified_infinite(x, v):
-        return RationalityResult("unknown", order, {},
+        return RationalityResult("unknown", order, {}, reality,
                                  reason="order bound exceeded without a structural "
                                         "infiniteness certificate")
-    reality = classify_real(x, v, t)
     if reality.verdict == "real":
-        return RationalityResult("rational", order, {-1: reality.certificate},
+        return RationalityResult("rational", order, {-1: reality.certificate}, reality,
                                  reason="infinite order: rational iff real")
     if reality.verdict == "not_real":
-        return RationalityResult("not_rational", order, {},
+        return RationalityResult("not_rational", order, {}, reality,
                                  reason="infinite order and not real: " + reality.reason)
-    return RationalityResult("unknown", order, {}, reason=reality.reason)
+    return RationalityResult("unknown", order, {}, reality, reason=reality.reason)

@@ -7,8 +7,9 @@ import time
 
 import pytest
 
-from conjcert import fields
+from conjcert import cli, fields, sl2
 from conjcert.cli import (
+    DEFAULT_BOUND,
     KINDS,
     MAX_FIELD_MODULUS,
     GroupCodec,
@@ -346,3 +347,70 @@ def test_traced_benchmark_sees_every_cli_layer():
     cli = {name: m["value"] for name, m in summary["metrics"].items()
            if name.startswith("cli.")}
     assert cli and all(cli.values()), cli
+
+
+# -- relations, orders and pinned reports ------------------------------------------
+
+@pytest.mark.parametrize("power", [1.5, True, "1"], ids=["float", "bool", "string"])
+def test_verify_rejects_non_integer_powers(power):
+    scenario = json.loads((ROOT / "scenarios" / "affine_three_cycle.json").read_text())
+    report = build_report(scenario, 0, DEFAULT_BOUND)
+    assert report["results"][0]["certificates"][0]["relation"] == {"power": 1}
+
+    def relabel(payload):
+        payload["results"][0]["certificates"][0]["relation"] = {"power": power}
+
+    assert verify_report(forge(report, relabel)) == [
+        f"result 0 certificate 0: relation power must be an integer, got {power!r}"]
+
+
+@pytest.mark.parametrize("order", [0, 10 ** 12], ids=["zero", "huge"])
+def test_affine_order_outside_the_bound_exits_quickly(tmp_path, capsys, order):
+    scenario = {"schema_version": 1, "kind": "affine",
+                "params": {"x": [["0", "1"], ["1", "0"]], "order": order},
+                "elements": [{"v": ["1", "0"]}]}
+    started = time.monotonic()
+    assert main(["run", write_json(tmp_path / "scenario.json", scenario)]) == 2
+    assert time.monotonic() - started < 1.0
+    assert f"order {order} lies outside [1, bound = {DEFAULT_BOUND}]" in capsys.readouterr().err
+
+
+# Integrity digests of the shipped scenarios at seed 0 and the default bound.
+# A change here changes report bytes: say why in CHANGES.md.
+GOLDEN_DIGESTS = {
+    "affine_three_cycle":
+        "sha256:ce3ba5e65ee64d48ba4f341a073a8f73c14b69dd9a35cf336f4c9556aa80bc1c",
+    "finite_psl2_f2":
+        "sha256:c376e34db9cc6539aa1ceac2174f2aee25fb43874225025693afc70201f815cf",
+    "heisenberg_gsp4":
+        "sha256:90cd12bed27ab3fddbbb00575d0b3a17f3f51b0469a348b54347992016d01107",
+    "sl2v_quadratic":
+        "sha256:e468d98d674359068ea081f4e7d0d436ae4d8cd6496ae98710ad4b7b23904022",
+    "solvable_complex_heisenberg":
+        "sha256:1429a1c7f8994e3bfb764b90880c77da5f3b78667928f9d0af0c15170871dbe9",
+}
+
+
+def test_golden_digests_cover_the_shipped_scenarios():
+    assert set(GOLDEN_DIGESTS) == {p.stem for p in SCENARIOS}
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_shipped_scenario_digest_is_pinned(path):
+    report = build_report(json.loads(path.read_text()), 0, DEFAULT_BOUND)
+    assert report["integrity"] == GOLDEN_DIGESTS[path.stem]
+
+
+def test_sl2v_classifies_reality_once_per_element(monkeypatch):
+    scenario = json.loads((ROOT / "scenarios" / "sl2v_quadratic.json").read_text())
+    calls = []
+    classify = sl2.classify_real
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return classify(*args, **kwargs)
+
+    monkeypatch.setattr(sl2, "classify_real", counted)
+    monkeypatch.setattr(cli, "classify_real", counted, raising=False)
+    build_report(scenario, 0, DEFAULT_BOUND)
+    assert len(calls) == len(scenario["elements"])

@@ -9,7 +9,6 @@ from conjcert.groups import (
     Inverse,
     PSLElement,
     Power,
-    all_conjugators,
     conjugacy_classes,
     element_order,
     generate_closure,
@@ -167,11 +166,9 @@ def test_rational_classes_coarsen_conjugacy():
         assert frozenset().union(*merged) == members
 
 
-def test_all_conjugators_and_tampered_certificate():
+def test_tampered_certificate_is_rejected():
     G = sl2_f2()
     x = f2mat([[1, 1], [1, 0]])
-    conjs = all_conjugators(G, x, x.inverse())
-    assert conjs and all(h * x * h.inverse() == x.inverse() for h in conjs)
     with pytest.raises(Exception):
         Certificate.make(x, G.identity, Power(2))
 

@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conjcert.errors import FixedPointError, PresentationError, UsageError
 from conjcert.fields import GF, QQ
-from conjcert.groups import Inverse, Power
-from conjcert.linalg import Matrix, Vector
+from conjcert.groups import Inverse, Power, element_order
+from conjcert.linalg import Matrix, Vector, solve_linear
 from conjcert.semidirect import (
     AffineElement,
     CentralSeriesLevel,
@@ -112,7 +113,7 @@ def test_reduce_translation_fixed_point_error_carries_kernel():
 
 def test_reduce_translation_solves_for_translations_in_the_image():
     # x fixes e_1, but b = (0, 2) lies in im(x - I): w has its free
-    # coordinate at zero, and the witness c^-1 (h, 0) c is still valid
+    # coordinate at zero, and the witness equation is still solvable
     x = mat([[1, 0], [0, -1]])
     b = vec([0, 2])
     assert reduce_translation(x, b) == vec([0, -1])
@@ -165,6 +166,73 @@ def test_make_power_witness_minus_identity():
     x = -Matrix.identity_of(QQ, 2)
     cert = make_power_witness(x, vec([5, 7]), Matrix.identity_of(QQ, 2), 1)
     assert cert.verified
+
+
+def test_make_real_witness_translation_outside_the_image():
+    # b = (1, 0) spans ker(x - I), so no translation conjugates (x, b) to
+    # (x, 0); the witness equation is solvable all the same, with w = 0
+    x = mat([[1, 0], [0, -1]])
+    h = mat([[-1, 0], [0, 1]])
+    cert = make_real_witness(x, vec([1, 0]), h)
+    assert cert.verified and cert.check()
+    assert cert.witness == AffineElement.of(h, [0, 0])
+
+
+def test_inconsistent_witness_equation_carries_the_kernel():
+    # y = x^-1 = diag(1, 2, 1/2) fixes e_1, and the e_1 row of
+    # (I - y) w = -x^-1 b - h b reads 0 = -2
+    x = mat([[1, 0, 0], [0, 2, 0], [0, 0, "1/2"]])
+    h = mat([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    with pytest.raises(FixedPointError) as err:
+        make_real_witness(x, vec([1, 0, 0]), h)
+    assert err.value.kernel == [vec([1, 0, 0])]
+    with pytest.raises(FixedPointError) as err:
+        make_power_witness(x, vec([1, 0, 0]), h, -1)
+    assert err.value.kernel == [vec([1, 0, 0])]
+
+
+def _drawn_invertible(data, field, n, label):
+    m = mat([[data.draw(st.integers(-2, 2), label=label) for _ in range(n)]
+             for _ in range(n)], field)
+    assume(m.det())
+    return m
+
+
+def _drawn_involution(data, field, n, label):
+    p = _drawn_invertible(data, field, n, label)
+    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n),
+                      label=label + " signs")
+    d = mat([[signs[i] if i == j else 0 for j in range(n)] for i in range(n)], field)
+    return p * d * p.inverse()
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from([QQ, GF(5)]), n=st.integers(1, 3), data=st.data())
+def test_witness_equation_agrees_with_the_translation_frame(field, n, data):
+    """x = a b for involutions a, b, so h = a conjugates x to x^-1 (and to
+    x^(order - 1) when x has finite order).  With x - I invertible the
+    witness is the unique (h, w), the same as c^-1 (h, 0) c for
+    c = (I, reduce_translation(x, b)); with b in im(x - I) the equation is
+    solvable, so the certificate always verifies."""
+    a = _drawn_involution(data, field, n, "a")
+    x = a * _drawn_involution(data, field, n, "b")
+    order = element_order(x, bound=125)
+    k = order.value - 1 if order.is_finite and order.value > 1 else -1
+    ident = Matrix.identity_of(field, n)
+    u = vec(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n), label="u"), field)
+    b = (x - ident).apply(u) if data.draw(st.booleans(), label="in image") else u
+    in_image = solve_linear(x - ident, b) is not None
+    for make in (lambda: make_real_witness(x, b, a),
+                 lambda: make_power_witness(x, b, a, k)):
+        try:
+            cert = make()
+        except FixedPointError:
+            assert not in_image
+            continue
+        assert cert.verified and cert.check()
+        if (x - ident).det():
+            c = AffineElement(ident, reduce_translation(x, b))
+            assert cert.witness == c.inverse() * AffineElement(a, Vector.zero(field, n)) * c
 
 
 def test_semidirect_group_laws():
