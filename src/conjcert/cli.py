@@ -60,13 +60,20 @@ MAX_FIELD_MODULUS = 2 ** 31 - 1
 # scalar / matrix / element codecs
 # ---------------------------------------------------------------------------
 
+def _int_in(value, what: str) -> int:
+    """A JSON integer; bool, float and str are refused, not converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _field_from_descriptor(desc) -> Field:
     if desc == "Q":
         return QQ
     if desc == "Qi":
         return QQI
     if isinstance(desc, dict) and desc.get("type") == "Fp":
-        p = int(desc["p"])
+        p = _int_in(desc["p"], "field modulus p")
         if p > MAX_FIELD_MODULUS:
             raise UsageError(f"field modulus {p} exceeds the sanity cap {MAX_FIELD_MODULUS}")
         return GF(p)
@@ -99,9 +106,7 @@ def _relation_in(payload):
     if payload == "inverse":
         return Inverse()
     if isinstance(payload, dict) and "power" in payload:
-        k = payload["power"]
-        if isinstance(k, bool) or not isinstance(k, int):
-            raise UsageError(f"relation power must be an integer, got {k!r}")
+        k = _int_in(payload["power"], "relation power")
         if abs(k) > MAX_RELATION_POWER:
             raise UsageError(f"relation power {k} exceeds the sanity cap")
         return Power(k)
@@ -246,6 +251,7 @@ def _run_finite(codec: GroupCodec, params: dict, elements, bound: int, seed: int
 
 def _run_sl2v(codec: GroupCodec, params: dict, elements, bound: int, seed: int) -> list:
     t = _scalar_in(QQ, params.get("t", "1"))
+    n = _int_in(params["n"], "sl2v degree n") if "n" in params else None
     results = []
     for payload in elements:
         if len(payload["x"]) != 4:
@@ -253,9 +259,8 @@ def _run_sl2v(codec: GroupCodec, params: dict, elements, bound: int, seed: int) 
         a, b, c, d = (_scalar_in(QQ, v) for v in payload["x"])
         x = SL2Element.of(a, b, c, d)
         v = _vector_in(QQ, payload["v"])
-        if "n" in params and v.dim != int(params["n"]) + 1:
-            raise UsageError(f"v has dimension {v.dim}, expected n + 1 = "
-                             f"{int(params['n']) + 1}")
+        if n is not None and v.dim != n + 1:
+            raise UsageError(f"v has dimension {v.dim}, expected n + 1 = {n + 1}")
         rationality = classify_rational_sl2v(x, v, bound=bound, t=t)
         reality = rationality.reality
         certs = [] if reality.certificate is None else [reality.certificate]
@@ -268,7 +273,7 @@ def _run_sl2v(codec: GroupCodec, params: dict, elements, bound: int, seed: int) 
 
 
 def _run_affine(codec: GroupCodec, params: dict, elements, bound: int, seed: int) -> list:
-    m = int(params["order"])
+    m = _int_in(params["order"], "affine order")
     if not 1 <= m <= bound:
         raise UsageError(f"order {m} lies outside [1, bound = {bound}]")
     field = codec.field
@@ -317,7 +322,7 @@ def _run_solvable(codec: GroupCodec, params: dict, elements, bound: int, seed: i
         n = ComplexHeisenbergElement.of(_scalar_in(QQI, payload["a"]),
                                         _scalar_in(QQI, payload["b"]),
                                         _scalar_in(QQI, payload["c"]))
-        x_sign = int(payload.get("x", -1))
+        x_sign = _int_in(payload.get("x", -1), "solvable x")
         verdict = complex_heisenberg_reality(n, x_sign)
         subject = group.element(UnitScalar.of(QQI.coerce(x_sign)), n)
         results.append(codec.result(subject, {"real": "real" if verdict.real else "not_real"},

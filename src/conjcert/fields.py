@@ -1,9 +1,13 @@
 """Exact scalar fields: the rationals, the Gaussian rationals and prime fields.
 
 Every scalar is an immutable value with exact arithmetic; nothing in this
-package ever touches floating point.  A small ``Field`` object bundles the
-zero/one constants, coercion and the lossless string round-trip used by the
-scenario/report formats ("p/q", "p/q+r/s i", plain residues mod p).
+package ever touches floating point.  Rationals are ``Fraction``; a Gaussian
+rational is one reduced integer triple (a + b i) / d with a common
+denominator, so its arithmetic is integer products and one gcd rather than
+normalised Fraction pairs; a residue mod p is boxed with its modulus.  A
+small ``Field`` object bundles the zero/one constants, coercion and the
+lossless string round-trip used by the scenario/report formats ("p/q",
+"p/q+r/s i", plain residues mod p).
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import UsageError
 
@@ -42,108 +47,179 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """Element of Q(i), kept as an exact pair of Fractions."""
+    """Element (a + b i) / d of Q(i), kept as one reduced integer triple:
+    d > 0 and gcd(a, b, d) = 1, so equal values have equal triples.  An
+    operation costs a few integer products and one gcd.  ``re`` and ``im``
+    read the value back as Fractions, and a value with im = 0 equals and
+    hashes like its Fraction.
 
-    re: Fraction
-    im: Fraction
+    Instances are immutable: the slots are filled by their C-level
+    descriptors in ``_reduced``, so construction runs no Python-level
+    ``__setattr__``, while assignment from outside raises."""
+
+    __slots__ = ("_a", "_b", "_d")
+
+    def __new__(cls, re, im):
+        re, im = Fraction(re), Fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        return _reduced(re.numerator * (d // re.denominator),
+                        im.numerator * (d // im.denominator), d)
 
     @staticmethod
     def of(re, im=0) -> "GaussianRational":
-        return GaussianRational(Fraction(re), Fraction(im))
+        return GaussianRational(re, im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GaussianRational is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GaussianRational is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
 
     def __add__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
+        o = _triple(other)
+        if o is None:
             return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = o
+        if d == f:
+            return _reduced(a + c, b + e, d)
+        return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _reduced(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
+        o = _triple(other)
+        if o is None:
             return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = o
+        if d == f:
+            return _reduced(a - c, b - e, d)
+        return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
+        o = _triple(other)
+        if o is None:
             return NotImplemented
-        return other - self
+        a, b, d = self._a, self._b, self._d
+        c, e, f = o
+        return _reduced(c * d - a * f, e * d - b * f, d * f)
 
     def __mul__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
+        o = _triple(other)
+        if o is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, d = self._a, self._b, self._d
+        c, e, f = o
+        return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
-        norm = self.re * self.re + self.im * self.im
-        if norm == 0:
+        a, b, d = self._a, self._b, self._d
+        norm = a * a + b * b
+        if not norm:
             raise ZeroDivisionError("inverse of 0 in Q(i)")
-        return GaussianRational(self.re / norm, -self.im / norm)
+        return _reduced(a * d, -b * d, norm)
 
     def __truediv__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
+        o = _triple(other)
+        if o is None:
             return NotImplemented
-        return self * other.inverse()
+        return _quotient((self._a, self._b, self._d), o)
 
     def __rtruediv__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
+        o = _triple(other)
+        if o is None:
             return NotImplemented
-        return other * self.inverse()
+        return _quotient(o, (self._a, self._b, self._d))
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _reduced(self._a, -self._b, self._d)
 
     def __eq__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
+        o = _triple(other)
+        if o is None:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._a == o[0] and self._b == o[1] and self._d == o[2]
 
     def __hash__(self):
         # Rational values must hash like their Fraction counterpart so that
         # GaussianRational(3, 0) == Fraction(3) stays consistent.
-        if self.im == 0:
+        if not self._b:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self._a or self._b)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        sign = "+" if self.im >= 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)} i"
+        re, im = self.re, self.im
+        sign = "+" if im >= 0 else "-"
+        return f"{re}{sign}{abs(im)} i"
+
+
+_new_gaussian = object.__new__
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """The value (a + b i) / d for d > 0, divided through by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    z = _new_gaussian(GaussianRational)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def _triple(value):
+    """The triple (a, b, d) of a Q(i) operand, or None for a foreign type."""
+    if isinstance(value, GaussianRational):
+        return value._a, value._b, value._d
+    if isinstance(value, int):
+        return value, 0, 1
+    if isinstance(value, Fraction):
+        return value.numerator, 0, value.denominator
+    return None
+
+
+def _quotient(x, y) -> GaussianRational:
+    """(a + b i)/d divided by (c + e i)/f: multiply through by f (c - e i)."""
+    a, b, d = x
+    c, e, f = y
+    norm = c * c + e * e
+    if not norm:
+        raise ZeroDivisionError("division by 0 in Q(i)")
+    return _reduced(f * (a * c + b * e), f * (b * c - a * e), d * norm)
 
 
 def _strict_fraction(token: str, original: str) -> Fraction:
     if not _RATIONAL_RE.match(token):
         raise UsageError(f"not an exact scalar (decimals rejected): {original!r}")
     return Fraction(token)
-
-
-def _as_gaussian(value):
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(Fraction(value), Fraction(0))
-    return NotImplemented
 
 
 @dataclass(frozen=True)
@@ -291,19 +367,19 @@ class GaussianRationalField(Field):
     characteristic = 0
 
     def zero(self):
-        return GaussianRational(Fraction(0), Fraction(0))
+        return _reduced(0, 0, 1)
 
     def one(self):
-        return GaussianRational(Fraction(1), Fraction(0))
+        return _reduced(1, 0, 1)
 
     def i(self):
-        return GaussianRational(Fraction(0), Fraction(1))
+        return _reduced(0, 1, 1)
 
     def coerce(self, value):
         if isinstance(value, GaussianRational):
             return value
         if isinstance(value, (int, Fraction)):
-            return GaussianRational(Fraction(value), Fraction(0))
+            return GaussianRational(value, 0)
         if isinstance(value, str):
             return self.parse(value)
         raise UsageError(f"cannot coerce {value!r} into Q(i)")
@@ -327,7 +403,7 @@ class GaussianRationalField(Field):
             if sign == "-":
                 im_part = -im_part
             return GaussianRational(re_part, im_part)
-        return GaussianRational(_strict_fraction(s, text), Fraction(0))
+        return GaussianRational(_strict_fraction(s, text), 0)
 
     def format(self, value) -> str:
         value = self.coerce(value)

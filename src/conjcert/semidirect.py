@@ -15,7 +15,10 @@ conjugates (x, b) to t = (y, c) exactly when h x h^-1 = y and
 (I - y) w = c - h b, so given the linear witness h the translation w is one
 linear solve.  The multi-level lift walks a central series, solving one
 quotient equation per level and re-verifying the accumulated conjugator by
-exact multiplication at the end.
+exact multiplication at the end.  What the lifts of one x share is its lift
+plan, built once and kept on the presentation: the fixed-point check, which
+is one elimination of I - a per level, the solve operator (I - a)^-1 a that
+it yields, and the H-level relation checks that have passed.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence
 
-from .errors import FixedPointError, PresentationError, UsageError
+from .errors import FixedPointError, PresentationError, SingularMatrixError, UsageError
 from .fields import Field
 from .groups import Certificate, Inverse, Power
-from .linalg import Matrix, Vector, has_fixed_point, kernel_basis, solve_linear
+from .linalg import Matrix, Vector, kernel_basis, solve_linear
 
 __all__ = [
     "AffineElement",
@@ -35,6 +38,7 @@ __all__ = [
     "LinearAction",
     "CentralSeriesLevel",
     "CentralSeriesPresentation",
+    "LiftPlan",
     "vector_presentation",
     "reduce_translation",
     "make_real_witness",
@@ -248,6 +252,16 @@ class CentralSeriesPresentation:
         self.action = action
         self.levels = tuple(levels)
         self.name = name
+        self._plans: dict = {}
+
+    def lift_plan(self, x) -> "LiftPlan":
+        """The lift plan of x, built on first use and kept on this instance.
+        Building it is the fixed-point check: ``FixedPointError`` is raised,
+        and nothing is kept, when x fixes a nonzero quotient vector."""
+        plan = self._plans.get(x)
+        if plan is None:
+            plan = self._plans[x] = LiftPlan(x, _level_solvers(x, self))
+        return plan
 
     def validate(self, h_samples: Sequence = (), vector_samples: Optional[dict] = None):
         """Spot-check the presentation invariants on samples.
@@ -298,43 +312,66 @@ def vector_presentation(field: Field, dim: int, matrix_of: Callable) -> CentralS
     )
 
 
-def check_fixed_point_free(x, pres: CentralSeriesPresentation):
-    """Fail fast with the offending level if any quotient action of x fixes
-    a nonzero vector."""
+class LiftPlan:
+    """What every lift of one x through one presentation shares: per level,
+    the solve operator (I - a)^-1 a for x's quotient action a, and the
+    (h, relation) pairs whose H-level relation h x h^-1 = relation(x) has
+    passed.  Only a passed check is recorded, so a wrong h fails every
+    time."""
+
+    def __init__(self, x, solvers: tuple):
+        self.x = x
+        self.solvers = solvers
+        self._witnessed: set = set()
+
+    def check_witness(self, h, relation):
+        if (h, relation) in self._witnessed:
+            return
+        if h * self.x * h.inverse() != relation.of(self.x):
+            raise UsageError(f"h does not witness the {relation.describe()} relation for x")
+        self._witnessed.add((h, relation))
+
+
+def _level_solvers(x, pres: CentralSeriesPresentation) -> tuple:
+    """(I - a)^-1 a for each level's action a of x: one elimination of
+    I - a per level, and I - a is singular exactly when a fixes a nonzero
+    vector, which fails fast with the offending level."""
+    solvers = []
     for j, lvl in enumerate(pres.levels):
         a = lvl.act(x)
-        if has_fixed_point(a):
-            ident = Matrix.identity_of(pres.field, lvl.dim)
+        ident = Matrix.identity_of(pres.field, lvl.dim)
+        try:
+            solvers.append((ident - a).inverse() * a)
+        except SingularMatrixError:
             raise FixedPointError(
                 f"action of x on level {j} quotient has a nonzero fixed point",
-                kernel=kernel_basis(a - ident), level=j)
+                kernel=kernel_basis(a - ident), level=j) from None
+    return tuple(solvers)
 
 
 def lift_central_series(x, n, pres: CentralSeriesPresentation):
     """u in N with (e,u) (x,e) (e,u)^-1 = (x,n), by descending the series.
 
     At each level the quotient equation (act^-1 - I) w = project(residual)
-    is solved in the inverse-free form (I - act) w = act project(residual),
-    the solution lifted through the section, and the residual
-    pushed into the next term of the series; the final conjugator is
-    re-verified by exact multiplication."""
-    check_fixed_point_free(x, pres)
-    G = pres.semidirect(x.identity())
+    is solved in the inverse-free form w = (I - act)^-1 act project(residual)
+    with the operator from x's lift plan, the solution lifted through the
+    section, and the residual pushed into the next term of the series; the
+    last level's conjugate is the final conjugator, verified by exact
+    comparison with (x, n)."""
+    solvers = pres.lift_plan(x).solvers
+    e = x.identity()
+    G = pres.semidirect(e)
     target = G.element(x, n)
     x_embedded = G.embed_h(x)
     u = pres.identity
     residual = n
-    for j, lvl in enumerate(pres.levels):
-        a = lvl.act(x)
-        ident = Matrix.identity_of(pres.field, lvl.dim)
-        v_j = lvl.project(residual)
-        omega = solve_linear(ident - a, a.apply(v_j))
-        assert omega is not None  # invertible by the fixed-point check
-        w_j = lvl.section(omega)
-        u = pres.multiply(w_j, u)
-        conjugated = G.embed_n(u) * x_embedded * G.embed_n(u).inverse()
+    conjugated = x_embedded
+    for j, (lvl, solver) in enumerate(zip(pres.levels, solvers)):
+        u = pres.multiply(lvl.section(solver.apply(lvl.project(residual))), u)
+        u_elem = G.embed_n(u)
+        conjugated = u_elem * x_embedded * u_elem.inverse()
         residue_elem = conjugated.inverse() * target
-        if residue_elem.h != x.identity():
+        if residue_elem.h != e:
             raise PresentationError("conjugate lost its acting component")
         residual = residue_elem.n
         if not lvl.project(residual).is_zero():
@@ -343,16 +380,15 @@ def lift_central_series(x, n, pres: CentralSeriesPresentation):
                 f"project_{j} = {lvl.project(residual)!r}")
     if residual != pres.identity:
         raise PresentationError("residual nonzero after the last level")
-    if G.embed_n(u) * x_embedded * G.embed_n(u).inverse() != target:
+    if conjugated != target:
         raise PresentationError("lifted conjugator failed exact verification")
     return u
 
 
 def _witness_via_lift(x, n, pres: CentralSeriesPresentation, h, relation) -> Certificate:
-    G = pres.semidirect(x.identity())
-    if h * x * h.inverse() != relation.of(x):
-        raise UsageError(f"h does not witness the {relation.describe()} relation for x")
+    pres.lift_plan(x).check_witness(h, relation)
     u = lift_central_series(x, n, pres)
+    G = pres.semidirect(x.identity())
     u_elem = G.embed_n(u)
     g = u_elem * G.embed_h(h) * u_elem.inverse()
     return Certificate.make(G.element(x, n), g, relation)

@@ -375,6 +375,30 @@ def test_affine_order_outside_the_bound_exits_quickly(tmp_path, capsys, order):
     assert f"order {order} lies outside [1, bound = {DEFAULT_BOUND}]" in capsys.readouterr().err
 
 
+# Each integer parameter as the one scenario field that a test replaces.
+INTEGER_PARAMS = {
+    "affine_order": lambda value: {"kind": "affine", "elements": [{"v": ["1", "0"]}],
+                                   "params": {"x": [["0", "1"], ["1", "0"]], "order": value}},
+    "sl2v_n": lambda value: {"kind": "sl2v", "params": {"n": value, "t": "1"},
+                             "elements": [{"x": ["2", "0", "0", "1/2"], "v": ["1", "1", "1"]}]},
+    "solvable_x": lambda value: {"kind": "solvable", "params": {},
+                                 "elements": [{"a": "1", "b": "2", "c": "1", "x": value}]},
+    "finite_p": lambda value: {"kind": "finite", "elements": [],
+                               "params": {"p": value, "linear_generators": [[["1"]]]}},
+    "field_p": lambda value: {"kind": "affine", "elements": [],
+                              "params": {"field": {"type": "Fp", "p": value},
+                                         "x": [["1"]], "order": 1}},
+}
+
+
+@pytest.mark.parametrize("value", [3.9, True, "3"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize("param", sorted(INTEGER_PARAMS))
+def test_integer_params_accept_only_json_integers(tmp_path, capsys, param, value):
+    scenario = {"schema_version": 1, **INTEGER_PARAMS[param](value)}
+    assert main(["run", write_json(tmp_path / "scenario.json", scenario)]) == 2
+    assert f"must be an integer, got {value!r}" in capsys.readouterr().err
+
+
 # Integrity digests of the shipped scenarios at seed 0 and the default bound.
 # A change here changes report bytes: say why in CHANGES.md.
 GOLDEN_DIGESTS = {

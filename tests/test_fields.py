@@ -1,3 +1,9 @@
+import copy
+import pathlib
+import pickle
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -96,3 +102,114 @@ def test_field_constants():
     assert QQI.i() * QQI.i() == GaussianRational.of(-1, 0)
     assert GF(3).coerce(-1) == FpElement(2, 3)
     assert GF(3).characteristic == 3 and QQ.characteristic == 0
+
+
+# -- Q(i) against a (Fraction, Fraction) reference --------------------------------
+
+def pair(z):
+    return z.re, z.im
+
+
+def ref_add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def ref_sub(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def ref_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def ref_inverse(x):
+    norm = x[0] * x[0] + x[1] * x[1]
+    return x[0] / norm, -x[1] / norm
+
+
+def ref_str(x):
+    sign = "+" if x[1] >= 0 else "-"
+    return f"{x[0]}{sign}{abs(x[1])} i"
+
+
+pairs = st.tuples(rationals, rationals | st.just(Fraction(0)))
+operands = rationals | st.integers(min_value=-50, max_value=50)
+
+
+@given(pairs, pairs)
+def test_gaussian_matches_fraction_pair_reference(x, y):
+    z, w = GaussianRational(*x), GaussianRational(*y)
+    assert pair(z) == x
+    assert pair(z + w) == ref_add(x, y)
+    assert pair(z - w) == ref_sub(x, y)
+    assert pair(z * w) == ref_mul(x, y)
+    assert pair(-z) == (-x[0], -x[1])
+    assert pair(z.conjugate()) == (x[0], -x[1])
+    assert (z == w) == (x == y) and (z != w) == (x != y)
+    assert bool(z) == any(x)
+    if any(y):
+        assert pair(z / w) == ref_mul(x, ref_inverse(y))
+        assert pair(w.inverse()) == ref_inverse(y)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            z / w
+        with pytest.raises(ZeroDivisionError):
+            w.inverse()
+
+
+@given(pairs, operands)
+def test_gaussian_mixes_with_int_and_fraction(x, q):
+    z, r = GaussianRational(*x), (Fraction(q), Fraction(0))
+    assert pair(z + q) == pair(q + z) == ref_add(x, r)
+    assert pair(z - q) == ref_sub(x, r) and pair(q - z) == ref_sub(r, x)
+    assert pair(z * q) == pair(q * z) == ref_mul(x, r)
+    if q:
+        assert pair(z / q) == ref_mul(x, ref_inverse(r))
+    if any(x):
+        assert pair(q / z) == ref_mul(r, ref_inverse(x))
+    assert (z == q) == (x == r)
+
+
+@given(pairs)
+def test_gaussian_hash_str_and_parse(x):
+    z = GaussianRational(*x)
+    assert str(z) == ref_str(x)
+    assert QQI.parse(str(z)) == z
+    assert hash(z) == hash(GaussianRational(*x))
+    if not x[1]:
+        assert z == x[0] and hash(z) == hash(z.re) == hash(x[0])
+        assert {z: 1}[x[0]] == 1
+
+
+def test_gaussian_is_immutable():
+    z = GaussianRational.of("1/2", 3)
+    for name in ("re", "im", "_a", "_d", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(z, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(z, name)
+    assert pair(z) == (Fraction(1, 2), Fraction(3))
+    assert copy.deepcopy(z) == z and pickle.loads(pickle.dumps(z)) == z
+
+
+def test_tracer_counts_every_gaussian_operator():
+    """bench/tracer.py counts fields.qqi_ops by wrapping the operators found in
+    vars(GaussianRational); an operator that the class inherits instead of
+    defining would escape the count.  Runs in a fresh interpreter because
+    installing the tracer rebinds conjcert for good, and with -B so that
+    bench/ gets no bytecode files."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    code = textwrap.dedent("""
+        import sys
+        sys.path[:0] = ["src", "bench"]
+        import tracer
+        from conjcert.fields import GaussianRational
+        ops = [name for name in tracer._OPERATORS if hasattr(GaussianRational, name)]
+        assert {"__add__", "__mul__", "__truediv__", "__neg__"} <= set(ops), ops
+        missing = [name for name in ops if name not in vars(GaussianRational)]
+        assert not missing, missing
+        tracer.Tracer().install()
+    """)
+    proc = subprocess.run([sys.executable, "-B", "-c", code], cwd=root,
+                          capture_output=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conjcert.errors import FixedPointError, PresentationError, UsageError
 from conjcert.fields import GF, QQ
 from conjcert.groups import Inverse, Power, element_order
+from conjcert import semidirect
 from conjcert.linalg import Matrix, Vector, solve_linear
 from conjcert.semidirect import (
     AffineElement,
@@ -350,6 +351,81 @@ def test_lift_fixed_point_reports_level():
     with pytest.raises(FixedPointError) as err:
         lift_central_series(x, vec([1, 1, 1, 1]), pres)
     assert err.value.level == 1
+
+
+def count_level_solvers(monkeypatch):
+    """Count the fixed-point checks, one per lift plan built."""
+    calls = []
+    build = semidirect._level_solvers
+
+    def counted(x, pres):
+        calls.append(pres)
+        return build(x, pres)
+
+    monkeypatch.setattr(semidirect, "_level_solvers", counted)
+    return calls
+
+
+def test_lift_plan_is_built_once_per_x_and_presentation(monkeypatch):
+    calls = count_level_solvers(monkeypatch)
+    pres = two_level_abelian_presentation()
+    x = mat([
+        [2, 0, 0, 0],
+        [0, Fraction(1, 2), 0, 0],
+        [0, 0, 3, 0],
+        [0, 0, 0, Fraction(1, 3)],
+    ])
+    G = pres.semidirect(x.identity())
+    rng = random.Random(11)
+    for _ in range(50):
+        n = vec([rnd_fraction(rng) for _ in range(4)])
+        u_el = G.embed_n(lift_central_series(x, n, pres))
+        assert u_el * G.embed_h(x) * u_el.inverse() == G.element(x, n)
+    assert calls == [pres]
+    # an equal x is the same plan; a new presentation builds its own
+    lift_central_series(mat([[2, 0, 0, 0], [0, Fraction(1, 2), 0, 0],
+                             [0, 0, 3, 0], [0, 0, 0, Fraction(1, 3)]]), n, pres)
+    other = two_level_abelian_presentation()
+    lift_central_series(x, n, other)
+    assert calls == [pres, other]
+
+
+def test_lift_fixed_point_is_reported_on_every_call(monkeypatch):
+    calls = count_level_solvers(monkeypatch)
+    pres = two_level_abelian_presentation()
+    x = mat([
+        [2, 0, 0, 0],
+        [0, Fraction(1, 2), 0, 0],
+        [0, 0, 1, 0],
+        [0, 0, 0, 1],
+    ])
+    h = mat([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert h * x * h.inverse() == x.inverse()
+    for attempt in range(3):
+        with pytest.raises(FixedPointError) as err:
+            lift_central_series(x, vec([1, 1, 1, 1]), pres)
+        assert err.value.level == 1
+        assert err.value.kernel == [vec([1, 0]), vec([0, 1])]  # in level 1 coordinates
+        with pytest.raises(FixedPointError) as err:
+            real_witness_via_lift(x, vec([1, 1, 1, 1]), pres, h)
+        assert err.value.level == 1
+    assert len(calls) == 6
+
+
+def test_wrong_h_fails_on_every_call():
+    pres = vector_presentation(QQ, 2, lambda h: h)
+    x = mat([[2, 0], [0, "1/2"]])
+    wrong, right = Matrix.identity_of(QQ, 2), mat([[0, 1], [1, 0]])
+    for _ in range(3):
+        with pytest.raises(UsageError):
+            real_witness_via_lift(x, vec([1, 1]), pres, wrong)
+    for _ in range(3):
+        assert real_witness_via_lift(x, vec([1, 2]), pres, right).verified
+        with pytest.raises(UsageError):
+            real_witness_via_lift(x, vec([1, 1]), pres, wrong)
+        # a check that passed for one relation does not cover another
+        with pytest.raises(UsageError):
+            rational_witness_via_lift(x, vec([1, 1]), pres, right, 1)
 
 
 def test_witnesses_via_lift():
