@@ -8,6 +8,13 @@ normalised Fraction pairs; a residue mod p is boxed with its modulus.  A
 small ``Field`` object bundles the zero/one constants, coercion and the
 lossless string round-trip used by the scenario/report formats ("p/q",
 "p/q+r/s i", plain residues mod p).
+
+These scalar operators are what elimination, ``dot`` and ``kron`` run on.
+Matrix products and ``apply`` over ℚ and 𝔽_p leave them: the integer kernels
+of :mod:`conjcert.linalg` multiply and add plain ``int`` numerators or
+residues, and box each result entry once, as a ``Fraction`` or as the shared
+element of ``PrimeField.residues`` (tabulated for p up to
+``RESIDUE_TABLE_MAX``).
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .errors import UsageError
@@ -33,6 +41,8 @@ __all__ = [
     "GF",
     "is_prime",
 ]
+
+RESIDUE_TABLE_MAX = 1 << 12  # largest p whose elements PrimeField.residues tabulates
 
 
 def is_prime(n: int) -> bool:
@@ -432,6 +442,15 @@ class PrimeField(Field):
     def one(self):
         return FpElement(1, self.p)
 
+    @cached_property
+    def residues(self):
+        """All p elements as a tuple indexed by residue, one shared instance
+        each, or None for p above RESIDUE_TABLE_MAX.  The integer kernels of
+        :mod:`conjcert.linalg` box their results from it."""
+        if self.p > RESIDUE_TABLE_MAX:
+            return None
+        return tuple(FpElement(r, self.p) for r in range(self.p))
+
     def coerce(self, value):
         if isinstance(value, FpElement):
             if value.p != self.p:
@@ -451,6 +470,9 @@ class PrimeField(Field):
 
     def __repr__(self):
         return f"GF({self.p})"
+
+    def __reduce__(self):
+        return GF, (self.p,)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -8,23 +8,39 @@ returns the determinant as the product of the pivots, negated once per row
 swap.  ``Matrix.det``, ``Matrix.inverse`` (on ``[A | I]``),
 ``solve_linear``, ``kernel_basis`` and ``column_space_basis`` all read it.
 
-The kernels skip zeros rather than multiply them out: the row update runs
-over the nonzero entries of the pivot row and passes over rows whose factor
-is zero; products accumulate row by row over the nonzero entries of both
-factors; ``apply``, ``dot`` and ``kron`` skip zero factors.  The matrices
-met here (``kron`` systems above all) are mostly zero, so this removes most
-of the scalar operations.  The results are the same as those of a dense
-loop: every field is exact, so a skipped term is exactly zero, and the
-reduced row echelon form of a matrix is unique.
+Products and ``apply`` over ℚ and 𝔽_p run on integers.  Each matrix keeps,
+computed once on first use, its nonzero entries per row as plain ``int``:
+over ℚ scaled by one common denominator D (the lcm of the entry
+denominators), over 𝔽_p the residues.  An output entry is accumulated in
+``int`` and normalised once, as ``Fraction(s, D_A * D_B)`` or as the shared
+residue-table element for s mod p; ``apply`` scales the vector the same way
+once per call.  So a product makes no ``Fraction`` or ``FpElement``
+arithmetic, where a scalar loop would normalise every ``+`` and ``*``.  The
+view is kept on the instance outside ``==``, ``hash``, ``repr`` and the
+pickled state.  ℚ(i), 𝔽_p for p above ``fields.RESIDUE_TABLE_MAX``, and
+operands over different fields take the scalar loop.
+
+The other kernels skip zeros rather than multiply them out: the row update
+runs over the nonzero entries of the pivot row and passes over rows whose
+factor is zero; the scalar product loop runs over the nonzero entries of
+both factors; ``dot`` and ``kron`` skip zero factors.  The matrices met here
+(``kron`` systems above all) are mostly zero, so this removes most of the
+scalar operations.  The results are the same as those of a dense loop:
+every field is exact, so a skipped term is exactly zero, and the reduced row
+echelon form of a matrix is unique.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 from typing import Iterable, Optional
 
 from .errors import DimensionMismatch, SingularMatrixError, UsageError
-from .fields import Field
+from .fields import Field, PrimeField, RationalField
 
 __all__ = [
     "Matrix",
@@ -182,6 +198,17 @@ class Matrix:
             if self.cols != other.rows:
                 raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
             m = other.cols
+            if self.field == other.field and self._ints is not None:
+                da, a_cols, a_vals = self._ints
+                db, b_cols, b_vals = other._ints
+                sums = []
+                for cols, vals in zip(a_cols, a_vals):
+                    acc = [0] * m
+                    for t, x in zip(cols, vals):
+                        for j, y in zip(b_cols[t], b_vals[t]):
+                            acc[j] += x * y
+                    sums += acc
+                return Matrix(self.field, self.rows, m, _from_ints(self.field, da * db, sums))
             zero = self.field.zero()
             b_rows = [_nonzeros(other.row(t)) for t in range(other.rows)]
             out = []
@@ -199,6 +226,12 @@ class Matrix:
     def apply(self, v: Vector) -> Vector:
         if self.cols != v.dim:
             raise DimensionMismatch(f"{self.rows}x{self.cols} applied to dim {v.dim}")
+        if self.field == v.field and self._ints is not None:
+            da, a_cols, a_vals = self._ints
+            dv, w = _scaled(self.field, v.entries)
+            sums = [sum(map(mul, vals, map(w.__getitem__, cols)))
+                    for cols, vals in zip(a_cols, a_vals)]
+            return Vector(self.field, _from_ints(self.field, da * dv, sums))
         zero = self.field.zero()
         terms = _nonzeros(v.entries)
         out = []
@@ -211,6 +244,31 @@ class Matrix:
                     total = total + x * y
             out.append(total)
         return Vector(self.field, tuple(out))
+
+    @cached_property
+    def _ints(self) -> Optional[tuple[int, list, list]]:
+        """(D, cols, vals): the tuples cols[i] and vals[i] list the nonzero
+        entries of row i as column indices and ints, each entry being int / D (see
+        ``_scaled``); None over the fields without an integer kernel.
+        Computed on first use and kept in the instance dict, which ``==``,
+        ``hash`` and ``repr`` never read and ``__getstate__`` leaves out."""
+        scaled = _scaled(self.field, self.entries)
+        if scaled is None:
+            return None
+        scale, ints = scaled
+        c = self.cols
+        cols, vals = [], []
+        for i in range(self.rows):
+            row = ints[i * c:(i + 1) * c]
+            nonzero = tuple([j for j, x in enumerate(row) if x])
+            cols.append(nonzero)
+            vals.append(tuple([row[j] for j in nonzero]))
+        return scale, cols, vals
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_ints", None)
+        return state
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, self.cols, self.rows,
@@ -273,6 +331,35 @@ class Matrix:
 def _nonzeros(entries) -> list:
     """The (index, value) pairs of the nonzero entries."""
     return [(j, x) for j, x in enumerate(entries) if x]
+
+
+def _scaled(field: Field, entries) -> Optional[tuple[int, list[int]]]:
+    """(D, ints) with entries[k] = ints[k] / D: over Q, D is the lcm of the
+    denominators; over F_p, D = 1 and ints are the residues.  None over the
+    fields without an integer kernel: Q(i), and F_p above RESIDUE_TABLE_MAX."""
+    if isinstance(field, RationalField):
+        ratios = [x.as_integer_ratio() for x in entries]
+        scale = lcm(*[d for _, d in ratios])
+        return scale, [n * (scale // d) for n, d in ratios]
+    if not isinstance(field, PrimeField) or field.residues is None:
+        return None
+    p = field.p
+    for x in entries:
+        if x.p != p:
+            raise UsageError(f"mixed moduli {p} and {x.p}")
+    return 1, [x.value for x in entries]
+
+
+def _from_ints(field: Field, scale: int, sums: list[int]) -> tuple:
+    """The field elements s / scale for the integer sums s, each normalised
+    once; zero sums share one zero."""
+    if isinstance(field, PrimeField):
+        table, p = field.residues, field.p
+        return tuple([table[s % p] for s in sums])
+    zero = Fraction(0)
+    if scale == 1:
+        return tuple([Fraction(s) if s else zero for s in sums])
+    return tuple([Fraction(s, scale) if s else zero for s in sums])
 
 
 def _echelon(rows: list[list], ncols: int, one) -> tuple[list[list], list[int], object]:

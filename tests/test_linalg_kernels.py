@@ -1,11 +1,15 @@
-"""The zero-skipping elimination and products against a dense reference, the
-scalar work of one large kron system, and a traced benchmark run that must
-still see every linalg layer."""
+"""The zero-skipping elimination and the integer product kernels against a
+dense reference, the cached integer view's invisibility, the scalar work of
+one large kron system, of one matrix power and of one finite closure, and
+traced benchmark runs that must still see every linalg layer."""
 
+import copy
+import dataclasses
 import importlib.util
 import itertools
 import json
 import pathlib
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,9 +17,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conjcert.errors import SingularMatrixError
+from conjcert.errors import SingularMatrixError, UsageError
 from conjcert.fields import GF, QQ, QQI, FpElement, GaussianRational
+from conjcert.groups import generate_closure
 from conjcert.linalg import Matrix, Vector, kernel_basis, kron, solve_linear
+from conjcert.semidirect import AffineElement
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -27,11 +33,21 @@ FIELDS = {
 }
 sizes = st.integers(min_value=1, max_value=6)
 
+# Large, mutually different denominators: where one common denominator per
+# matrix inflates the integer numerators most.  (5/3)^k and (-7/2)^k reach
+# the heights of rho's entries at degree 24; the rest go up to 10^12.
+tall_rationals = st.one_of(
+    st.builds(lambda j, k: Fraction(5, 3) ** j * Fraction(-7, 2) ** k,
+              st.integers(-24, 24), st.integers(-24, 24)),
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 12),
+)
+PRODUCT_FIELDS = {**FIELDS, "QQtall": (QQ, tall_rationals)}
+
 
 @st.composite
 def sparse_matrices(draw, field_name, rows=None, cols=None):
     """A rows x cols matrix with roughly 30 % of its entries drawn nonzero."""
-    field, values = FIELDS[field_name]
+    field, values = PRODUCT_FIELDS[field_name]
     rows = draw(sizes) if rows is None else rows
     cols = draw(sizes) if cols is None else cols
     entries = tuple(draw(values) if draw(st.integers(0, 9)) < 3 else field.zero()
@@ -124,12 +140,26 @@ def test_kernel_and_solve_match_dense_reference(field_name, data):
         assert dense_apply(A, w.entries) == list(rhs.entries)
 
 
-@pytest.mark.parametrize("field_name", sorted(FIELDS))
+def _zero_line(M, data, axis):
+    """M with one drawn row (axis 0) or column (axis 1) set to zero, or M."""
+    count = M.rows if axis == 0 else M.cols
+    line = data.draw(st.one_of(st.none(), st.integers(0, count - 1)))
+    if line is None:
+        return M
+    zero = M.field.zero()
+    return Matrix(M.field, M.rows, M.cols,
+                  tuple(zero if (i, j)[axis] == line else M[i, j]
+                        for i in range(M.rows) for j in range(M.cols)))
+
+
+@pytest.mark.parametrize("field_name", sorted(PRODUCT_FIELDS))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_products_match_dense_reference(field_name, data):
-    A = data.draw(sparse_matrices(field_name))
-    B = data.draw(sparse_matrices(field_name, A.cols))
+    one_or_more = st.one_of(st.just(1), sizes)  # 1 x 1 shapes come up often
+    rows, inner, cols = (data.draw(one_or_more) for _ in range(3))
+    A = _zero_line(data.draw(sparse_matrices(field_name, rows, inner)), data, 0)
+    B = _zero_line(data.draw(sparse_matrices(field_name, inner, cols)), data, 1)
     columns = [[B[t, j] for t in range(B.rows)] for j in range(B.cols)]
     product = A * B
     for j, column in enumerate(columns):
@@ -141,6 +171,71 @@ def test_products_match_dense_reference(field_name, data):
     assert all(K[ia * B.rows + ib, ja * B.cols + jb] == A[ia, ja] * B[ib, jb]
                for ia, ib, ja, jb in itertools.product(range(A.rows), range(B.rows),
                                                        range(A.cols), range(B.cols)))
+
+
+def test_mixed_moduli_still_raise_where_nonzero_entries_meet():
+    """Operands over different fields skip the integer kernels and keep the
+    scalar loop: GF(3) against GF(5) raises only where nonzero entries
+    meet, as the scalar arithmetic does."""
+    A = Matrix.from_rows(GF(3), [[1, 0], [0, 0]])
+    B = Matrix.from_rows(GF(5), [[1, 2], [3, 4]])
+    with pytest.raises(UsageError, match="mixed moduli"):
+        A * B
+    with pytest.raises(UsageError, match="mixed moduli"):
+        A.apply(Vector.of(GF(5), [1, 2]))
+    # row 0 of B and entry 0 of the vector are the only ones A's nonzero meets
+    B0 = Matrix.from_rows(GF(5), [[0, 0], [3, 4]])
+    assert A * B0 == Matrix.zero_of(GF(3), 2, 2)
+    assert A.apply(Vector.of(GF(5), [0, 2])) == Vector.zero(GF(3), 2)
+    # an F_5 entry inside a matrix labelled F_3 is refused by the integer kernel
+    stray = Matrix(GF(3), 1, 1, (FpElement(1, 5),))
+    with pytest.raises(UsageError, match="mixed moduli"):
+        stray * Matrix.from_rows(GF(3), [[1]])
+    with pytest.raises(UsageError, match="mixed moduli"):
+        Matrix.from_rows(GF(3), [[1]]).apply(Vector(GF(3), (FpElement(1, 5),)))
+    # Q against Q(i): the scalar loop, whose sums are Gaussian
+    i = QQI.i()
+    C = Matrix.from_rows(QQ, [[1, Fraction(1, 2)]])
+    D = Matrix.from_rows(QQI, [[i], [2]])
+    assert (C * D).entries == (i + 1,)
+    assert C.apply(Vector.of(QQI, [i, 2])).entries == (i + 1,)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), QQI], ids=["QQ", "GF5", "QQI"])
+def test_products_with_an_empty_dimension(field):
+    empty_inner = Matrix(field, 2, 0, ()) * Matrix(field, 0, 3, ())
+    assert empty_inner == Matrix.zero_of(field, 2, 3)
+    assert Matrix(field, 2, 0, ()).apply(Vector(field, ())) == Vector.zero(field, 2)
+    assert Matrix(field, 0, 2, ()) * Matrix.identity_of(field, 2) == Matrix(field, 0, 2, ())
+    assert Matrix(field, 0, 2, ()).apply(Vector.zero(field, 2)) == Vector(field, ())
+
+
+@pytest.mark.parametrize("field, rows", [
+    (QQ, [[Fraction(1, 2), 0, Fraction(-7, 3)], [0, 0, 0], [5, Fraction(2, 9), 1]]),
+    (GF(5), [[1, 0, 4], [0, 0, 0], [2, 3, 1]]),
+    (QQI, [["1/2+1 i", 0, 3], [0, 0, 0], ["-2 i", 1, "1/3"]]),
+], ids=["QQ", "GF5", "QQI"])
+def test_cached_integer_view_is_invisible(field, rows):
+    """A product leaves the matrix comparing, hashing, printing, pickling,
+    copying and replacing exactly as before it."""
+    A = Matrix.from_rows(field, rows)
+
+    def observe(M):
+        return (M == Matrix.from_rows(field, rows), hash(M), repr(M), pickle.dumps(M),
+                pickle.dumps(copy.copy(M)), pickle.dumps(copy.deepcopy(M)),
+                pickle.dumps(dataclasses.replace(M)))
+
+    before = observe(A)
+    square = A * A
+    image = A.apply(Vector.of(field, [1, 2, 3]))
+    assert observe(A) == before
+    for twin in (pickle.loads(pickle.dumps(A)), copy.copy(A), copy.deepcopy(A),
+                 dataclasses.replace(A)):
+        assert twin == A and twin * twin == square
+        assert twin.apply(Vector.of(field, [1, 2, 3])) == image
+    rebuilt = Matrix.from_rows(field, rows)
+    assert rebuilt == A and A == rebuilt and hash(rebuilt) == hash(A)
+    assert {A: 1}[rebuilt] == 1
 
 
 # -- work guard ---------------------------------------------------------------
@@ -182,18 +277,77 @@ def test_kernel_basis_multiplication_budget(monkeypatch):
         assert not any(dense_apply(op, w.entries))
 
 
+def _count_calls(monkeypatch, cls, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(cls, name)
+
+        def counted(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+        monkeypatch.setattr(cls, name, counted)
+    return counts
+
+
+def test_integer_products_make_no_scalar_arithmetic(monkeypatch):
+    """x ** 12 for the order-12, dimension-8 linear part of the affine
+    benchmark: a scalar product loop makes 655 Fraction.__mul__ and 655
+    Fraction.__add__ calls on it, the integer kernel none."""
+    workloads = _bench_workloads()
+    order, blocks = next((order, blocks) for name, order, blocks, _ in
+                         workloads.AFFINE_LINEAR_PARTS if name == "o12_d8")
+    rows, _ = workloads._linear_part(order, blocks)
+    x = Matrix.from_rows(QQ, rows)
+    counts = _count_calls(monkeypatch, Fraction, ("__mul__", "__rmul__", "__add__", "__radd__"))
+    power = x ** 12
+    monkeypatch.undo()
+    assert counts == {"__mul__": 0, "__rmul__": 0, "__add__": 0, "__radd__": 0}, counts
+    assert power.is_identity()
+
+
+def test_finite_closure_multiplication_budget(monkeypatch):
+    """One closure of GL(2,3) x| F_3^2: 432 elements, 2,160 products of
+    affine elements.  Scalar product loops make 8,424 FpElement.__mul__
+    calls in it and the integer kernels none; the budget of 500 leaves room
+    for scalar work outside the products, not for a scalar product loop."""
+    workloads = _bench_workloads()
+    field = GF(3)
+    gens = [AffineElement.of(Matrix.from_rows(field, rows), [0, 0])
+            for rows in workloads.GL23_GENERATORS]
+    gens += [AffineElement.of(Matrix.identity_of(field, 2), v) for v in ([1, 0], [0, 1])]
+    counts = _count_calls(monkeypatch, FpElement, ("__mul__", "__rmul__"))
+    G = generate_closure(gens)
+    monkeypatch.undo()
+    assert len(G.elements) == 432
+    assert counts["__mul__"] + counts["__rmul__"] <= 500, counts
+
+
 # -- tracer smoke test ----------------------------------------------------------
 
-def test_traced_benchmark_sees_every_linalg_layer():
-    """bench/tracer.py wraps Matrix.det, Matrix.inverse, solve_linear,
-    kernel_basis and column_space_basis by name; a refactor that routes
-    elimination past those names leaves a linalg metric at zero."""
-    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", "affine_kron",
+KERNEL_METRICS = ("linalg.matmul_calls", "linalg.matmul_s", "linalg.apply_calls",
+                  "linalg.apply_s")
+
+
+@pytest.mark.parametrize("workload", ["affine_kron", "finite_gl23"])
+def test_traced_benchmark_sees_every_linalg_layer(workload):
+    """bench/tracer.py wraps Matrix.__mul__, Matrix.apply, Matrix.det,
+    Matrix.inverse, solve_linear, kernel_basis and column_space_basis by
+    name, and counts the scalar operators of each field.  A kernel that
+    routes products past those names, or leaves a metric the tracer maps
+    to the workload (fields.q_ops on affine_kron, fields.fp_ops on
+    finite_gl23, ...) at zero, fails here."""
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                            "--seconds", "0", "--trace", "1"],
                           cwd=ROOT, capture_output=True, timeout=300, check=False)
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
     summary = json.loads(proc.stdout.splitlines()[-1])
     assert summary["correct"] is True, proc.stdout.decode(errors="replace")[-2000:]
-    linalg = {name: m["value"] for name, m in summary["metrics"].items()
-              if name.startswith("linalg.")}
-    assert linalg and all(linalg.values()), linalg
+    values = {name: m["value"] for name, m in summary["metrics"].items()}
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    required = {name for name, _, nonzero_on in tracer.PER_LAYER if workload in nonzero_on}
+    required.update(KERNEL_METRICS)
+    assert {"fields.q_ops", "fields.fp_ops"} & required
+    zero = sorted(name for name in required if not values[name])
+    assert not zero, {name: values[name] for name in sorted(required)}
