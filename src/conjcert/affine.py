@@ -1,43 +1,43 @@
-"""Rationality in affine groups GL(n) |x F^n from a rational finite-order
-linear part.
+"""Rationality in affine groups GL(n, F) |x F^n from a finite-order linear
+part, over every field.
 
-In characteristic zero a finite-order x is semisimple, so
-F^n = ker(x - I) + im(x - I) splits exactly and stays computable over Q;
-no Jordan form over R is needed.
-Over Q the conjugators g x g^-1 = x^k of the linear part are read off
-cyclic (Krylov) bases: each primary component ker Phi_d(x) is a sum of
-cyclic subspaces with minimal polynomial Phi_d, and the same seeds span
-them for x and for x^k, so every finite-order x over Q is rational.  Over
-other fields the conjugators come from the solution space of g x = x^k g.
-Every certificate for (x, v) pairs a conjugator h of the linear part with
-the translation w that ``semidirect``'s one witness equation
-(I - y) w = c - h v solves.  If v lies in im(x - I), then (x, v) is
-conjugate to (x, 0) by a pure translation, so it has the order of x and
-every conjugator of x carries over.  Otherwise (characteristic zero) the
-kernel component of v telescopes, so (x, v) has infinite order, and its
-inverse witness takes h = -1 on the kernel and the block conjugator of
-x -> x^-1 on the image.
+The conjugators g_k x g_k^-1 = x^k of the linear part come from one cyclic
+decomposition F^n = Z(u_1) + ... + Z(u_r) of x, with invariant factors
+f_r | ... | f_1 (Hoffman & Kunze, *Linear Algebra*, 7.2).  It needs only
+polynomial gcds and division, no factoring, so it is the same over Q, Q(i)
+and F_p, and for p | m, where x is not semisimple.  For k coprime to the
+order of x, y = x^k and x are polynomials in each other, so each Z(u_i) is
+y-cyclic too and the same seeds decompose y, with invariant factors the
+minimal polynomials of the u_i under y.  So x and y are conjugate exactly
+when f_i(y) u_i = 0 for every i: then g_k = B_y B_x^-1 sends x^j u_i to
+y^j u_i, and otherwise the first i that fails names the invariant factor
+that moved, a proof that x is not rational.  Each g_k is the identity on
+Q = F^n / im(x - I), since x^(kj) u = x^j u = u there.
+
+Every certificate for (x, v) is h = c g_k, completed by the translation w
+that ``semidirect``'s witness equation (I - y) w = t - h v solves, t the
+translation of the target.  The power (x, v)^k has translation
+S_k v = (I + x + ... + x^(k-1)) v, and S_k acts on Q as k, so the equation
+is consistent exactly when c v = k v in Q:
+
+- v in im(x - I): c = 1; (x, v) is conjugate to (x, 0) and has the order
+  of x.
+- characteristic 0, v outside im(x - I): the kernel component of v
+  telescopes, so (x, v) has infinite order and rational and real coincide;
+  the inverse witness takes h = -g_(m-1) (h = -I when m <= 2).
+- characteristic p, v outside im(x - I): the order N of (x, v) is m or p m,
+  a multiple of p, so each k coprime to N is a unit and h = k g_(k mod m).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from .errors import (ConjcertError, FixedPointError, SingularMatrixError, TheoremViolation,
-                     UsageError)
-from .fields import QQ
+from .errors import ConjcertError, SingularMatrixError, TheoremViolation, UsageError
 from .groups import Certificate, Power, element_order, element_power
-from .linalg import (
-    Matrix,
-    Vector,
-    column_space_basis,
-    kernel_basis,
-    kron,
-    solve_linear,
-)
+from .linalg import Matrix, Vector, column_space_basis, kernel_basis, solve_linear
 from .semidirect import AffineElement, make_power_witness, make_real_witness
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "telescoped_translation",
 ]
 
-DEFAULT_RETRIES = 64
 TELESCOPE_STEPS = 30
 
 
@@ -108,58 +107,80 @@ def split_at_eigenvalue_one(x: Matrix, m: int) -> EigenOneSplitting:
 
 @dataclass(frozen=True)
 class LinearRationalityResult:
-    """Conjugators g_k with g_k x g_k^-1 = x^k for the generating powers.
-
-    Over Q the result is always complete.  Over other fields
-    ``not_rational`` lists k whose conjugation equation has no solution at
-    all (a proof that x is not rational); ``inconclusive`` lists k where a
-    solution space exists but no invertible member was found within the
-    retry budget."""
+    """Conjugators g_k with g_k x g_k^-1 = x^k for the generating powers,
+    each the identity on F^n / im(x - I).  ``not_rational`` lists the k for
+    which x^k has other invariant factors than x, a proof that x is not
+    rational; ``note`` names the first such k and the factor that moved."""
 
     order: int
     certificates: dict
     not_rational: tuple
-    inconclusive: tuple
+    note: str = ""
 
     @property
     def complete(self) -> bool:
-        return not self.not_rational and not self.inconclusive
+        return not self.not_rational
 
 
-def _divide_monic(p: list, q: list) -> list:
-    """Quotient of the integer polynomial p by the monic q, both lowest
-    degree first; the division is exact wherever it is used here."""
-    p = list(p)
-    quotient = [0] * (len(p) - len(q) + 1)
-    for i in reversed(range(len(quotient))):
-        c = quotient[i] = p[i + len(q) - 1]
-        for j, b in enumerate(q):
-            p[i + j] -= c * b
-    return quotient
+# -- polynomials: lists of field scalars, lowest degree first ----------------
+
+def _divmod(a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder of a by the monic b."""
+    rem = list(a)
+    quotient = []
+    for i in reversed(range(len(a) - len(b) + 1)):
+        c = rem[i + len(b) - 1]
+        quotient.append(c)
+        if c:
+            for j, coeff in enumerate(b):
+                rem[i + j] = rem[i + j] - c * coeff
+    rem = rem[:len(b) - 1]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quotient[::-1], rem
 
 
-def _cyclotomic_polynomials(m: int) -> dict:
-    """Phi_d for every d | m, lowest degree first: t^d - 1 divided by the
-    Phi_e of its proper divisors e."""
-    phis = {}
-    for d in range(1, m + 1):
-        if m % d == 0:
-            poly = [-1] + [0] * (d - 1) + [1]
-            for e, q in phis.items():
-                if d % e == 0:
-                    poly = _divide_monic(poly, q)
-            phis[d] = poly
-    return phis
+def _gcd(a: list, b: list) -> list:
+    """Monic gcd of the monic a and b, by Euclid."""
+    while b:
+        b = [c / b[-1] for c in b]
+        a, b = b, _divmod(a, b)[1]
+    return a
 
 
-def _poly_at(coeffs: list, x: Matrix) -> Matrix:
-    """The integer polynomial with the given coefficients at x (Horner)."""
-    ident = Matrix.identity_of(x.field, x.rows)
-    result = Matrix.zero_of(x.field, x.rows, x.cols)
-    for c in reversed(coeffs):
-        result = result * x + ident.scale(c)
-    return result
+def _mul(a: list, b: list) -> list:
+    out = [a[0] - a[0]] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] = out[i + j] + c * d
+    return out
 
+
+def _coprime_split(a: list, b: list) -> tuple[list, list]:
+    """Coprime a' | a and b' | b with a' b' = lcm(a, b), from gcds alone:
+    start from (a, b / gcd(a, b)) and move common factors from a' to b'.
+    Prime by prime, a' keeps the power of a where a has the larger one."""
+    a_part, b_part = a, _divmod(b, _gcd(a, b))[0]
+    while True:
+        common = _gcd(a_part, b_part)
+        if len(common) == 1:
+            return a_part, b_part
+        a_part, b_part = _divmod(a_part, common)[0], _mul(b_part, common)
+
+
+def _format_poly(field, p: list) -> str:
+    """p in the variable t, highest degree first, as in "t^2 + (6)t + 1"."""
+    terms = []
+    for j in reversed(range(len(p))):
+        if p[j]:
+            coeff = field.format(p[j])
+            mono = "" if j == 0 else "t" if j == 1 else f"t^{j}"
+            terms.append(coeff if not mono else mono if p[j] == field.one()
+                         else f"({coeff}){mono}")
+    return " + ".join(terms)
+
+
+# -- the cyclic decomposition -------------------------------------------------
 
 def _krylov_block(a: Matrix, u: Vector, length: int) -> list[Vector]:
     """u, a u, ..., a^(length-1) u."""
@@ -169,38 +190,80 @@ def _krylov_block(a: Matrix, u: Vector, length: int) -> list[Vector]:
     return block
 
 
-def _krylov_conjugators(x: Matrix, order: int):
-    """A map y -> g with g x g^-1 = y, for y = x^k and k coprime to order.
+def _combine(coeffs: list, vectors: list[Vector]) -> Vector:
+    total = vectors[0].scale(coeffs[0])
+    for c, v in zip(coeffs[1:], vectors[1:]):
+        total = total + v.scale(c)
+    return total
 
-    x is semisimple over Q, and on V_d = ker Phi_d(x) its minimal
-    polynomial is the irreducible Phi_d, so each nonzero u in V_d spans a
-    cyclic subspace Z(u) of dimension phi(d), and Z(u) either meets a sum
-    of such subspaces trivially or lies inside it, as u does.  Seeds kept
-    greedily from a basis of each V_d therefore give a basis B_x of Q^n
-    from their Krylov blocks.  y = x^k is a polynomial in x with the same
-    minimal polynomial Phi_d on V_d, so the Krylov blocks of y from the
-    same seeds give a basis B_y, and g = B_y B_x^-1 sends x^j u to y^j u,
-    hence g x = y g."""
-    seeds, columns = [], []
-    for phi in _cyclotomic_polynomials(order).values():
-        length = len(phi) - 1
-        basis = kernel_basis(_poly_at(phi, x))
-        kept = []
-        for u in basis:
-            if len(kept) == len(basis):
+
+def _poly_apply(p: list, a: Matrix, u: Vector) -> Vector:
+    """p(a) u."""
+    return _combine(p, _krylov_block(a, u, len(p)))
+
+
+def _annihilator(a: Matrix, u: Vector, limit: int) -> list:
+    """The minimal polynomial of the nonzero u under a, of degree d at most
+    limit: columns d, ..., limit of [u, a u, ..., a^limit u] are the free
+    ones, and the first kernel vector, cut after its 1 at d, gives the
+    first dependency."""
+    krylov = Matrix.from_columns(a.field, _krylov_block(a, u, limit + 1))
+    kernel = kernel_basis(krylov)
+    return list(kernel[0].entries[:limit + 2 - len(kernel)])
+
+
+def _cyclic_decomposition(x: Matrix) -> list[tuple[Vector, list]]:
+    """Seeds (u_i, f_i) of a cyclic decomposition of x, f_i the minimal
+    polynomial of u_i, with f_(i+1) | f_i.
+
+    On the x-invariant W that Z(u_1), ..., Z(u_(i-1)) leave (F^n at first),
+    u_i merges basis vectors of W until its minimal polynomial f is that of
+    x on W: w with f(x) w != 0 and minimal polynomial g is merged through
+    the coprime split a b = lcm(f, g), as (f/a)(x) u + (g/b)(x) w.  The next
+    W is {w in W : lam(x^j w) = 0 for j < deg f}, with lam(x^j u) = 1 at
+    j = deg f - 1 and 0 below: it is x-invariant because f(x) = 0 on W, and
+    it meets Z(u) trivially because lam(x^(i+j) u) is triangular."""
+    field, n = x.field, x.rows
+    rest = [Vector.unit(field, n, i) for i in range(n)]
+    seeds = []
+    while rest:
+        u, f = rest[0], _annihilator(x, rest[0], len(rest))
+        for w in rest[1:]:
+            if len(f) > len(rest):  # deg f = dim W: u already spans W
                 break
-            if kept and solve_linear(Matrix.from_columns(x.field, kept), u) is not None:
+            if _poly_apply(f, x, w).is_zero():
                 continue
-            seeds.append((u, length))
-            kept += _krylov_block(x, u, length)
-        columns += kept
-    basis_inv = Matrix.from_columns(x.field, columns).inverse()
+            g = _annihilator(x, w, len(rest))
+            a, b = _coprime_split(f, g)
+            u = _poly_apply(_divmod(f, a)[0], x, u) + _poly_apply(_divmod(g, b)[0], x, w)
+            f = _mul(a, b)
+        seeds.append((u, f))
+        d = len(f) - 1
+        krylov = Matrix.from_columns(field, _krylov_block(x, u, d))
+        lam = solve_linear(krylov.transpose(), Vector.unit(field, d, d - 1))
+        functionals = Matrix.from_rows(
+            field, [row.entries for row in _krylov_block(x.transpose(), lam, d)])
+        W = Matrix.from_columns(field, rest)
+        rest = [W.apply(c) for c in kernel_basis(functionals * W)]
+    return seeds
 
-    def conjugator(y: Matrix) -> Matrix:
+
+def _cyclic_conjugators(x: Matrix):
+    """A map y -> (g, None) with g x = y g, for y = x^k and k coprime to the
+    order of x, or y -> (None, (i, f_i, g_i)) when the i-th invariant factor
+    f_i of x is g_i for y, so that y is not conjugate to x."""
+    seeds = _cyclic_decomposition(x)
+    basis_inv = Matrix.from_columns(
+        x.field, [v for u, f in seeds for v in _krylov_block(x, u, len(f) - 1)]).inverse()
+
+    def conjugator(y: Matrix):
         images = []
-        for u, length in seeds:
-            images += _krylov_block(y, u, length)
-        return Matrix.from_columns(x.field, images) * basis_inv
+        for i, (u, f) in enumerate(seeds):
+            block = _krylov_block(y, u, len(f))
+            if not _combine(f, block).is_zero():
+                return None, (i, f, _annihilator(y, u, len(f) - 1))
+            images += block[:-1]
+        return Matrix.from_columns(x.field, images) * basis_inv, None
 
     return conjugator
 
@@ -214,64 +277,31 @@ def _coprime_powers(x: Matrix, order: int):
             yield k, power
 
 
-def _conjugation_solution_space(x: Matrix, target: Matrix) -> list[Matrix]:
-    """Basis of {g : g x = target g} as matrices (row-major flattening)."""
-    n = x.rows
-    ident = Matrix.identity_of(x.field, n)
-    op = kron(ident, x.transpose()) - kron(target, ident)
-    return [Matrix(x.field, n, n, tuple(vec.entries)) for vec in kernel_basis(op)]
-
-
-def _invertible_combination(basis: list[Matrix], rng: random.Random,
-                            retries: int) -> Optional[Matrix]:
-    for g in basis:
-        if g.det():
-            return g
-    field = basis[0].field
-    for _ in range(retries):
-        combo = Matrix.zero_of(field, basis[0].rows, basis[0].cols)
-        for g in basis:
-            combo = combo + g.scale(field.coerce(rng.randint(-3, 3)))
-        if combo.det():
-            return combo
-    return None
-
-
-def rationality_certificates_linear(x: Matrix, m: int, seed: int = 0,
-                                    retries: int = DEFAULT_RETRIES) -> LinearRationalityResult:
-    """Conjugators g x g^-1 = x^k for every generating power k.
-
-    Over Q each g is built from cyclic (Krylov) bases, so the result is
-    always complete.  Over other fields g is solved from g x = x^k g over
-    the matrix space, and an invertible solution is picked
-    deterministically: basis elements first, then seeded random
-    small-coefficient combinations; ``seed`` and ``retries`` only matter
-    there."""
+def rationality_certificates_linear(x: Matrix, m: int) -> LinearRationalityResult:
+    """Conjugators g x g^-1 = x^k for every generating power k, read off one
+    cyclic decomposition of x, or the k for which none exists."""
     x._require_square("rationality_certificates_linear")
     ident = Matrix.identity_of(x.field, x.rows)
     if x ** m != ident:
         raise UsageError(f"x^{m} != I")
     order = element_order(x, bound=m + 1).value
-    krylov = _krylov_conjugators(x, order) if x.field is QQ and order > 2 else None
-    rng = random.Random(seed)
+    conjugator = _cyclic_conjugators(x) if order > 2 else None
     certs = {1: ident}
     not_rational = []
-    inconclusive = []
+    note = ""
     for k, target in _coprime_powers(x, order):
-        if krylov is not None:
-            g = krylov(target)
-        else:
-            basis = _conjugation_solution_space(x, target)
-            if not basis:
-                not_rational.append(k)
-                continue
-            g = _invertible_combination(basis, rng, retries)
-            if g is None:
-                inconclusive.append(k)
-                continue
-        assert g * x * g.inverse() == target
+        g, moved = conjugator(target)
+        if moved is not None:
+            i, f, g_i = moved
+            not_rational.append(k)
+            note = note or (f"x^{k} is not conjugate to x: invariant factor {i + 1} is "
+                            f"{_format_poly(x.field, f)} for x and "
+                            f"{_format_poly(x.field, g_i)} for x^{k}")
+            continue
+        if g * x != target * g:
+            raise TheoremViolation(f"cyclic-basis conjugator fails g x = x^{k} g")
         certs[k] = g
-    return LinearRationalityResult(order, certs, tuple(not_rational), tuple(inconclusive))
+    return LinearRationalityResult(order, certs, tuple(not_rational), note)
 
 
 def extract_block_certificate(g: Matrix, x: Matrix, k: int,
@@ -314,12 +344,14 @@ def telescoped_translation(x: Matrix, v: Vector, l: int) -> Vector:
 
 @dataclass(frozen=True)
 class AffineRationalityResult:
-    """Verdict on (x, v).  For "infinite_order", ``reality`` is the inverse
-    certificate built from the kernel/image splitting; rational and real
-    coincide there, and ``reality_refuted`` is always False.
-    ``kernel_component`` and ``telescope`` are set on that route only."""
+    """Verdict on (x, v).  "rational" carries a power certificate for every
+    k coprime to the order of (x, v).  For "infinite_order" (characteristic
+    0, v outside im(x - I)), ``reality`` is the inverse certificate, since
+    rational and real coincide there, and ``reality_refuted`` is always
+    False; ``kernel_component`` and ``telescope`` are set on that route
+    only."""
 
-    verdict: str  # "rational" | "infinite_order" | "inconclusive"
+    verdict: str  # "rational" | "infinite_order"
     order: Optional[int]
     certificates: dict
     kernel_component: Optional[Vector] = None
@@ -329,62 +361,24 @@ class AffineRationalityResult:
     note: str = ""
 
 
-def _block_diagonal(splitting: EigenOneSplitting, c, block: Matrix) -> Matrix:
-    """P (c I_K + block) P^-1: c on the kernel summand, block on the image."""
-    field = splitting.restricted.field
-    d = splitting.kernel_dim
-    n = d + splitting.image_dim
-    z = field.zero()
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            if i < d or j < d:
-                entries.append(c if i == j else z)
-            else:
-                entries.append(block[i - d, j - d])
-    return (splitting.change_of_basis * Matrix(field, n, n, tuple(entries))
-            * splitting.inverse_basis)
-
-
-def _inverse_witness(x: Matrix, v: Vector, order: int, certs: dict,
-                     splitting: EigenOneSplitting) -> Certificate:
-    """Certificate g (x, v) g^-1 = (x, v)^-1 for any v.
-
-    The linear part is h = P (-I_K + g_I) P^-1, where g_I conjugates x to
-    x^-1 on the image (the identity when order <= 2, where x is -1 there),
-    so h x h^-1 = x^-1.  The translation equation (I - x^-1) w = -x^-1 v - h v
-    is always consistent: x^-1 fixes and h negates the kernel component of
-    v, so its kernel rows vanish."""
-    field = x.field
-    if order <= 2:
-        block = Matrix.identity_of(field, splitting.image_dim)
-    else:
-        block = extract_block_certificate(certs[order - 1], x, order - 1, splitting)
-    h = _block_diagonal(splitting, -field.one(), block)
-    try:
-        return make_real_witness(x, v, h)
-    except FixedPointError:
-        raise TheoremViolation("inverse witness translation equation is inconsistent") from None
-
-
 def classify_affine_rational(x: Matrix, v: Vector, m: int, certs: dict,
-                             telescope_steps: int = TELESCOPE_STEPS) -> AffineRationalityResult:
-    """Rationality of (x, v) given conjugators for the linear part.
-
-    If v lies in im(x - I), say v = (x - I) w, then c = (I, w) gives
-    (x, v) = c^-1 (x, 0) c, so (x, v) has the order of x (checked once) and
-    ``make_power_witness`` completes each conjugator g_k of x to a witness.
-    Otherwise, in characteristic zero, (x, v) has infinite order: its
-    kernel component telescopes linearly, rational and real coincide, and
-    the inverse witness is constructed from the splitting and the
-    k = order - 1 conjugator.  Over finite characteristic that case is
-    inconclusive."""
+                             telescope_steps: int = TELESCOPE_STEPS,
+                             bound: Optional[int] = None) -> AffineRationalityResult:
+    """Rationality of (x, v) from conjugators g_k x g_k^-1 = x^k that are the
+    identity on F^n / im(x - I), as ``rationality_certificates_linear``
+    returns them; other g_k are refused, and so is an order of (x, v) above
+    ``bound``.  Each certificate is h = c g_k with the translation from the
+    witness equation, c as in the module docstring; on the infinite-order
+    route the eigenvalue-1 splitting gives the kernel component of v, and
+    each telescoped step is checked to grow it linearly."""
     x._require_square("classify_affine_rational")
-    ident = Matrix.identity_of(x.field, x.rows)
+    field = x.field
+    ident = Matrix.identity_of(field, x.rows)
     if x ** m != ident:
         raise UsageError(f"x^{m} != I")
     order = element_order(x, bound=m + 1).value
-    needed = []
+    # g is the identity on F^n / im(x - I) iff g^T fixes these functionals
+    cokernel = kernel_basis((x - ident).transpose())
     for k, power in _coprime_powers(x, order):
         g = certs.get(k)
         if g is None:
@@ -393,46 +387,51 @@ def classify_affine_rational(x: Matrix, v: Vector, m: int, certs: dict,
             g_inv = g.inverse()
         except SingularMatrixError:
             g_inv = None
-        if g_inv is None or g * x * g_inv != power:
+        if (g_inv is None or g * x * g_inv != power
+                or any(g.transpose().apply(phi) != phi for phi in cokernel)):
             raise UsageError(f"supplied conjugator for k = {k} fails verification")
-        needed.append(k)
 
     subject = AffineElement(x, v)
-    if solve_linear(x - ident, v) is not None:
-        if element_power(subject, order) != subject.identity():
-            raise TheoremViolation(f"(x, v)^{order} != e although v lies in im(x - I)")
-        certificates = {1: Certificate.make(subject, subject.identity(), Power(1))}
-        for k in needed:
-            certificates[k] = make_power_witness(x, v, certs[k], k)
+    in_image = all(not phi.dot(v) for phi in cokernel)
+    if not in_image and field.characteristic == 0:
+        # x has finite order, so it is semisimple and the splitting exists;
+        # v outside im(x - I) has a nonzero kernel component
+        splitting = split_at_eigenvalue_one(x, order)
+        d = splitting.kernel_dim
+        v_kernel = Vector(field, splitting.inverse_basis.apply(v).entries[:d])
+        telescope = []
+        tele = Vector.zero(field, v.dim)
+        for l in range(1, telescope_steps + 1):
+            tele = x.apply(tele) + v  # telescoped_translation(x, v, l), one step on
+            tele_kernel = Vector(field, splitting.inverse_basis.apply(tele).entries[:d])
+            expected = v_kernel.scale(field.coerce(l))
+            if tele_kernel != expected:
+                raise TheoremViolation(
+                    f"telescoped kernel coordinate at step {l} is {tele_kernel!r}, "
+                    f"expected {expected!r}")
+            telescope.append(tele_kernel)
+        h = -(certs[order - 1] if order > 2 else ident)
         return AffineRationalityResult(
-            "rational", order, certificates,
-            note="v in im(x - I), so (x, v) is conjugate to (x, 0)")
+            "infinite_order", None, {}, kernel_component=v_kernel,
+            telescope=tuple(telescope), reality=make_real_witness(x, v, h),
+            note="kernel component grows linearly, so (x, v) has infinite order; "
+                 "rational iff real")
 
-    if x.field.characteristic != 0:
-        return AffineRationalityResult(
-            "inconclusive", None, {},
-            note="v outside im(x - I) over finite characteristic: the "
-                 "telescoping order argument needs characteristic zero")
-
-    # characteristic zero: x has finite order, so it is semisimple and the
-    # splitting exists; v outside im(x - I) has a nonzero kernel component
-    splitting = split_at_eigenvalue_one(x, order)
-    d = splitting.kernel_dim
-    v_kernel = Vector(x.field, splitting.inverse_basis.apply(v).entries[:d])
-    telescope = []
-    tele = Vector.zero(x.field, v.dim)
-    for l in range(1, telescope_steps + 1):
-        tele = x.apply(tele) + v  # telescoped_translation(x, v, l), one step on
-        tele_kernel = Vector(x.field, splitting.inverse_basis.apply(tele).entries[:d])
-        expected = v_kernel.scale(x.field.coerce(l))
-        if tele_kernel != expected:
-            raise TheoremViolation(
-                f"telescoped kernel coordinate at step {l} is {tele_kernel!r}, "
-                f"expected {expected!r}")
-        telescope.append(tele_kernel)
-    return AffineRationalityResult(
-        "infinite_order", None, {}, kernel_component=v_kernel,
-        telescope=tuple(telescope),
-        reality=_inverse_witness(x, v, order, certs, splitting),
-        note="kernel component grows linearly, so (x, v) has infinite order; "
-             "rational iff real")
+    finite = element_power(subject, order) == subject.identity()
+    if in_image and not finite:
+        raise TheoremViolation(f"(x, v)^{order} != e although v lies in im(x - I)")
+    p = field.characteristic
+    n_order = order if finite else order * p
+    if bound is not None and n_order > bound:
+        raise UsageError(f"order {n_order} of (x, v) exceeds bound = {bound}")
+    certificates = {1: Certificate.make(subject, subject.identity(), Power(1))}
+    for k in range(2, n_order):
+        if gcd(k, n_order) == 1:
+            h = certs[k % order] if k % order > 1 else ident
+            if not in_image:
+                h = h.scale(field.coerce(k))
+            certificates[k] = make_power_witness(x, v, h, k)
+    note = ("v in im(x - I), so (x, v) is conjugate to (x, 0)" if in_image else
+            f"v outside im(x - I) in characteristic {p}: (x, v) has order "
+            f"{n_order}, a multiple of {p}, and h = k g_k is the witness for each power k")
+    return AffineRationalityResult("rational", n_order, certificates, note=note)

@@ -212,7 +212,7 @@ class GroupCodec:
 # scenario runners
 # ---------------------------------------------------------------------------
 
-def _run_finite(codec: GroupCodec, params: dict, elements, bound: int, seed: int) -> list:
+def _run_finite(codec: GroupCodec, params: dict, elements, bound: int) -> list:
     field = codec.field
     n = None
     gens = []
@@ -249,7 +249,7 @@ def _run_finite(codec: GroupCodec, params: dict, elements, bound: int, seed: int
     return results
 
 
-def _run_sl2v(codec: GroupCodec, params: dict, elements, bound: int, seed: int) -> list:
+def _run_sl2v(codec: GroupCodec, params: dict, elements, bound: int) -> list:
     t = _scalar_in(QQ, params.get("t", "1"))
     n = _int_in(params["n"], "sl2v degree n") if "n" in params else None
     results = []
@@ -272,24 +272,23 @@ def _run_sl2v(codec: GroupCodec, params: dict, elements, bound: int, seed: int) 
     return results
 
 
-def _run_affine(codec: GroupCodec, params: dict, elements, bound: int, seed: int) -> list:
+def _run_affine(codec: GroupCodec, params: dict, elements, bound: int) -> list:
     m = _int_in(params["order"], "affine order")
     if not 1 <= m <= bound:
         raise UsageError(f"order {m} lies outside [1, bound = {bound}]")
     field = codec.field
     x = _matrix_in(field, params["x"])
-    linear = rationality_certificates_linear(x, m, seed=seed)
+    linear = rationality_certificates_linear(x, m)
     results = []
     for payload in elements:
         v = _vector_in(field, payload["v"])
         subject = AffineElement.of(x, v)
         if not linear.complete:
-            results.append(codec.result(subject, {"rational": "refused"}, [], [
-                f"linear part lacks conjugators: not rational for "
-                f"k in {list(linear.not_rational)}, inconclusive for "
-                f"k in {list(linear.inconclusive)}"]))
+            # (x, v)^k ~ (x, v) would make x^k ~ x in the linear part
+            results.append(codec.result(subject, {"rational": "not_rational"}, [],
+                                        [linear.note]))
             continue
-        outcome = classify_affine_rational(x, v, m, linear.certificates)
+        outcome = classify_affine_rational(x, v, m, linear.certificates, bound=bound)
         certs = [outcome.certificates[k] for k in sorted(outcome.certificates)]
         if outcome.reality is not None:
             certs.append(outcome.reality)
@@ -298,7 +297,7 @@ def _run_affine(codec: GroupCodec, params: dict, elements, bound: int, seed: int
     return results
 
 
-def _run_heisenberg(codec: GroupCodec, params: dict, elements, bound: int, seed: int) -> list:
+def _run_heisenberg(codec: GroupCodec, params: dict, elements, bound: int) -> list:
     if "x" in params:
         x = GSpElement.of(_matrix_in(QQ, params["x"]))
         y = GSpElement.of(_matrix_in(QQ, params["witness"]))
@@ -315,7 +314,7 @@ def _run_heisenberg(codec: GroupCodec, params: dict, elements, bound: int, seed:
     return results
 
 
-def _run_solvable(codec: GroupCodec, params: dict, elements, bound: int, seed: int) -> list:
+def _run_solvable(codec: GroupCodec, params: dict, elements, bound: int) -> list:
     group = complex_heisenberg_group()
     results = []
     for payload in elements:
@@ -362,7 +361,7 @@ def build_report(scenario: dict, seed: int, bound: int, timing: bool = False) ->
     params = scenario.get("params", {})
     codec = GroupCodec(scenario.get("kind"), params)
     started = time.monotonic()
-    results = codec.kind.run(codec, params, scenario.get("elements", []), bound, seed)
+    results = codec.kind.run(codec, params, scenario.get("elements", []), bound)
     elapsed = time.monotonic() - started
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -476,7 +475,8 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="run a scenario file and emit a report")
     run_p.add_argument("scenario", help="path to a scenario JSON file")
     run_p.add_argument("--seed", type=int, default=None,
-                       help=f"override the RNG seed (also {SEED_ENV_VAR})")
+                       help=f"the seed recorded in the report; no analysis draws random "
+                            f"numbers (also {SEED_ENV_VAR})")
     run_p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
                        help="order-detection bound")
     fmt = run_p.add_mutually_exclusive_group()

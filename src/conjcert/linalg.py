@@ -24,10 +24,9 @@ The other kernels skip zeros rather than multiply them out: the row update
 runs over the nonzero entries of the pivot row and passes over rows whose
 factor is zero; the scalar product loop runs over the nonzero entries of
 both factors; ``dot`` and ``kron`` skip zero factors.  The matrices met here
-(``kron`` systems above all) are mostly zero, so this removes most of the
-scalar operations.  The results are the same as those of a dense loop:
-every field is exact, so a skipped term is exactly zero, and the reduced row
-echelon form of a matrix is unique.
+are mostly zero, so this removes most of the scalar operations.  The results
+are the same as those of a dense loop: every field is exact, so a skipped
+term is exactly zero, and the reduced row echelon form of a matrix is unique.
 """
 
 from __future__ import annotations

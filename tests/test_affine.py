@@ -1,5 +1,7 @@
 import importlib.util
+import itertools
 import pathlib
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -7,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conjcert import affine, linalg
-from conjcert.errors import UsageError
-from conjcert.fields import GF, QQ
+from conjcert.errors import TheoremViolation, UsageError
+from conjcert.fields import GF, QQ, QQI
 from conjcert.groups import Inverse, element_order, generate_closure, is_rational_bruteforce
-from conjcert.linalg import Matrix, Vector, kernel_basis
+from conjcert.linalg import Matrix, Vector, kernel_basis, kron
 from conjcert.affine import (
     classify_affine_rational,
     extract_block_certificate,
@@ -187,11 +189,19 @@ def test_classify_rejects_bad_certs():
         classify_affine_rational(THREE_CYCLE, vec([1, -1, 0]), 3, {1: Matrix.identity_of(QQ, 3)})
 
 
-def test_classify_finite_characteristic_kernel_component_is_inconclusive():
-    f3 = GF(3)
-    x = Matrix.identity_of(f3, 2)
-    res = classify_affine_rational(x, vec([1, 0], f3), 1, {1: x})
-    assert res.verdict == "inconclusive"
+def test_classify_rejects_conjugator_moving_the_cokernel():
+    """g_2 z with z = diag(2, 1, 1) commuting with x still conjugates x to
+    x^2, but it scales the fixed line e_1, which spans F^3 / im(x - I), so
+    no h = c g_2 can carry the translation e_1: the conjugator is refused
+    before any witness equation is solved."""
+    x = mat([[1, 0, 0], [0, 0, -1], [0, 1, -1]])
+    certs = rationality_certificates_linear(x, 3).certificates
+    v = vec([1, 0, 0])
+    assert classify_affine_rational(x, v, 3, certs).verdict == "infinite_order"
+    moved = certs[2] * mat([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert moved * x * moved.inverse() == x ** 2
+    with pytest.raises(UsageError, match="supplied conjugator for k = 2 fails verification"):
+        classify_affine_rational(x, v, 3, {1: certs[1], 2: moved})
 
 
 def _gl2_f3_affine():
@@ -208,11 +218,28 @@ def _gl2_f3_affine():
     return H, generate_closure(gens, cap=1000)
 
 
+def test_classify_finite_characteristic_kernel_component_is_rational():
+    """x = I over F_3 and v = (1, 0) outside im(x - I) = 0: (x, v) has order
+    3, a multiple of p, and h = k I witnesses each power k in {1, 2}, as
+    brute force agrees."""
+    f3 = GF(3)
+    x = Matrix.identity_of(f3, 2)
+    res = classify_affine_rational(x, vec([1, 0], f3), 1, {1: x})
+    assert res.verdict == "rational" and res.order == 3
+    assert set(res.certificates) == {1, 2}
+    assert all(c.verified for c in res.certificates.values())
+    assert res.certificates[2].witness.linear == x.scale(f3.coerce(2))
+    _, G = _gl2_f3_affine()
+    brute = is_rational_bruteforce(G, AffineElement.of(x, vec([1, 0], f3)))
+    assert brute is not None and set(brute) == {1, 2}
+
+
 def test_non_semisimple_translation_in_image_is_rational():
     """x = [[1,1],[0,1]] over F_3 has order 3 and is not semisimple, but
     v = (1, 0) lies in im(x - I), so (x, v) is conjugate to (x, 0) and
-    rational, as brute force agrees; v = (0, 1) lies outside the image and
-    stays inconclusive."""
+    rational, as brute force agrees.  v = (0, 1) lies outside the image, so
+    the order of (x, v) is a multiple of 3 (here 3 itself) and h = k g_k
+    witnesses each power k, as brute force agrees too."""
     f3 = GF(3)
     x = mat([[1, 1], [0, 1]], f3)
     linear = rationality_certificates_linear(x, 3)
@@ -224,7 +251,10 @@ def test_non_semisimple_translation_in_image_is_rational():
     brute = is_rational_bruteforce(G, AffineElement.of(x, vec([1, 0], f3)))
     assert brute is not None and set(brute) == {1, 2}
     res = classify_affine_rational(x, vec([0, 1], f3), 3, linear.certificates)
-    assert res.verdict == "inconclusive"
+    assert res.verdict == "rational" and res.order == 3 and set(res.certificates) == {1, 2}
+    assert all(c.verified for c in res.certificates.values())
+    brute = is_rational_bruteforce(G, AffineElement.of(x, vec([0, 1], f3)))
+    assert brute is not None and set(brute) == {1, 2}
 
 
 def test_image_translation_takes_no_splitting(monkeypatch):
@@ -255,36 +285,33 @@ def test_image_translation_takes_no_splitting(monkeypatch):
 
 
 def test_oracle_agreement_gl2_f3_full_enumeration():
-    """Pipeline verdicts coincide with brute force on every element of
-    GL(2,F_3) |x F_3^2 where the pipeline's preconditions hold."""
+    """Pipeline verdicts and power sets coincide with brute force on every
+    element of GL(2,F_3) |x F_3^2."""
     H, G = _gl2_f3_affine()
     assert len(H) == 48
     assert len(G) == 432
 
     linear_cache = {}
-    applicable = 0
     for x in H:
         m = element_order(x, bound=49).value
         linear_cache[x] = (m, rationality_certificates_linear(x, m))
+    rational = not_rational = 0
     for s in G:
         x, v = s.linear, s.translation
         m, linear = linear_cache[x]
+        brute = is_rational_bruteforce(G, s)
         if linear.not_rational:
             # x provably not rational in GL(2,F_3): neither is (x, v), since
             # rationality projects onto the linear part
-            assert is_rational_bruteforce(G, s) is None
+            assert brute is None
+            not_rational += 1
             continue
-        if linear.inconclusive:
-            continue  # no invertible conjugator found; nothing to compare
         res = classify_affine_rational(x, v, m, linear.certificates)
-        if res.verdict == "inconclusive":
-            continue  # v outside im(x - I) needs characteristic zero
-        applicable += 1
         assert res.verdict == "rational"
-        brute = is_rational_bruteforce(G, s)
         assert brute is not None
         assert set(brute) == set(res.certificates)
-    assert applicable == 196
+        rational += 1
+    assert (rational, not_rational) == (324, 108)
 
 
 def test_oracle_agreement_f3_direct_route():
@@ -398,19 +425,20 @@ _CYCLOTOMIC = {1: (-1,), 2: (1,), 3: (1, 1), 4: (1, 0), 5: (1, 1, 1, 1),
                12: (1, 0, -1, 0)}
 
 
-def _companion_sum(orders):
-    """The block diagonal sum of the companion matrices of Phi_d."""
-    sizes = [len(_CYCLOTOMIC[d]) for d in orders]
-    n = sum(sizes)
+def _companion_blocks(field, blocks):
+    """The block diagonal sum of the companion matrices of the monic
+    t^d + c_(d-1) t^(d-1) + ... + c_0, each given as (c_0, ..., c_(d-1))."""
+    n = sum(len(c) for c in blocks)
     rows = [[0] * n for _ in range(n)]
     at = 0
-    for d, size in zip(orders, sizes):
+    for coeffs in blocks:
+        size = len(coeffs)
         for i in range(size):
             if i:
                 rows[at + i][at + i - 1] = 1
-            rows[at + i][at + size - 1] = -_CYCLOTOMIC[d][i]
+            rows[at + i][at + size - 1] = -coeffs[i]
         at += size
-    return mat(rows)
+    return mat(rows, field)
 
 
 def _unit_triangular(entries, n, lower):
@@ -426,7 +454,7 @@ def _unit_triangular(entries, n, lower):
 def test_krylov_conjugators_with_repeated_blocks(orders, data):
     """x = P (companion sum of Phi_d) P^-1 over Q, with repeated d: every
     coprime power gets a conjugator, which keeps ker(x - I) and im(x - I)."""
-    c = _companion_sum(orders)
+    c = _companion_blocks(QQ, [_CYCLOTOMIC[d] for d in orders])
     n = c.rows
     m = 1
     for d in orders:
@@ -466,3 +494,98 @@ def test_linear_certificates_eliminate_at_most_2n_columns(monkeypatch):
     monkeypatch.undo()
     assert res.complete and len(res.certificates) == 4
     assert widest[0] <= 2 * x.rows, widest[0]
+
+
+def test_wrong_conjugator_raises_theorem_violation(monkeypatch):
+    """Each conjugator is checked by an explicit g x = x^k g comparison, which
+    ``python -O`` keeps, and a failure is a TheoremViolation."""
+    monkeypatch.setattr(affine, "_cyclic_conjugators",
+                        lambda x: lambda y: (Matrix.identity_of(x.field, x.rows), None))
+    with pytest.raises(TheoremViolation):
+        rationality_certificates_linear(THREE_CYCLE, 3)
+
+
+# -- cyclic conjugators against an exhaustive scan of the kron system ----------
+
+def _invertible_by_scan(x, y, p):
+    """Whether some invertible g has g x = y g: every member of the solution
+    space of the flattened system (I (x) x^T - y (x) I) vec(g) = 0 is tried."""
+    n = x.rows
+    field = x.field
+    ident = Matrix.identity_of(field, n)
+    basis = [Matrix(field, n, n, vec.entries)
+             for vec in kernel_basis(kron(ident, x.transpose()) - kron(y, ident))]
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        g = Matrix.zero_of(field, n, n)
+        for c, b in zip(coeffs, basis):
+            g = g + b.scale(field.coerce(c))
+        if g.det():
+            return True
+    return False
+
+
+# (p, blocks); (1, -2) is (t - 1)^2, so the unipotent blocks make p | m
+SCAN_CASES = [
+    # (t - 1)^2 + [2]: order 20, x^k ~ x iff k = 1 mod 4
+    pytest.param(5, [(1, -2), (-2,)], id="f5-unipotent2-plus-2"),
+    pytest.param(5, [(1, -2), (-1,)], id="f5-unipotent2-plus-1"),  # order 5
+    pytest.param(5, [(-2,), (-3,), (-3,)], id="f5-diag-2-3-3"),  # x^3 = diag(3, 2, 2)
+    pytest.param(5, [(1, 1), (-1,)], id="f5-t2+t+1-plus-1"),  # irreducible mod 5
+    pytest.param(7, [(-2,), (-4,), (-4,)], id="f7-diag-2-4-4"),  # x^2 = diag(4, 2, 2)
+    pytest.param(7, [(-1, 3, -3)], id="f7-unipotent3"),  # (t - 1)^3, order 7
+    pytest.param(7, [(1, -2), (-3,)], id="f7-unipotent2-plus-3"),  # order 42
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("p, blocks", SCAN_CASES)
+def test_cyclic_conjugators_match_exhaustive_scan(p, blocks, seed):
+    """x = P C P^-1 with C a sum of companion blocks over F_p and P a seeded
+    invertible matrix: a conjugator for k comes back exactly when the kron
+    solution space of g x = x^k g holds an invertible member, and otherwise
+    k is listed as not rational."""
+    field = GF(p)
+    c = _companion_blocks(field, blocks)
+    n = c.rows
+    rng = random.Random(seed)
+    while True:
+        P = mat([[rng.randrange(p) for _ in range(n)] for _ in range(n)], field)
+        if P.det():
+            break
+    x = P * c * P.inverse()
+    m = element_order(x, bound=100).value
+    res = rationality_certificates_linear(x, m)
+    assert res.order == m
+    for k in range(2, m):
+        if gcd(k, m) != 1:
+            continue
+        y = x ** k
+        found = _invertible_by_scan(x, y, p)
+        assert (k in res.certificates) == found, k
+        assert (k in res.not_rational) == (not found), k
+        if found:
+            g = res.certificates[k]
+            assert g * x * g.inverse() == y
+    assert res.complete == (res.note == "")
+
+
+def _gaussian_diagonal(*entries):
+    n = len(entries)
+    return Matrix(QQI, n, n, tuple(QQI.parse(entries[i]) if i == j else QQI.zero()
+                                   for i in range(n) for j in range(n)))
+
+
+def test_gaussian_rational_conjugators():
+    """Over Q(i), diag(i, -i, 1) is conjugate to its cube, and diag(i, i, 1)
+    is not: its second invariant factor t - 1 stays, but the first,
+    (t - i)(t - 1), becomes (t + i)(t - 1)."""
+    x = _gaussian_diagonal("i", "0-1 i", "1")
+    res = rationality_certificates_linear(x, 4)
+    assert res.complete and sorted(res.certificates) == [1, 3]
+    g = res.certificates[3]
+    assert g * x * g.inverse() == x ** 3
+
+    x = _gaussian_diagonal("i", "i", "1")
+    res = rationality_certificates_linear(x, 4)
+    assert res.not_rational == (3,) and sorted(res.certificates) == [1]
+    assert res.note.startswith("x^3 is not conjugate to x: invariant factor 1 ")

@@ -211,6 +211,27 @@ def test_infinite_order_affine_scenario(tmp_path, capsys):
     assert report["results"][0]["verdicts"]["rational"] == "infinite_order"
 
 
+def test_affine_scenario_with_a_non_rational_linear_part(tmp_path, capsys):
+    """x = diag(2, 4, 4) over F_7 has order 3, and x^2 = diag(4, 2, 2) has
+    another second invariant factor, so every (x, v) is decided
+    not_rational, with a note naming k = 2 and the factor that moved."""
+    scenario = {
+        "schema_version": 1,
+        "kind": "affine",
+        "params": {"field": {"type": "Fp", "p": 7},
+                   "x": [["2", "0", "0"], ["0", "4", "0"], ["0", "0", "4"]],
+                   "order": 3},
+        "elements": [{"v": ["1", "0", "0"]}, {"v": ["0", "0", "0"]}],
+    }
+    report = run_and_load(tmp_path, capsys, scenario)
+    assert verify_report(report) == []
+    for result in report["results"]:
+        assert result["verdicts"] == {"rational": "not_rational"}
+        assert result["certificates"] == []
+        assert result["notes"] == ["x^2 is not conjugate to x: invariant factor 2 is "
+                                   "t + 3 for x and t + 5 for x^2"]
+
+
 def test_build_report_rejects_programmatically():
     with pytest.raises(Exception):
         build_report({"schema_version": 1, "kind": "nope"}, 0, 100)
@@ -375,6 +396,20 @@ def test_affine_order_outside_the_bound_exits_quickly(tmp_path, capsys, order):
     assert f"order {order} lies outside [1, bound = {DEFAULT_BOUND}]" in capsys.readouterr().err
 
 
+def test_affine_order_of_the_element_above_the_bound_exits_quickly(tmp_path, capsys):
+    """x = [[1]] has order 1, but (x, 1) over F_p has order p: one power
+    certificate per k coprime to p would be about 2^31 of them."""
+    scenario = {"schema_version": 1, "kind": "affine",
+                "params": {"field": {"type": "Fp", "p": 2147483647},
+                           "x": [["1"]], "order": 1},
+                "elements": [{"v": ["1"]}]}
+    started = time.monotonic()
+    assert main(["run", write_json(tmp_path / "scenario.json", scenario)]) == 2
+    assert time.monotonic() - started < 1.0
+    assert (f"order 2147483647 of (x, v) exceeds bound = {DEFAULT_BOUND}"
+            in capsys.readouterr().err)
+
+
 # Each integer parameter as the one scenario field that a test replaces.
 INTEGER_PARAMS = {
     "affine_order": lambda value: {"kind": "affine", "elements": [{"v": ["1", "0"]}],
@@ -403,7 +438,7 @@ def test_integer_params_accept_only_json_integers(tmp_path, capsys, param, value
 # A change here changes report bytes: say why in CHANGES.md.
 GOLDEN_DIGESTS = {
     "affine_three_cycle":
-        "sha256:ce3ba5e65ee64d48ba4f341a073a8f73c14b69dd9a35cf336f4c9556aa80bc1c",
+        "sha256:b8ec792adb816763408be065a3d5b6cfdd7ef2193906eeb209510c9ca2e886e4",
     "finite_psl2_f2":
         "sha256:c376e34db9cc6539aa1ceac2174f2aee25fb43874225025693afc70201f815cf",
     "heisenberg_gsp4":
