@@ -14,11 +14,15 @@ For a vector group every witness comes from one equation: (h, w)
 conjugates (x, b) to t = (y, c) exactly when h x h^-1 = y and
 (I - y) w = c - h b, so given the linear witness h the translation w is one
 linear solve.  The multi-level lift walks a central series, solving one
-quotient equation per level and re-verifying the accumulated conjugator by
-exact multiplication at the end.  What the lifts of one x share is its lift
-plan, built once and kept on the presentation: the fixed-point check, which
+quotient equation per level, and works in N alone: conjugating (x, e) by
+(e, u) gives (x, act(x^-1, u) . u^-1), so each level costs one action of
+x^-1 and a few N products, and the accumulated conjugate is compared with
+n exactly at the end.  What the lifts of one x share is its lift plan,
+built once and kept on the presentation: x^-1, the fixed-point check, which
 is one elimination of I - a per level, the solve operator (I - a)^-1 a that
-it yields, and the H-level relation checks that have passed.
+it yields, and the H-level relation checks that have passed with the
+inverses of their witnesses.  The certificate re-multiplies the composed
+witness in the full group, so its soundness does not rest on this algebra.
 """
 
 from __future__ import annotations
@@ -313,23 +317,27 @@ def vector_presentation(field: Field, dim: int, matrix_of: Callable) -> CentralS
 
 
 class LiftPlan:
-    """What every lift of one x through one presentation shares: per level,
-    the solve operator (I - a)^-1 a for x's quotient action a, and the
-    (h, relation) pairs whose H-level relation h x h^-1 = relation(x) has
-    passed.  Only a passed check is recorded, so a wrong h fails every
-    time."""
+    """What every lift of one x through one presentation shares: x^-1, per
+    level the solve operator (I - a)^-1 a for x's quotient action a, and
+    the (h, relation) pairs whose H-level relation h x h^-1 = relation(x)
+    has passed, each with h^-1.  Only a passed check is recorded, so a
+    wrong h fails every time."""
 
     def __init__(self, x, solvers: tuple):
         self.x = x
+        self.x_inverse = x.inverse()
         self.solvers = solvers
-        self._witnessed: set = set()
+        self._witnessed: dict = {}
 
     def check_witness(self, h, relation):
-        if (h, relation) in self._witnessed:
-            return
-        if h * self.x * h.inverse() != relation.of(self.x):
-            raise UsageError(f"h does not witness the {relation.describe()} relation for x")
-        self._witnessed.add((h, relation))
+        """h^-1, once h x h^-1 = relation(x) has been checked."""
+        h_inverse = self._witnessed.get((h, relation))
+        if h_inverse is None:
+            h_inverse = h.inverse()
+            if h * self.x * h_inverse != relation.of(self.x):
+                raise UsageError(f"h does not witness the {relation.describe()} relation for x")
+            self._witnessed[(h, relation)] = h_inverse
+        return h_inverse
 
 
 def _level_solvers(x, pres: CentralSeriesPresentation) -> tuple:
@@ -352,45 +360,38 @@ def _level_solvers(x, pres: CentralSeriesPresentation) -> tuple:
 def lift_central_series(x, n, pres: CentralSeriesPresentation):
     """u in N with (e,u) (x,e) (e,u)^-1 = (x,n), by descending the series.
 
-    At each level the quotient equation (act^-1 - I) w = project(residual)
-    is solved in the inverse-free form w = (I - act)^-1 act project(residual)
-    with the operator from x's lift plan, the solution lifted through the
-    section, and the residual pushed into the next term of the series; the
-    last level's conjugate is the final conjugator, verified by exact
-    comparison with (x, n)."""
-    solvers = pres.lift_plan(x).solvers
-    e = x.identity()
-    G = pres.semidirect(e)
-    target = G.element(x, n)
-    x_embedded = G.embed_h(x)
-    u = pres.identity
+    From (h1,n1)(h2,n2) = (h1 h2, act(h2^-1, n1) . n2):
+    (e,u) (x,e) (e,u)^-1 = (x, c) with c = act(x^-1, u) . u^-1, and
+    (x,c)^-1 (x,n) = (e, c^-1 . n), so the lift never leaves N.  At each
+    level the quotient equation (act^-1 - I) w = project(residual) is solved
+    in the inverse-free form w = (I - act)^-1 act project(residual) with the
+    operator from x's lift plan, the solution lifted through the section
+    and multiplied into u, and the residual c^-1 . n must then vanish in
+    that level's quotient; after the last level c is compared with n
+    exactly."""
+    plan = pres.lift_plan(x)
+    u = conjugate = pres.identity
     residual = n
-    conjugated = x_embedded
-    for j, (lvl, solver) in enumerate(zip(pres.levels, solvers)):
+    for j, (lvl, solver) in enumerate(zip(pres.levels, plan.solvers)):
         u = pres.multiply(lvl.section(solver.apply(lvl.project(residual))), u)
-        u_elem = G.embed_n(u)
-        conjugated = u_elem * x_embedded * u_elem.inverse()
-        residue_elem = conjugated.inverse() * target
-        if residue_elem.h != e:
-            raise PresentationError("conjugate lost its acting component")
-        residual = residue_elem.n
+        conjugate = pres.multiply(pres.action(plan.x_inverse, u), pres.inverse(u))
+        residual = pres.multiply(pres.inverse(conjugate), n)
         if not lvl.project(residual).is_zero():
             raise PresentationError(
                 f"residual fails to descend past level {j}: "
                 f"project_{j} = {lvl.project(residual)!r}")
-    if residual != pres.identity:
-        raise PresentationError("residual nonzero after the last level")
-    if conjugated != target:
+    if conjugate != n:
         raise PresentationError("lifted conjugator failed exact verification")
     return u
 
 
 def _witness_via_lift(x, n, pres: CentralSeriesPresentation, h, relation) -> Certificate:
-    pres.lift_plan(x).check_witness(h, relation)
+    """(e,u) (h,e) (e,u)^-1 = (h, act(h^-1, u) . u^-1) for the lifted u,
+    checked by the certificate in the full group."""
+    h_inverse = pres.lift_plan(x).check_witness(h, relation)
     u = lift_central_series(x, n, pres)
     G = pres.semidirect(x.identity())
-    u_elem = G.embed_n(u)
-    g = u_elem * G.embed_h(h) * u_elem.inverse()
+    g = G.element(h, pres.multiply(pres.action(h_inverse, u), pres.inverse(u)))
     return Certificate.make(G.element(x, n), g, relation)
 
 

@@ -1,6 +1,8 @@
 import copy
+import importlib.util
 import json
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -355,19 +357,29 @@ def test_verify_rejects_non_list_fields(tmp_path, capsys, edit, message):
     assert main(["verify", write_json(tmp_path / "report.json", report)]) == 1
     assert f"verification failure: {message}" in capsys.readouterr().err
 
-def test_traced_benchmark_sees_every_cli_layer():
-    """bench/tracer.py wraps GroupCodec.encode and GroupCodec.decode by name;
-    a kind record that the runners or verify_report call past those methods
-    leaves a cli metric at zero."""
+def test_traced_lift_verify_sees_every_mapped_layer():
+    """bench/tracer.py wraps GroupCodec.encode and GroupCodec.decode, and
+    counts the lift through semidirect.lift_central_series,
+    SemidirectElement.__mul__ and heisenberg.gsp_act, all by name: a kind
+    record that the runners or verify_report call past those methods, or a
+    lift routed around them, leaves a metric mapped to lift_verify at zero."""
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", "lift_verify",
                            "--seconds", "0", "--trace", "1"],
                           cwd=ROOT, capture_output=True, timeout=300, check=False)
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
-    summary = json.loads(proc.stdout.splitlines()[-1])
-    assert summary["correct"] is True, proc.stdout.decode(errors="replace")[-2000:]
-    cli = {name: m["value"] for name, m in summary["metrics"].items()
-           if name.startswith("cli.")}
-    assert cli and all(cli.values()), cli
+    out = proc.stdout.decode(errors="replace")
+    summary = json.loads(out.splitlines()[-1])
+    assert summary["correct"] is True, out[-2000:]
+    reference = json.loads((ROOT / "bench" / "fingerprints.json").read_text())["lift_verify"]["0"]
+    assert re.search(r"\bfingerprint=(\w+)", out).group(1) == reference
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    mapped = {name for name, _, nonzero_on in tracer.PER_LAYER if "lift_verify" in nonzero_on}
+    assert {"semidirect.lift_calls", "semidirect.pair_mults", "heisenberg.gsp_act_calls",
+            "cli.encode_s", "cli.decode_s"} <= mapped
+    zero = sorted(name for name in mapped if not summary["metrics"][name]["value"])
+    assert not zero, zero
 
 
 # -- relations, orders and pinned reports ------------------------------------------

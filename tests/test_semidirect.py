@@ -8,12 +8,19 @@ from conjcert.errors import FixedPointError, PresentationError, UsageError
 from conjcert.fields import GF, QQ
 from conjcert.groups import Inverse, Power, element_order
 from conjcert import semidirect
-from conjcert.linalg import Matrix, Vector, solve_linear
+from conjcert.heisenberg import (
+    GSpElement,
+    HeisenbergElement,
+    heisenberg_presentation,
+    standard_gsp_example,
+)
+from conjcert.linalg import Matrix, Vector, has_fixed_point, solve_linear
 from conjcert.semidirect import (
     AffineElement,
     CentralSeriesLevel,
     CentralSeriesPresentation,
     LinearAction,
+    SemidirectElement,
     affine_from_pair,
     lift_central_series,
     make_power_witness,
@@ -287,27 +294,26 @@ def test_lift_identity_input():
     assert lift_central_series(x, vec([0, 0]), pres) == vec([0, 0])
 
 
-def two_level_abelian_presentation():
-    """Q^4 with the chain Q^4 > 0+0+Q^2 > 0; quotients are coordinate pairs."""
-    field = QQ
+def two_level_abelian_presentation(field=QQ):
+    """F^4 with the chain F^4 > 0+0+F^2 > 0; quotients are coordinate pairs."""
 
     def act_top(h):
-        return mat([[h[0, 0], h[0, 1]], [h[1, 0], h[1, 1]]])
+        return mat([[h[0, 0], h[0, 1]], [h[1, 0], h[1, 1]]], field)
 
     def act_bottom(h):
-        return mat([[h[2, 2], h[2, 3]], [h[3, 2], h[3, 3]]])
+        return mat([[h[2, 2], h[2, 3]], [h[3, 2], h[3, 3]]], field)
 
     levels = [
         CentralSeriesLevel(
             dim=2,
-            project=lambda n: vec([n[0], n[1]]),
-            section=lambda v: vec([v[0], v[1], 0, 0]),
+            project=lambda n: vec([n[0], n[1]], field),
+            section=lambda v: vec([v[0], v[1], 0, 0], field),
             act=act_top,
         ),
         CentralSeriesLevel(
             dim=2,
-            project=lambda n: vec([n[2], n[3]]),
-            section=lambda v: vec([0, 0, v[0], v[1]]),
+            project=lambda n: vec([n[2], n[3]], field),
+            section=lambda v: vec([0, 0, v[0], v[1]], field),
             act=act_bottom,
         ),
     ]
@@ -545,3 +551,167 @@ def test_presentation_descent_check_detects_inconsistent_action():
     x = mat([[2, 0], [0, 3]])
     with pytest.raises(PresentationError):
         lift_central_series(x, vec([1, 1]), pres)
+
+
+def test_inconsistent_last_section_fails_the_final_comparison():
+    # project_1(section_1(v)) = v, but section_1 also writes into the level-0
+    # coordinate, which no later level can see: every descent check passes
+    # and only the exact comparison of the conjugate with n is left to fail
+    field = QQ
+    levels = [
+        CentralSeriesLevel(
+            dim=1,
+            project=lambda n: vec([n[0]]),
+            section=lambda v: vec([v[0], 0]),
+            act=lambda h: mat([[h[0, 0]]]),
+        ),
+        CentralSeriesLevel(
+            dim=1,
+            project=lambda n: vec([n[1]]),
+            section=lambda v: vec([1, v[0]]),
+            act=lambda h: mat([[h[1, 1]]]),
+        ),
+    ]
+    pres = CentralSeriesPresentation(
+        field,
+        multiply=lambda a, b: a + b,
+        inverse=lambda a: -a,
+        identity=Vector.zero(field, 2),
+        action=lambda h, n: h.apply(n),
+        levels=levels,
+    )
+    x = mat([[2, 0], [0, 3]])
+    with pytest.raises(PresentationError, match="failed exact verification"):
+        lift_central_series(x, vec([1, 1]), pres)
+
+
+# -- the lift in N against products in the full group -----------------------------
+
+def assert_lift_matches_full_group(pres, x, n, h, relation) -> bool:
+    """Lift (x, n) and compose the witness for h, then redo both with
+    products in H x| N.  A lift may fail only with ``FixedPointError`` and
+    only when some level action of x fixes a nonzero vector.  Returns
+    whether the lift succeeded."""
+    fixed = any(has_fixed_point(lvl.act(x)) for lvl in pres.levels)
+    try:
+        u = lift_central_series(x, n, pres)
+    except FixedPointError:
+        assert fixed
+        return False
+    assert not fixed
+    G = pres.semidirect(x.identity())
+    u_el = G.embed_n(u)
+    assert u_el * G.embed_h(x) * u_el.inverse() == G.element(x, n)
+    cert = semidirect._witness_via_lift(x, n, pres, h, relation)
+    assert cert.verified
+    assert cert.witness == u_el * G.embed_h(h) * u_el.inverse()
+    return True
+
+
+def rnd_scalar(rng, field):
+    return rnd_fraction(rng) if field is QQ else rng.randrange(field.p)
+
+
+def rnd_matrix(rng, n, field):
+    """An invertible n x n matrix; over QQ one in three is unipotent upper
+    triangular, so that fixed points occur there too."""
+    if field is QQ and rng.randrange(3) == 0:
+        return mat([[1 if i == j else (rnd_fraction(rng) if j > i else 0)
+                     for j in range(n)] for i in range(n)])
+    return rnd_invertible(rng, n, field)
+
+
+def rnd_two_level(rng, field):
+    """[[A, 0], [C, B]]: preserves 0+0+F^2 and acts by A and B on the quotients."""
+    a, b = rnd_matrix(rng, 2, field), rnd_matrix(rng, 2, field)
+    c = [[rnd_scalar(rng, field) for _ in range(2)] for _ in range(2)]
+    return mat([list(a.row(0)) + [0, 0], list(a.row(1)) + [0, 0],
+                c[0] + list(b.row(0)), c[1] + list(b.row(1))], field)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=["QQ", "GF2"])
+@pytest.mark.parametrize("shape", ["vector", "two_level"])
+def test_lift_agrees_with_the_full_group(shape, field):
+    rng = random.Random(23)
+    if shape == "vector":
+        pres, dim = vector_presentation(field, 3, lambda h: h), 3
+    else:
+        pres, dim = two_level_abelian_presentation(field), 4
+    lifted = failed = 0
+    for _ in range(40):
+        x = rnd_matrix(rng, 3, field) if shape == "vector" else rnd_two_level(rng, field)
+        n = vec([rnd_scalar(rng, field) for _ in range(dim)], field)
+        # any power of x commutes with x, so it witnesses x ~ x^1
+        h = x ** rng.randint(-2, 2)
+        if assert_lift_matches_full_group(pres, x, n, h, Power(1)):
+            lifted += 1
+        else:
+            failed += 1
+    assert lifted and failed
+
+
+def rnd_gsp_word(rng, letters, length):
+    word = letters[0].identity()
+    for _ in range(length):
+        letter = rng.choice(letters)
+        word = word * (letter if rng.randrange(2) else letter.inverse())
+    return word
+
+
+def gsp_letters(rng):
+    """x and y of the standard example, a similitude with mu = 2 and the
+    symplectic shears [[I, S], [0, I]] and [[I, 0], [S, I]], S symmetric."""
+    x, y = standard_gsp_example()
+    scale = GSpElement.of(mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]))
+    letters = [x, y, scale]
+    for _ in range(2):
+        p, q, r = (rng.randint(-2, 2) for _ in range(3))
+        letters.append(GSpElement.of(mat([[1, 0, p, q], [0, 1, q, r],
+                                          [0, 0, 1, 0], [0, 0, 0, 1]])))
+        letters.append(GSpElement.of(mat([[1, 0, 0, 0], [0, 1, 0, 0],
+                                          [p, q, 1, 0], [q, r, 0, 1]])))
+    return x, y, letters
+
+
+def rnd_h5(rng):
+    return HeisenbergElement.of(QQ, [rnd_fraction(rng) for _ in range(4)], rnd_fraction(rng))
+
+
+def test_heisenberg_lift_agrees_with_the_full_group():
+    rng = random.Random(31)
+    pres = heisenberg_presentation()
+    x, y, letters = gsp_letters(rng)
+    lifted = failed = 0
+    for _ in range(25):
+        # a conjugate g x g^-1 is real through g y g^-1 ...
+        g = rnd_gsp_word(rng, letters, rng.randint(1, 3))
+        g_inv = g.inverse()
+        assert assert_lift_matches_full_group(pres, g * x * g_inv, rnd_h5(rng),
+                                              g * y * g_inv, Inverse())
+        # ... and a random word w is rational through its own powers
+        w = rnd_gsp_word(rng, letters, rng.randint(1, 4))
+        h = w * w if rng.randrange(2) else w.inverse()
+        if assert_lift_matches_full_group(pres, w, rnd_h5(rng), h, Power(1)):
+            lifted += 1
+        else:
+            failed += 1
+    assert lifted and failed
+
+
+def test_heisenberg_lift_makes_only_the_certificate_products(monkeypatch):
+    """With its plan built, a lifted certificate multiplies pairs only in
+    Certificate.check: the lift and the composed witness work in N."""
+    pres = heisenberg_presentation()
+    x, y = standard_gsp_example()
+    n = HeisenbergElement.of(QQ, [1, Fraction(-2, 3), 0, 5], Fraction(7, 2))
+    pres.lift_plan(x)
+    calls = []
+    multiply = SemidirectElement.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(SemidirectElement, "__mul__", counted)
+    assert real_witness_via_lift(x, n, pres, y).verified
+    assert len(calls) <= 2
