@@ -16,13 +16,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 from .errors import TheoremViolation, UsageError
 from .fields import GaussianRational, QQ, QQI
 from .groups import Certificate, Inverse
-from .linalg import Matrix, Vector, has_fixed_point
+from .linalg import Matrix, Vector, _from_ints, _scaled, has_fixed_point
 from .semidirect import (
     CentralSeriesLevel,
     CentralSeriesPresentation,
@@ -56,7 +56,7 @@ __all__ = [
 @lru_cache(maxsize=64)
 def symplectic_form(field, base_dim: int) -> Matrix:
     """J = [[0, I], [-I, 0]] on F^base_dim (base_dim even); built once per
-    (field, base_dim), since every Heisenberg product reads it."""
+    (field, base_dim), since every ``GSpElement.of`` reads it."""
     if base_dim % 2:
         raise UsageError("symplectic form needs an even dimension")
     m = base_dim // 2
@@ -71,6 +71,15 @@ def symplectic_form(field, base_dim: int) -> Matrix:
             else:
                 entries.append(z)
     return Matrix(field, base_dim, base_dim, tuple(entries))
+
+
+@lru_cache(maxsize=64)
+def _half(field):
+    """1/2 in field and its integer view (D, [n]) from ``linalg._scaled``
+    (None without an integer kernel), computed once per field."""
+    one = field.one()
+    half = one / (one + one)
+    return half, _scaled(field, (half,))
 
 
 @dataclass(frozen=True)
@@ -91,14 +100,35 @@ class HeisenbergElement:
     def field(self):
         return self.v.field
 
-    def omega(self, other: "HeisenbergElement"):
-        J = symplectic_form(self.field, self.v.dim)
-        return self.v.dot(J.apply(other.v))
-
     def __mul__(self, other: "HeisenbergElement") -> "HeisenbergElement":
-        half = self.field.one() / (self.field.one() + self.field.one())
-        return HeisenbergElement(self.v + other.v,
-                                 self.t + other.t + half * self.omega(other))
+        """(v, t)(v', t') = (v + v', t + t' + omega/2), with omega = v^T J v'
+        in its block form sum_{i<m} (v_i v'_{i+m} - v_{i+m} v'_i), so no J
+        is applied.  Over Q and F_p with a residue table each operand's
+        (v, t) is read as integers once (``linalg._scaled``) and each output
+        entry normalised once; other fields, and operands over different
+        fields, run the same formula on scalars."""
+        field = self.v.field
+        self.v._same_shape(other.v)
+        m = self.v.dim // 2
+        half, half_ints = _half(field)
+        if half_ints is not None and other.v.field == field:
+            dv, a = _scaled(field, self.v.entries + (self.t,))
+            dw, b = _scaled(field, other.v.entries + (other.t,))
+            hd, (hn,) = half_ints
+            omega = sum([a[i] * b[i + m] - a[i + m] * b[i] for i in range(m)])
+            sums = [x * dw + y * dv for x, y in zip(a, b)]
+            t = _from_ints(field, hd * dv * dw, [sums.pop() * hd + hn * omega])[0]
+            return HeisenbergElement(Vector(field, _from_ints(field, dv * dw, sums)), t)
+        v = self.v + other.v
+        vs, ws = self.v.entries, other.v.entries
+        omega = field.zero()
+        for i in range(m):
+            j = i + m
+            if vs[i] and ws[j]:
+                omega = omega + vs[i] * ws[j]
+            if vs[j] and ws[i]:
+                omega = omega - vs[j] * ws[i]
+        return HeisenbergElement(v, self.t + other.t + half * omega)
 
     def inverse(self) -> "HeisenbergElement":
         return HeisenbergElement(-self.v, -self.t)
@@ -136,6 +166,23 @@ class GSpElement:
     def inverse(self) -> "GSpElement":
         return _gsp_inverse(self)
 
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash of (g, mu), computed once per instance, so the
+        ``_gsp_inverse`` and lift-plan lookups of one element rehash no
+        matrix.  Kept in the instance dict, which ``==`` and ``repr`` never
+        read and ``__getstate__`` leaves out: the field's hash differs
+        between processes, so a pickled hash would be wrong."""
+        return hash((self.g, self.mu))
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     def identity(self) -> "GSpElement":
         field = self.g.field
         return GSpElement(Matrix.identity_of(field, self.g.rows), field.one())
@@ -147,7 +194,8 @@ class GSpElement:
 @lru_cache(maxsize=1024)
 def _gsp_inverse(x: GSpElement) -> GSpElement:
     """Inverses memoised by value: every semidirect product inverts its
-    right factor's GSp part, and a run re-inverts the same few elements."""
+    right factor's GSp part, and a run re-inverts the same few elements,
+    whose hashes are kept on the instance."""
     return GSpElement(x.g.inverse(), x.g.field.one() / x.mu)
 
 
@@ -517,34 +565,21 @@ class ComplexHeisenbergVerdict:
     reason: str = ""
 
 
-def _solve_conjugation_entries(lam: GaussianRational, x_sign: int,
-                               n: ComplexHeisenbergElement):
-    """Forced unitriangular entries (p, q) of a conjugator (lam, k) for
-    (x, n) with x = x_sign, solved from the two linear matrix entries; the
-    remaining (1,3) comparison is returned as the residual value that must
-    vanish."""
-    G = complex_heisenberg_group()
-    subject = G.element(UnitScalar.of(QQI.coerce(x_sign)), n)
-    target = subject.inverse()
-
-    def residual_for(p, q):
-        k = ComplexHeisenbergElement(p, q, QQI.zero())
-        g = G.element(UnitScalar.of(lam), k)
-        conj = g * subject * g.inverse()
-        return conj, k
-
+def _solve_conjugation_entries(lam: GaussianRational, n: ComplexHeisenbergElement,
+                               target: ComplexHeisenbergElement):
+    """The forced unitriangular conjugator k = (p, q, 0) for (-1, n) and
+    lam, solved from the two linear matrix entries, and the (1,3)
+    mismatch with target, the N part of (-1, n)^-1, which must vanish.
+    H = Q(i)^x is abelian, so (lam, k) (x, n) (lam, k)^-1 is
+    (x, act(lam, act(x^-1, k) n k^-1)) and the conjugate is formed in N."""
     two = QQI.coerce(2)
-    if x_sign == -1:
-        # the (1,2) and (2,3) comparisons are linear in p and q
-        p = (n.a - n.a / lam) / two
-        q = (n.b - lam * n.b) / two
-    else:
-        raise UsageError("forced entries are only solved for the x = -1 case")
-    conj, k = residual_for(p, q)
-    mismatch = conj.n.c - target.n.c
-    if conj.n.a != target.n.a or conj.n.b != target.n.b:
+    # the (1,2) and (2,3) comparisons are linear in p and q
+    k = ComplexHeisenbergElement((n.a - n.a / lam) / two, (n.b - lam * n.b) / two,
+                                 QQI.zero())
+    conj = (k.scaled_by(-QQI.one()) * n * k.inverse()).scaled_by(lam)
+    if conj.a != target.a or conj.b != target.b:
         raise TheoremViolation("forced entries failed the linear comparisons")
-    return p, q, mismatch
+    return k, conj.c - target.c
 
 
 def complex_heisenberg_reality(n: ComplexHeisenbergElement, x_sign: int,
@@ -555,9 +590,15 @@ def complex_heisenberg_reality(n: ComplexHeisenbergElement, x_sign: int,
 
     x = 1: real iff n is non-central (explicit one-entry witnesses) or n = e.
     x = -1: real iff a b = 2 c; the obstruction is independent of lambda,
-    checked on the whole grid after solving the forced entries."""
+    checked on the whole grid, which must be non-empty and free of 0,
+    after solving the forced entries."""
     if x_sign not in (1, -1):
         raise UsageError("x must be 1 or -1")
+    lambda_grid = tuple(QQI.coerce(lam) for lam in lambda_grid)
+    if not lambda_grid:
+        raise UsageError("lambda grid must not be empty")
+    if not all(lambda_grid):
+        raise UsageError("lambda grid must not contain 0")
     G = complex_heisenberg_group()
     two = QQI.coerce(2)
     residual = n.a * n.b - two * n.c
@@ -584,13 +625,13 @@ def complex_heisenberg_reality(n: ComplexHeisenbergElement, x_sign: int,
         return ComplexHeisenbergVerdict(True, (cert,), residual)
 
     # x = -1
+    target = subject.inverse().n
     mismatches = []
     certs = []
     for lam in lambda_grid:
-        p, q, mismatch = _solve_conjugation_entries(lam, -1, n)
+        k, mismatch = _solve_conjugation_entries(lam, n, target)
         mismatches.append(mismatch)
         if not mismatch:
-            k = ComplexHeisenbergElement(p, q, QQI.zero())
             witness = G.element(UnitScalar.of(lam), k)
             certs.append(Certificate.make(subject, witness, Inverse()))
     if len(set(mismatches)) != 1:

@@ -380,6 +380,11 @@ def test_traced_lift_verify_sees_every_mapped_layer():
             "cli.encode_s", "cli.decode_s"} <= mapped
     zero = sorted(name for name in mapped if not summary["metrics"][name]["value"])
     assert not zero, zero
+    # the lift and the complex Heisenberg solve work in N alone, so every
+    # pair product left is one of the two of a certificate's re-multiplication
+    value = {name: metric["value"] for name, metric in summary["metrics"].items()}
+    checks = value["groups.cert_checks.build"] + value["groups.cert_checks.verify"]
+    assert value["semidirect.pair_mults"] == 2 * checks
 
 
 # -- relations, orders and pinned reports ------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conjcert import heisenberg
 from conjcert.errors import UsageError
 from conjcert.fields import GaussianRational, QQ, QQI
 from conjcert.groups import Certificate, Inverse
@@ -263,3 +264,19 @@ def test_complex_heisenberg_witness_ignores_center_entry():
     for z in (QQI.coerce(7), GaussianRational.of(1, -2)):
         shifted = G.element(base.witness.h, ComplexHeisenbergElement(k.a, k.b, z))
         assert Certificate.make(subject, shifted, Inverse()).verified
+
+
+@pytest.mark.parametrize("grid", [(), (QQI.one(), QQI.zero(), QQI.coerce(2)), (0,)],
+                         ids=["empty", "zero-inside", "int-zero"])
+@pytest.mark.parametrize("x_sign", [-1, 1])
+def test_complex_heisenberg_refuses_a_degenerate_lambda_grid(monkeypatch, grid, x_sign):
+    """An empty grid used to pass no lambda to the invariance check (a false
+    theorem alarm) and lambda = 0 to divide by zero; both are refused
+    before the forced entries are solved."""
+    def unreachable(*args):
+        raise AssertionError("solved forced entries for a degenerate grid")
+
+    monkeypatch.setattr(heisenberg, "_solve_conjugation_entries", unreachable)
+    with pytest.raises(UsageError, match="lambda grid"):
+        complex_heisenberg_reality(ComplexHeisenbergElement.of(2, 1, 1), x_sign,
+                                   lambda_grid=grid)
