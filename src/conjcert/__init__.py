@@ -7,7 +7,6 @@ from .linalg import (
     Vector,
     has_fixed_point,
     kernel_basis,
-    matrix_power,
     solve_linear,
 )
 from .groups import (

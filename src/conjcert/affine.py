@@ -14,6 +14,14 @@ y^j u_i, and otherwise the first i that fails names the invariant factor
 that moved, a proof that x is not rational.  Each g_k is the identity on
 Q = F^n / im(x - I), since x^(kj) u = x^j u = u there.
 
+Everything about x is derived once per x, by
+``rationality_certificates_linear``: the order of x, the conjugators g_k,
+the functionals that cut out im(x - I), and, on the first v outside
+im(x - I) in characteristic 0, the eigenvalue-1 splitting.  Each g_k is
+checked there to be invertible, to conjugate x to x^k and to fix Q.
+``classify_affine_rational`` reads that result for each v; when x is not
+rational, it decides every (x, v) not rational.
+
 Every certificate for (x, v) is h = c g_k, completed by the translation w
 that ``semidirect``'s witness equation (I - y) w = t - h v solves, t the
 translation of the target.  The power (x, v)^k has translation
@@ -32,6 +40,7 @@ is consistent exactly when c v = k v in Q:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Optional
 
@@ -48,7 +57,6 @@ __all__ = [
     "rationality_certificates_linear",
     "extract_block_certificate",
     "classify_affine_rational",
-    "telescoped_translation",
 ]
 
 TELESCOPE_STEPS = 30
@@ -107,19 +115,28 @@ def split_at_eigenvalue_one(x: Matrix, m: int) -> EigenOneSplitting:
 
 @dataclass(frozen=True)
 class LinearRationalityResult:
-    """Conjugators g_k with g_k x g_k^-1 = x^k for the generating powers,
-    each the identity on F^n / im(x - I).  ``not_rational`` lists the k for
-    which x^k has other invariant factors than x, a proof that x is not
-    rational; ``note`` names the first such k and the factor that moved."""
+    """What (x, v) needs to know about x, derived once per x: its order,
+    conjugators g_k with g_k x g_k^-1 = x^k for the generating powers, each
+    the identity on F^n / im(x - I), and the functionals ``cokernel`` whose
+    common kernel is im(x - I).  ``not_rational`` lists the k for which x^k
+    has other invariant factors than x, a proof that x is not rational;
+    ``note`` names the first such k and the factor that moved."""
 
+    x: Matrix
     order: int
     certificates: dict
+    cokernel: tuple
     not_rational: tuple
     note: str = ""
 
     @property
     def complete(self) -> bool:
         return not self.not_rational
+
+    @cached_property
+    def splitting(self) -> EigenOneSplitting:
+        """The eigenvalue-1 splitting of x, built on first use."""
+        return split_at_eigenvalue_one(self.x, self.order)
 
 
 # -- polynomials: lists of field scalars, lowest degree first ----------------
@@ -279,12 +296,17 @@ def _coprime_powers(x: Matrix, order: int):
 
 def rationality_certificates_linear(x: Matrix, m: int) -> LinearRationalityResult:
     """Conjugators g x g^-1 = x^k for every generating power k, read off one
-    cyclic decomposition of x, or the k for which none exists."""
+    cyclic decomposition of x, or the k for which none exists.  Each g is
+    checked here, once per x, to be invertible, to conjugate x to x^k and to
+    fix every functional on F^n / im(x - I); a failure is a
+    TheoremViolation."""
     x._require_square("rationality_certificates_linear")
     ident = Matrix.identity_of(x.field, x.rows)
     if x ** m != ident:
         raise UsageError(f"x^{m} != I")
     order = element_order(x, bound=m + 1).value
+    # g is the identity on F^n / im(x - I) iff g^T fixes these functionals
+    cokernel = tuple(kernel_basis((x - ident).transpose()))
     conjugator = _cyclic_conjugators(x) if order > 2 else None
     certs = {1: ident}
     not_rational = []
@@ -298,10 +320,17 @@ def rationality_certificates_linear(x: Matrix, m: int) -> LinearRationalityResul
                             f"{_format_poly(x.field, f)} for x and "
                             f"{_format_poly(x.field, g_i)} for x^{k}")
             continue
+        try:
+            g.inverse()
+        except SingularMatrixError:
+            raise TheoremViolation(f"cyclic-basis conjugator for k = {k} is singular") from None
         if g * x != target * g:
             raise TheoremViolation(f"cyclic-basis conjugator fails g x = x^{k} g")
+        if any(g.transpose().apply(phi) != phi for phi in cokernel):
+            raise TheoremViolation(f"cyclic-basis conjugator for k = {k} moves "
+                                   f"F^n / im(x - I)")
         certs[k] = g
-    return LinearRationalityResult(order, certs, tuple(not_rational), note)
+    return LinearRationalityResult(x, order, certs, cokernel, tuple(not_rational), note)
 
 
 def extract_block_certificate(g: Matrix, x: Matrix, k: int,
@@ -333,76 +362,50 @@ def extract_block_certificate(g: Matrix, x: Matrix, k: int,
     return block
 
 
-def telescoped_translation(x: Matrix, v: Vector, l: int) -> Vector:
-    """(x^(l-1) + ... + x + I) v, the translation part of (x, v)^l, built
-    by the step t -> x t + v from t = 0."""
-    total = Vector.zero(x.field, v.dim)
-    for _ in range(l):
-        total = x.apply(total) + v
-    return total
-
-
 @dataclass(frozen=True)
 class AffineRationalityResult:
     """Verdict on (x, v).  "rational" carries a power certificate for every
     k coprime to the order of (x, v).  For "infinite_order" (characteristic
     0, v outside im(x - I)), ``reality`` is the inverse certificate, since
-    rational and real coincide there, and ``reality_refuted`` is always
-    False; ``kernel_component`` and ``telescope`` are set on that route
-    only."""
+    rational and real coincide there; ``kernel_component`` and
+    ``telescope`` are set on that route only.  "not_rational" carries no
+    certificate: x itself is not rational, and the note says why."""
 
-    verdict: str  # "rational" | "infinite_order"
+    verdict: str  # "rational" | "infinite_order" | "not_rational"
     order: Optional[int]
     certificates: dict
     kernel_component: Optional[Vector] = None
     telescope: tuple = ()
     reality: Optional[Certificate] = None
-    reality_refuted: bool = False
     note: str = ""
 
 
-def classify_affine_rational(x: Matrix, v: Vector, m: int, certs: dict,
-                             telescope_steps: int = TELESCOPE_STEPS,
+def classify_affine_rational(linear: LinearRationalityResult, v: Vector,
                              bound: Optional[int] = None) -> AffineRationalityResult:
-    """Rationality of (x, v) from conjugators g_k x g_k^-1 = x^k that are the
-    identity on F^n / im(x - I), as ``rationality_certificates_linear``
-    returns them; other g_k are refused, and so is an order of (x, v) above
-    ``bound``.  Each certificate is h = c g_k with the translation from the
-    witness equation, c as in the module docstring; on the infinite-order
-    route the eigenvalue-1 splitting gives the kernel component of v, and
-    each telescoped step is checked to grow it linearly."""
-    x._require_square("classify_affine_rational")
+    """Rationality of (x, v) from what ``rationality_certificates_linear``
+    derived about x; an order of (x, v) above ``bound`` is refused.  If x is
+    not rational, neither is (x, v), since (x, v)^k ~ (x, v) would make
+    x^k ~ x.  Otherwise each certificate is h = c g_k with the translation
+    from the witness equation, c as in the module docstring; on the
+    infinite-order route the eigenvalue-1 splitting gives the kernel
+    component of v, and each telescoped step is checked to grow it
+    linearly."""
+    if not linear.complete:
+        return AffineRationalityResult("not_rational", None, {}, note=linear.note)
+    x, order, certs = linear.x, linear.order, linear.certificates
     field = x.field
-    ident = Matrix.identity_of(field, x.rows)
-    if x ** m != ident:
-        raise UsageError(f"x^{m} != I")
-    order = element_order(x, bound=m + 1).value
-    # g is the identity on F^n / im(x - I) iff g^T fixes these functionals
-    cokernel = kernel_basis((x - ident).transpose())
-    for k, power in _coprime_powers(x, order):
-        g = certs.get(k)
-        if g is None:
-            raise UsageError(f"missing conjugator for k = {k}")
-        try:
-            g_inv = g.inverse()
-        except SingularMatrixError:
-            g_inv = None
-        if (g_inv is None or g * x * g_inv != power
-                or any(g.transpose().apply(phi) != phi for phi in cokernel)):
-            raise UsageError(f"supplied conjugator for k = {k} fails verification")
-
     subject = AffineElement(x, v)
-    in_image = all(not phi.dot(v) for phi in cokernel)
+    in_image = all(not phi.dot(v) for phi in linear.cokernel)
     if not in_image and field.characteristic == 0:
         # x has finite order, so it is semisimple and the splitting exists;
         # v outside im(x - I) has a nonzero kernel component
-        splitting = split_at_eigenvalue_one(x, order)
+        splitting = linear.splitting
         d = splitting.kernel_dim
         v_kernel = Vector(field, splitting.inverse_basis.apply(v).entries[:d])
         telescope = []
         tele = Vector.zero(field, v.dim)
-        for l in range(1, telescope_steps + 1):
-            tele = x.apply(tele) + v  # telescoped_translation(x, v, l), one step on
+        for l in range(1, TELESCOPE_STEPS + 1):
+            tele = x.apply(tele) + v  # S_l v = (I + x + ... + x^(l-1)) v
             tele_kernel = Vector(field, splitting.inverse_basis.apply(tele).entries[:d])
             expected = v_kernel.scale(field.coerce(l))
             if tele_kernel != expected:
@@ -410,7 +413,7 @@ def classify_affine_rational(x: Matrix, v: Vector, m: int, certs: dict,
                     f"telescoped kernel coordinate at step {l} is {tele_kernel!r}, "
                     f"expected {expected!r}")
             telescope.append(tele_kernel)
-        h = -(certs[order - 1] if order > 2 else ident)
+        h = -(certs[order - 1] if order > 2 else certs[1])
         return AffineRationalityResult(
             "infinite_order", None, {}, kernel_component=v_kernel,
             telescope=tuple(telescope), reality=make_real_witness(x, v, h),
@@ -427,7 +430,7 @@ def classify_affine_rational(x: Matrix, v: Vector, m: int, certs: dict,
     certificates = {1: Certificate.make(subject, subject.identity(), Power(1))}
     for k in range(2, n_order):
         if gcd(k, n_order) == 1:
-            h = certs[k % order] if k % order > 1 else ident
+            h = certs[k % order] if k % order > 1 else certs[1]
             if not in_image:
                 h = h.scale(field.coerce(k))
             certificates[k] = make_power_witness(x, v, h, k)

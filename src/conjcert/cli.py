@@ -283,12 +283,7 @@ def _run_affine(codec: GroupCodec, params: dict, elements, bound: int) -> list:
     for payload in elements:
         v = _vector_in(field, payload["v"])
         subject = AffineElement.of(x, v)
-        if not linear.complete:
-            # (x, v)^k ~ (x, v) would make x^k ~ x in the linear part
-            results.append(codec.result(subject, {"rational": "not_rational"}, [],
-                                        [linear.note]))
-            continue
-        outcome = classify_affine_rational(x, v, m, linear.certificates, bound=bound)
+        outcome = classify_affine_rational(linear, v, bound=bound)
         certs = [outcome.certificates[k] for k in sorted(outcome.certificates)]
         if outcome.reality is not None:
             certs.append(outcome.reality)

@@ -47,7 +47,6 @@ __all__ = [
     "solve_linear",
     "kernel_basis",
     "has_fixed_point",
-    "matrix_power",
     "column_space_basis",
     "kron",
 ]
@@ -449,10 +448,6 @@ def has_fixed_point(A: Matrix) -> bool:
     """Whether A fixes a nonzero vector, i.e. det(A - I) = 0."""
     A._require_square("has_fixed_point")
     return not (A - Matrix.identity_of(A.field, A.rows)).det()
-
-
-def matrix_power(A: Matrix, k: int) -> Matrix:
-    return A ** k
 
 
 def kron(A: Matrix, B: Matrix) -> Matrix:

@@ -371,14 +371,13 @@ def test_gsp_heisenberg():
 @criterion("affine-rationality", 5.0)
 def test_affine_rationality():
     cycle = f_mat(QQ, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-    certs = rationality_certificates_linear(cycle, 3).certificates
+    linear = rationality_certificates_linear(cycle, 3)
 
-    block = classify_affine_rational(cycle, Vector.of(QQ, [1, -1, 0]), 3, certs)
+    block = classify_affine_rational(linear, Vector.of(QQ, [1, -1, 0]))
     assert block.verdict == "rational"
     assert block.certificates[2].verified
 
-    infinite = classify_affine_rational(cycle, Vector.of(QQ, [1, 1, 1]), 3, certs,
-                                        telescope_steps=30)
+    infinite = classify_affine_rational(linear, Vector.of(QQ, [1, 1, 1]))
     assert infinite.verdict == "infinite_order"
     one = QQ.one()
     for l, tele in enumerate(infinite.telescope, start=1):
@@ -386,9 +385,8 @@ def test_affine_rationality():
         assert tele[0] == l * one
 
     minus = -Matrix.identity_of(QQ, 2)
-    direct = classify_affine_rational(
-        minus, Vector.of(QQ, [1, 2]), 2,
-        rationality_certificates_linear(minus, 2).certificates)
+    direct = classify_affine_rational(rationality_certificates_linear(minus, 2),
+                                      Vector.of(QQ, [1, 2]))
     assert direct.verdict == "rational"
     assert all(c.verified for c in direct.certificates.values())
 

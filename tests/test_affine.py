@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conjcert import affine, linalg
+from conjcert.cli import build_report
 from conjcert.errors import TheoremViolation, UsageError
 from conjcert.fields import GF, QQ, QQI
 from conjcert.groups import Inverse, element_order, generate_closure, is_rational_bruteforce
@@ -18,7 +19,6 @@ from conjcert.affine import (
     extract_block_certificate,
     rationality_certificates_linear,
     split_at_eigenvalue_one,
-    telescoped_translation,
 )
 from conjcert.semidirect import AffineElement
 
@@ -116,24 +116,16 @@ def test_extract_block_identity_empty():
     assert block.rows == 0 and block.cols == 0
 
 
-def test_telescoped_translation():
-    v = vec([1, 1, 1])
-    for l in (1, 2, 5, 30):
-        assert telescoped_translation(THREE_CYCLE, v, l) == v.scale(Fraction(l))
-    assert telescoped_translation(THREE_CYCLE, vec([1, 0, 0]), 3) == vec([1, 1, 1])
-
-
 def test_classify_minus_identity():
     x = -Matrix.identity_of(QQ, 2)
-    certs = rationality_certificates_linear(x, 2).certificates
-    res = classify_affine_rational(x, vec([1, 2]), 2, certs)
+    res = classify_affine_rational(rationality_certificates_linear(x, 2), vec([1, 2]))
     assert res.verdict == "rational" and set(res.certificates) == {1}
 
 
 def test_classify_block_route():
-    certs = rationality_certificates_linear(THREE_CYCLE, 3).certificates
+    linear = rationality_certificates_linear(THREE_CYCLE, 3)
     v = vec([1, -1, 0])  # sum zero: no kernel component
-    res = classify_affine_rational(THREE_CYCLE, v, 3, certs)
+    res = classify_affine_rational(linear, v)
     assert res.verdict == "rational"
     cert = res.certificates[2]
     assert cert.verified
@@ -145,63 +137,37 @@ def test_classify_block_route():
 
 
 def test_classify_infinite_order_route():
-    certs = rationality_certificates_linear(THREE_CYCLE, 3).certificates
-    res = classify_affine_rational(THREE_CYCLE, vec([1, 1, 1]), 3, certs,
-                                   telescope_steps=30)
+    res = classify_affine_rational(rationality_certificates_linear(THREE_CYCLE, 3),
+                                   vec([1, 1, 1]))
     assert res.verdict == "infinite_order"
     assert res.kernel_component is not None and not res.kernel_component.is_zero()
     assert len(res.telescope) == 30
     assert res.telescope[4] == res.kernel_component.scale(Fraction(5))
     # the structured search solves the consistency system and finds a witness
-    assert not res.reality_refuted
     assert res.reality is not None and res.reality.verified
 
 
 def test_infinite_order_reality_witness_for_pure_translations():
     # (I, v) is real via Y = -I with zero correction
     x = Matrix.identity_of(QQ, 2)
-    res = classify_affine_rational(x, vec([3, -5]), 1, {1: x})
+    res = classify_affine_rational(rationality_certificates_linear(x, 1), vec([3, -5]))
     assert res.verdict == "infinite_order"
     assert res.reality is not None and res.reality.verified
     assert res.reality.witness.linear.apply(vec([3, -5])) == vec([-3, 5])
 
 
 def test_classify_matches_order_detection():
-    certs = rationality_certificates_linear(THREE_CYCLE, 3).certificates
+    linear = rationality_certificates_linear(THREE_CYCLE, 3)
     for v, expect_finite in [
         (vec([1, -1, 0]), True),
         (vec([1, 1, 1]), False),
         (vec([2, -1, -1]), True),
         (vec([1, 0, 0]), False),  # kernel component 1/3
     ]:
-        res = classify_affine_rational(THREE_CYCLE, v, 3, certs)
+        res = classify_affine_rational(linear, v)
         subject_order = element_order(AffineElement.of(THREE_CYCLE, v), bound=30)
         assert subject_order.is_finite == expect_finite
         assert (res.verdict == "rational") == expect_finite
-
-
-def test_classify_rejects_bad_certs():
-    with pytest.raises(UsageError):
-        classify_affine_rational(THREE_CYCLE, vec([1, -1, 0]), 3,
-                                 {1: Matrix.identity_of(QQ, 3),
-                                  2: Matrix.identity_of(QQ, 3)})
-    with pytest.raises(UsageError):
-        classify_affine_rational(THREE_CYCLE, vec([1, -1, 0]), 3, {1: Matrix.identity_of(QQ, 3)})
-
-
-def test_classify_rejects_conjugator_moving_the_cokernel():
-    """g_2 z with z = diag(2, 1, 1) commuting with x still conjugates x to
-    x^2, but it scales the fixed line e_1, which spans F^3 / im(x - I), so
-    no h = c g_2 can carry the translation e_1: the conjugator is refused
-    before any witness equation is solved."""
-    x = mat([[1, 0, 0], [0, 0, -1], [0, 1, -1]])
-    certs = rationality_certificates_linear(x, 3).certificates
-    v = vec([1, 0, 0])
-    assert classify_affine_rational(x, v, 3, certs).verdict == "infinite_order"
-    moved = certs[2] * mat([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert moved * x * moved.inverse() == x ** 2
-    with pytest.raises(UsageError, match="supplied conjugator for k = 2 fails verification"):
-        classify_affine_rational(x, v, 3, {1: certs[1], 2: moved})
 
 
 def _gl2_f3_affine():
@@ -224,7 +190,7 @@ def test_classify_finite_characteristic_kernel_component_is_rational():
     brute force agrees."""
     f3 = GF(3)
     x = Matrix.identity_of(f3, 2)
-    res = classify_affine_rational(x, vec([1, 0], f3), 1, {1: x})
+    res = classify_affine_rational(rationality_certificates_linear(x, 1), vec([1, 0], f3))
     assert res.verdict == "rational" and res.order == 3
     assert set(res.certificates) == {1, 2}
     assert all(c.verified for c in res.certificates.values())
@@ -244,13 +210,13 @@ def test_non_semisimple_translation_in_image_is_rational():
     x = mat([[1, 1], [0, 1]], f3)
     linear = rationality_certificates_linear(x, 3)
     assert linear.complete
-    res = classify_affine_rational(x, vec([1, 0], f3), 3, linear.certificates)
+    res = classify_affine_rational(linear, vec([1, 0], f3))
     assert res.verdict == "rational" and set(res.certificates) == {1, 2}
     assert all(c.verified for c in res.certificates.values())
     _, G = _gl2_f3_affine()
     brute = is_rational_bruteforce(G, AffineElement.of(x, vec([1, 0], f3)))
     assert brute is not None and set(brute) == {1, 2}
-    res = classify_affine_rational(x, vec([0, 1], f3), 3, linear.certificates)
+    res = classify_affine_rational(linear, vec([0, 1], f3))
     assert res.verdict == "rational" and res.order == 3 and set(res.certificates) == {1, 2}
     assert all(c.verified for c in res.certificates.values())
     brute = is_rational_bruteforce(G, AffineElement.of(x, vec([0, 1], f3)))
@@ -260,7 +226,7 @@ def test_non_semisimple_translation_in_image_is_rational():
 def test_image_translation_takes_no_splitting(monkeypatch):
     """v in im(x - I) is certified from the conjugators of x alone; only an
     infinite-order (x, v) splits F^n at the eigenvalue 1, and once."""
-    certs = rationality_certificates_linear(THREE_CYCLE, 3).certificates
+    linear = rationality_certificates_linear(THREE_CYCLE, 3)
     split = affine.split_at_eigenvalue_one
 
     def refuse(*args):
@@ -268,7 +234,7 @@ def test_image_translation_takes_no_splitting(monkeypatch):
 
     monkeypatch.setattr(affine, "split_at_eigenvalue_one", refuse)
     monkeypatch.setattr(affine, "extract_block_certificate", refuse)
-    res = classify_affine_rational(THREE_CYCLE, vec([1, -1, 0]), 3, certs)
+    res = classify_affine_rational(linear, vec([1, -1, 0]))
     assert res.verdict == "rational" and res.certificates[2].verified
     monkeypatch.undo()
 
@@ -279,7 +245,7 @@ def test_image_translation_takes_no_splitting(monkeypatch):
         return split(*args)
 
     monkeypatch.setattr(affine, "split_at_eigenvalue_one", counted)
-    res = classify_affine_rational(THREE_CYCLE, vec([1, 1, 1]), 3, certs)
+    res = classify_affine_rational(linear, vec([1, 1, 1]))
     assert res.verdict == "infinite_order" and res.reality.verified
     assert len(calls) == 1
 
@@ -306,7 +272,7 @@ def test_oracle_agreement_gl2_f3_full_enumeration():
             assert brute is None
             not_rational += 1
             continue
-        res = classify_affine_rational(x, v, m, linear.certificates)
+        res = classify_affine_rational(linear, v)
         assert res.verdict == "rational"
         assert brute is not None
         assert set(brute) == set(res.certificates)
@@ -318,7 +284,7 @@ def test_oracle_agreement_f3_direct_route():
     """Constructive verdicts match brute force where the pipeline applies."""
     f3 = GF(3)
     x = mat([[0, -1], [1, 0]], f3)  # order 4, no fixed point mod 3
-    certs = rationality_certificates_linear(x, 4).certificates
+    linear = rationality_certificates_linear(x, 4)
     gens = [
         AffineElement.of(mat([[0, -1], [1, 0]], f3), [0, 0]),
         AffineElement.of(mat([[1, 1], [0, 1]], f3), [0, 0]),
@@ -327,7 +293,7 @@ def test_oracle_agreement_f3_direct_route():
     ]
     G = generate_closure(gens, cap=3000)
     for v in [vec([0, 0], f3), vec([1, 2], f3), vec([2, 2], f3)]:
-        res = classify_affine_rational(x, v, 4, certs)
+        res = classify_affine_rational(linear, v)
         assert res.verdict == "rational"
         brute = is_rational_bruteforce(G, AffineElement.of(x, v))
         assert brute is not None
@@ -351,8 +317,7 @@ def _bench_linear_part(name):
 
 O12_D6, O12_ORDER = _bench_linear_part("o12_d6")
 INFINITE_ORDER_CASES = [
-    (x, m, rationality_certificates_linear(x, m).certificates,
-     kernel_basis(x - Matrix.identity_of(QQ, x.rows)))
+    (rationality_certificates_linear(x, m), kernel_basis(x - Matrix.identity_of(QQ, x.rows)))
     for x, m in ((THREE_CYCLE, 3), (O12_D6, O12_ORDER),
                  (Matrix.identity_of(QQ, 2), 1), (mat([[-1, 0], [0, 1]]), 2))
 ]
@@ -363,7 +328,7 @@ def test_infinite_order_route_eliminates_at_most_n_columns(monkeypatch):
     only n x n systems; a search over the solution space of Y x = x^-1 Y
     eliminates its n^2 = 36-column kron system."""
     x, m = O12_D6, O12_ORDER
-    certs = rationality_certificates_linear(x, m).certificates
+    linear = rationality_certificates_linear(x, m)
     f = kernel_basis(x - Matrix.identity_of(QQ, x.rows))[0]
     v = (x - Matrix.identity_of(QQ, x.rows)).apply(vec([1, 2, 0, -1, 3, 1])) + f
     widest = [0]
@@ -374,7 +339,7 @@ def test_infinite_order_route_eliminates_at_most_n_columns(monkeypatch):
         return echelon(rows, ncols, one)
 
     monkeypatch.setattr(linalg, "_echelon", recorded)
-    res = classify_affine_rational(x, v, m, certs)
+    res = classify_affine_rational(linear, v)
     monkeypatch.undo()
     assert res.verdict == "infinite_order" and res.reality.verified
     assert widest[0] <= x.rows, widest[0]
@@ -389,7 +354,8 @@ def test_infinite_order_reality_is_always_constructed(case, data):
     """v = (x - I) u + c f with f in K = ker(x - I) and c != 0 has a nonzero
     kernel component, so (x, v) has infinite order; the paper's construction
     makes it real, with a witness that negates K."""
-    x, m, certs, kernel = case
+    linear, kernel = case
+    x = linear.x
     n = x.rows
     u = vec(data.draw(st.lists(_small, min_size=n, max_size=n), label="u"))
     coeffs = data.draw(st.lists(_small, min_size=len(kernel), max_size=len(kernel))
@@ -400,8 +366,8 @@ def test_infinite_order_reality_is_always_constructed(case, data):
         f = f + k.scale(a)
     v = (x - Matrix.identity_of(QQ, n)).apply(u) + f.scale(c)
 
-    res = classify_affine_rational(x, v, m, certs)
-    assert res.verdict == "infinite_order" and not res.reality_refuted
+    res = classify_affine_rational(linear, v)
+    assert res.verdict == "infinite_order"
     cert = res.reality
     assert cert is not None and cert.verified and isinstance(cert.relation, Inverse)
     assert cert.check()
@@ -409,13 +375,6 @@ def test_infinite_order_reality_is_always_constructed(case, data):
     for k in kernel:
         assert g.apply(k) == -k
     assert g.apply(f) == -f
-
-
-def test_classify_rejects_singular_conjugator():
-    with pytest.raises(UsageError):
-        classify_affine_rational(THREE_CYCLE, vec([1, -1, 0]), 3,
-                                 {1: Matrix.identity_of(QQ, 3),
-                                  2: Matrix.zero_of(QQ, 3, 3)})
 
 
 # -- Krylov conjugators over Q -------------------------------------------------
@@ -503,6 +462,51 @@ def test_wrong_conjugator_raises_theorem_violation(monkeypatch):
                         lambda x: lambda y: (Matrix.identity_of(x.field, x.rows), None))
     with pytest.raises(TheoremViolation):
         rationality_certificates_linear(THREE_CYCLE, 3)
+
+
+def test_conjugator_moving_the_cokernel_raises_theorem_violation(monkeypatch):
+    """g_2 z with z = diag(2, 1, 1) commuting with x still conjugates x to
+    x^2, but it scales the fixed line e_1, which spans F^3 / im(x - I), so
+    no h = c g_2 could carry the translation e_1: the check at build time
+    refuses it."""
+    x = mat([[1, 0, 0], [0, 0, -1], [0, 1, -1]])
+    moved = (rationality_certificates_linear(x, 3).certificates[2]
+             * mat([[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    assert moved * x * moved.inverse() == x ** 2
+    monkeypatch.setattr(affine, "_cyclic_conjugators", lambda x: lambda y: (moved, None))
+    with pytest.raises(TheoremViolation, match="k = 2 moves"):
+        rationality_certificates_linear(x, 3)
+
+
+def test_singular_conjugator_raises_theorem_violation(monkeypatch):
+    """The zero matrix satisfies g x = x^k g; only the invertibility check
+    refuses it."""
+    monkeypatch.setattr(affine, "_cyclic_conjugators",
+                        lambda x: lambda y: (Matrix.zero_of(x.field, x.rows, x.rows), None))
+    with pytest.raises(TheoremViolation, match="k = 2 is singular"):
+        rationality_certificates_linear(THREE_CYCLE, 3)
+
+
+def test_affine_scenario_derives_x_once(monkeypatch):
+    """x is derived once per scenario: one order computation and one
+    eigenvalue-1 splitting, however many v share x."""
+    calls = {"element_order": 0, "split_at_eigenvalue_one": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(affine, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(affine, name, counted)
+    scenario = {
+        "schema_version": 1,
+        "kind": "affine",
+        "params": {"x": [["0", "0", "1"], ["1", "0", "0"], ["0", "1", "0"]], "order": 3},
+        "elements": [{"v": ["1", "1", "1"]}, {"v": ["1", "0", "0"]},
+                     {"v": ["1", "-1", "0"]}, {"v": ["0", "2", "-1"]}],
+    }
+    report = build_report(scenario, 0, 100)
+    assert [r["verdicts"]["rational"] for r in report["results"]] == [
+        "infinite_order", "infinite_order", "rational", "infinite_order"]
+    assert calls == {"element_order": 1, "split_at_eigenvalue_one": 1}
 
 
 # -- cyclic conjugators against an exhaustive scan of the kron system ----------

@@ -1,9 +1,10 @@
-"""Every module of the package uses every name it imports.
+"""Every module of the package uses every name it imports, and binds every
+name it exports.
 
-No linter ships with the project, so this is the guard against imports left
-behind when code is deleted.  A name counts as used when it is read anywhere
-in the module (annotations included, also string annotations) or listed in
-``__all__``.  ``__init__.py`` only re-exports and is skipped."""
+No linter ships with the project, so this is the guard against imports and
+exports left behind when code is deleted.  A name counts as used when it is
+read anywhere in the module (annotations included, also string annotations)
+or listed in ``__all__``.  ``__init__.py`` only re-exports and is skipped."""
 
 import ast
 import pathlib
@@ -56,3 +57,32 @@ def test_every_import_is_used(path):
     used = _used(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _exported(tree: ast.Module) -> list:
+    return [e.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for e in node.value.elts]
+
+
+def _bound(tree: ast.Module) -> set:
+    """Names bound by the module's top-level definitions, assignments and
+    imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {a.asname or a.name.split(".")[0] for a in node.names}
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_export_is_bound(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = _bound(tree)
+    unbound = [name for name in _exported(tree) if name not in bound]
+    assert not unbound, f"{path.name}: __all__ names unbound {unbound}"
