@@ -38,7 +38,6 @@ from .heisenberg import (
     GSpElement,
     HeisenbergElement,
     complex_heisenberg_reality,
-    demo_gsp_heisenberg,
     gsp_act,
     heisenberg_presentation,
 )

@@ -44,7 +44,7 @@ from functools import cached_property
 from math import gcd
 from typing import Optional
 
-from .errors import ConjcertError, SingularMatrixError, TheoremViolation, UsageError
+from .errors import SingularMatrixError, TheoremViolation, UsageError
 from .groups import Certificate, Power, element_order, element_power
 from .linalg import Matrix, Vector, column_space_basis, kernel_basis, solve_linear
 from .semidirect import AffineElement, make_power_witness, make_real_witness
@@ -55,7 +55,6 @@ __all__ = [
     "AffineRationalityResult",
     "split_at_eigenvalue_one",
     "rationality_certificates_linear",
-    "extract_block_certificate",
     "classify_affine_rational",
 ]
 
@@ -331,35 +330,6 @@ def rationality_certificates_linear(x: Matrix, m: int) -> LinearRationalityResul
                                    f"F^n / im(x - I)")
         certs[k] = g
     return LinearRationalityResult(x, order, certs, cokernel, tuple(not_rational), note)
-
-
-def extract_block_certificate(g: Matrix, x: Matrix, k: int,
-                              splitting: EigenOneSplitting) -> Matrix:
-    """Restrict a conjugator g x g^-1 = x^k to the image block.
-
-    In the adapted basis the block of g mapping the kernel summand into the
-    image summand must vanish (the image action has no eigenvalue 1); a
-    violation is reported entry by entry since it would contradict the
-    restriction argument."""
-    if g * x * g.inverse() != x ** k:
-        raise UsageError("g does not conjugate x to x^k")
-    d = splitting.kernel_dim
-    n = x.rows
-    adapted = splitting.inverse_basis * g * splitting.change_of_basis
-    offending = [(i, j, adapted[i, j])
-                 for i in range(d, n) for j in range(d)
-                 if adapted[i, j] != x.field.zero()]
-    if offending:
-        raise ConjcertError(f"mixing block failed to vanish at {offending}")
-    block = Matrix(x.field, n - d, n - d,
-                   tuple(adapted[i, j] for i in range(d, n) for j in range(d, n)))
-    try:
-        block_inv = block.inverse()
-    except SingularMatrixError:
-        raise ConjcertError("restricted block is singular") from None
-    if block * splitting.restricted * block_inv != splitting.restricted ** k:
-        raise ConjcertError("restricted block fails the conjugation relation")
-    return block
 
 
 @dataclass(frozen=True)

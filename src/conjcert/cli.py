@@ -373,9 +373,10 @@ def build_report(scenario: dict, seed: int, bound: int, timing: bool = False) ->
 
 def verify_report(report: dict) -> list[str]:
     """Re-check a report from scratch.  Returns a list of failure messages
-    (empty = accepted): digest mismatch, undecodable entries, any certificate
-    whose relation fails exact re-multiplication, a ``real`` verdict without
-    an ``inverse`` certificate, or a ``rational`` verdict without any."""
+    (empty = accepted): digest mismatch, a result count that differs from a
+    list of scenario elements, undecodable entries, any certificate whose
+    relation fails exact re-multiplication, a ``real`` verdict without an
+    ``inverse`` certificate, or a ``rational`` verdict without any."""
     failures = []
     payload = {k: v for k, v in report.items() if k != "integrity"}
     if report.get("integrity") != _digest(payload):
@@ -390,6 +391,9 @@ def verify_report(report: dict) -> list[str]:
     if not isinstance(results, list):
         failures.append("results must be a list")
         return failures
+    elements = scenario.get("elements")
+    if isinstance(elements, list) and len(results) != len(elements):
+        failures.append(f"{len(elements)} scenario elements but {len(results)} results")
     for i, result in enumerate(results):
         try:
             subject = codec.decode(result["element"])
@@ -437,6 +441,7 @@ def _render_text(report: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def _resolve_seed(cli_seed: Optional[int], scenario: dict) -> int:
+    scenario_seed = _int_in(scenario.get("seed", 0), "scenario seed")
     if cli_seed is not None:
         return cli_seed
     env = os.environ.get(SEED_ENV_VAR)
@@ -445,7 +450,7 @@ def _resolve_seed(cli_seed: Optional[int], scenario: dict) -> int:
             return int(env)
         except ValueError as exc:
             raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return int(scenario.get("seed", 0))
+    return scenario_seed
 
 
 def _load_json(path: str) -> dict:

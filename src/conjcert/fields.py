@@ -9,7 +9,7 @@ small ``Field`` object bundles the zero/one constants, coercion and the
 lossless string round-trip used by the scenario/report formats ("p/q",
 "p/q+r/s i", plain residues mod p).
 
-These scalar operators are what elimination, ``dot`` and ``kron`` run on.
+These scalar operators are what elimination and ``dot`` run on.
 Matrix products and ``apply`` over ℚ and 𝔽_p leave them: the integer kernels
 of :mod:`conjcert.linalg` multiply and add plain ``int`` numerators or
 residues, and box each result entry once, as a ``Fraction`` or as the shared

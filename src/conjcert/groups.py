@@ -18,7 +18,6 @@ from math import gcd
 from typing import Optional
 
 from .errors import CertificateError, ClosureCapExceeded, UsageError
-from .linalg import Matrix
 
 __all__ = [
     "Inverse",
@@ -33,8 +32,6 @@ __all__ = [
     "is_rational_bruteforce",
     "conjugacy_classes",
     "rational_classes",
-    "PSLElement",
-    "psl_canonical",
 ]
 
 DEFAULT_ORDER_BOUND = 10_000
@@ -279,35 +276,3 @@ def rational_classes(G: FiniteGroup) -> list[tuple]:
                 roots.append(class_of[G.index(power)])
         merged.setdefault(min(roots), []).extend(cls)
     return [tuple(G.elements[i] for i in sorted(merged[root])) for root in sorted(merged)]
-
-
-def psl_canonical(m: Matrix) -> Matrix:
-    """The coset representative of {m, -m} with the lexicographically
-    smallest entry sequence (entries ordered by residue value)."""
-    neg = -m
-    key = tuple(e.value for e in m.entries)
-    neg_key = tuple(e.value for e in neg.entries)
-    return m if key <= neg_key else neg
-
-
-@dataclass(frozen=True)
-class PSLElement:
-    """Element of PSL(n, F_p): a matrix up to sign, stored canonically."""
-
-    matrix: Matrix
-
-    @staticmethod
-    def of(m: Matrix) -> "PSLElement":
-        return PSLElement(psl_canonical(m))
-
-    def __mul__(self, other: "PSLElement") -> "PSLElement":
-        return PSLElement.of(self.matrix * other.matrix)
-
-    def inverse(self) -> "PSLElement":
-        return PSLElement.of(self.matrix.inverse())
-
-    def identity(self) -> "PSLElement":
-        return PSLElement.of(self.matrix.identity())
-
-    def __repr__(self):
-        return f"PSL{self.matrix!r}"

@@ -1,33 +1,25 @@
-"""Concrete fixtures: GSp(4) acting on the 5-dimensional Heisenberg group,
-solvable-group conformance checks, and the complex Heisenberg family.
+"""Concrete groups: GSp(4) acting on the 5-dimensional Heisenberg group, and
+the complex Heisenberg family.
 
 The Heisenberg group H_{2m+1} is carried as pairs (v, t) with
 (v,t)(v',t') = (v+v', t+t'+ w(v,v')/2) for the standard symplectic form
 w(v,v') = v^T J v'.  Similitudes act by (v,t) |-> (g v, mu(g) t).
-
-The conformance checkers are contrapositive bug detectors: whenever a
-reality witness is actually FOUND and verified, the structural consequence
-(x^2 = e, squares of lifts, center rigidity) is asserted exactly.  They
-never claim non-existence of witnesses over infinite groups.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 from .errors import TheoremViolation, UsageError
 from .fields import GaussianRational, QQ, QQI
 from .groups import Certificate, Inverse
-from .linalg import Matrix, Vector, _from_ints, _scaled, has_fixed_point
+from .linalg import Matrix, Vector, _from_ints, _scaled
 from .semidirect import (
     CentralSeriesLevel,
     CentralSeriesPresentation,
     SemidirectProduct,
-    real_witness_via_lift,
 )
 
 __all__ = [
@@ -37,14 +29,6 @@ __all__ = [
     "gsp_act",
     "heisenberg_presentation",
     "standard_gsp_example",
-    "demo_gsp_heisenberg",
-    "SolvableInstance",
-    "rotation_instance",
-    "torus_on_heisenberg_instance",
-    "minus_identity_two_level_instance",
-    "check_square_law",
-    "check_strong_reality",
-    "check_center_rigidity",
     "ComplexHeisenbergElement",
     "UnitScalar",
     "complex_heisenberg_group",
@@ -249,229 +233,6 @@ def standard_gsp_example(field=QQ) -> tuple[GSpElement, GSpElement]:
         [0, 1, 0, 0],
     ]))
     return x, y
-
-
-def demo_gsp_heisenberg(samples, seed: int = 0) -> list[Certificate]:
-    """Reality certificates for (x, n) over sampled n in H_5, via the
-    two-level lift with the block-swap witness."""
-    pres = heisenberg_presentation()
-    x, y = standard_gsp_example()
-    if isinstance(samples, int):
-        rng = random.Random(seed)
-        pool = []
-        for _ in range(samples):
-            v = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)]
-            t = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            pool.append(HeisenbergElement.of(QQ, v, t))
-    else:
-        pool = list(samples)
-    return [real_witness_via_lift(x, n, pres, y) for n in pool]
-
-
-# ---------------------------------------------------------------------------
-# Solvable-group conformance fixtures
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SolvableInstance:
-    """An A |x N fixture with finite candidate pools for bounded searches."""
-
-    name: str
-    group: SemidirectProduct
-    acting_sample: list          # sample of A
-    n_sample: list               # sample of N
-    candidates: list             # finite pool of candidate conjugators in G
-    presentation: Optional[CentralSeriesPresentation] = None
-
-    def element(self, a, n):
-        return self.group.element(a, n)
-
-
-@dataclass(frozen=True)
-class RotationMarker:
-    """S^1 sampled at quarter turns: the marker block R(t) determines the
-    element; it acts on the plane through R(2t) = marker^2."""
-
-    marker: Matrix
-
-    def __mul__(self, other: "RotationMarker") -> "RotationMarker":
-        return RotationMarker(self.marker * other.marker)
-
-    def inverse(self) -> "RotationMarker":
-        return RotationMarker(self.marker.inverse())
-
-    def identity(self) -> "RotationMarker":
-        return RotationMarker(self.marker.identity())
-
-    @property
-    def plane_action(self) -> Matrix:
-        return self.marker * self.marker
-
-
-def rotation_instance() -> SolvableInstance:
-    """The double-speed rotation example: the quarter-turn marker group
-    acting on Q^2 through the squared rotation, so the half-turn element
-    has order two yet acts trivially."""
-    quarter = RotationMarker(Matrix.from_rows(QQ, [[0, -1], [1, 0]]))
-    markers = [quarter.identity(), quarter, quarter * quarter,
-               quarter * quarter * quarter]
-    group = SemidirectProduct(
-        action=lambda a, v: a.plane_action.apply(v),
-        n_multiply=lambda u, w: u + w,
-        n_inverse=lambda u: -u,
-        n_identity=Vector.zero(QQ, 2),
-        h_identity=quarter.identity(),
-        name="quarter-turns on Q^2",
-    )
-    grid = [Vector.of(QQ, [a, b])
-            for a in (-2, -1, 0, 1, 2) for b in (-2, -1, 0, 1, 2)]
-    candidates = [group.element(m, v) for m in markers for v in grid]
-    return SolvableInstance("rotation", group, markers,
-                            [Vector.of(QQ, [3, -7]), Vector.of(QQ, [1, 0]),
-                             Vector.zero(QQ, 2)],
-                            candidates)
-
-
-def torus_on_heisenberg_instance() -> SolvableInstance:
-    """diag(s, 1/s) inside Sp(2) = SL(2) acting on the 3-dimensional
-    Heisenberg group (the similitude factor is 1, so the center is fixed)."""
-    def torus(s):
-        return GSpElement.of(Matrix.from_rows(QQ, [[s, 0], [0, Fraction(1, 1) / Fraction(s)]]))
-
-    acting = [torus(1), torus(-1), torus(2), torus(Fraction(1, 2)), torus(3)]
-    pres = heisenberg_presentation(QQ, base_dim=2)
-    group = pres.semidirect(acting[0].identity())
-    n_sample = [
-        HeisenbergElement.of(QQ, [1, 2], Fraction(1, 2)),
-        HeisenbergElement.of(QQ, [0, 0], 1),
-        HeisenbergElement.of(QQ, [-3, 5], 0),
-    ]
-    center_grid = [HeisenbergElement.of(QQ, [0, 0], t) for t in (-2, -1, 0, 1, 2)]
-    base_grid = [HeisenbergElement.of(QQ, [a, b], 0)
-                 for a in (-1, 0, 1) for b in (-1, 0, 1)]
-    candidates = [group.element(a, z * w)
-                  for a in acting for z in center_grid for w in base_grid]
-    return SolvableInstance("torus-on-H3", group, acting, n_sample, candidates,
-                            presentation=pres)
-
-
-def minus_identity_two_level_instance() -> SolvableInstance:
-    """-I on Q^4 presented with the two-level chain Q^4 > 0+Q^2 > 0; the
-    action is fixed-point-free on both quotients and squares to e."""
-    minus = -Matrix.identity_of(QQ, 4)
-    ident = Matrix.identity_of(QQ, 4)
-    levels = [
-        CentralSeriesLevel(
-            dim=2,
-            project=lambda n: Vector(QQ, (n[0], n[1])),
-            section=lambda v: Vector(QQ, (v[0], v[1], Fraction(0), Fraction(0))),
-            act=lambda h: Matrix(QQ, 2, 2, (h[0, 0], h[0, 1], h[1, 0], h[1, 1])),
-        ),
-        CentralSeriesLevel(
-            dim=2,
-            project=lambda n: Vector(QQ, (n[2], n[3])),
-            section=lambda v: Vector(QQ, (Fraction(0), Fraction(0), v[0], v[1])),
-            act=lambda h: Matrix(QQ, 2, 2, (h[2, 2], h[2, 3], h[3, 2], h[3, 3])),
-        ),
-    ]
-    pres = CentralSeriesPresentation(
-        QQ,
-        multiply=lambda a, b: a + b,
-        inverse=lambda a: -a,
-        identity=Vector.zero(QQ, 4),
-        action=lambda h, n: h.apply(n),
-        levels=levels,
-        name="Q4-sign-flip",
-    )
-    group = pres.semidirect(ident)
-    grid = [Vector.of(QQ, [a, b, c, d])
-            for a in (-1, 0, 1) for b in (-1, 0, 1)
-            for c in (-1, 0, 1) for d in (-1, 0, 1)]
-    candidates = [group.element(h, v) for h in (ident, minus) for v in grid[:20]]
-    return SolvableInstance("sign-flip-Q4", group, [ident, minus],
-                            [Vector.of(QQ, [3, -7, 2, 5]), Vector.zero(QQ, 4)],
-                            candidates, presentation=pres)
-
-
-def _bounded_witness(instance: SolvableInstance, subject) -> Optional[Certificate]:
-    target = subject.inverse()
-    for g in instance.candidates:
-        if g * subject * g.inverse() == target:
-            return Certificate.make(subject, g, Inverse())
-    return None
-
-
-def check_square_law(instance: SolvableInstance) -> dict:
-    """Theorem conformance, contrapositively: every reality witness found
-    for x (or x n) in the bounded pools implies x^2 = e exactly."""
-    G = instance.group
-    found = 0
-    checked = 0
-    for a in instance.acting_sample:
-        for n in [G.n_identity] + list(instance.n_sample):
-            subject = G.element(a, n)
-            cert = _bounded_witness(instance, subject)
-            checked += 1
-            if cert is None:
-                continue
-            found += 1
-            if a * a != a.identity():
-                raise TheoremViolation(
-                    f"{instance.name}: witness found for {subject!r} "
-                    f"but the acting part does not square to e")
-    return {"instance": instance.name, "subjects": checked, "witnessed": found}
-
-
-def check_strong_reality(instance: SolvableInstance, x, n) -> Certificate:
-    """Under x^2 = e and fixed-point-free quotient actions, the element
-    (x, n) is its own inverse; asserted by exact multiplication."""
-    if instance.presentation is None:
-        raise UsageError("strong-reality check needs a central-series presentation")
-    if x * x != x.identity():
-        raise UsageError("x must be an involution")
-    for j, lvl in enumerate(instance.presentation.levels):
-        if has_fixed_point(lvl.act(x)):
-            raise UsageError(f"action of x on level {j} has a fixed point")
-    subject = instance.group.element(x, n)
-    if subject * subject != instance.group.identity():
-        raise TheoremViolation(
-            f"{instance.name}: ({x!r}, {n!r}) fails to square to the identity")
-    return Certificate.make(subject, subject, Inverse())
-
-
-def check_center_rigidity(instance: SolvableInstance, central_sample: Sequence,
-                          is_central: Callable) -> dict:
-    """With A acting trivially on Z(N), no (x, n) with central n != e is
-    real in A Z(N): the conjugacy class is a singleton and n = n^-1 forces
-    2 t = 0, impossible in characteristic zero."""
-    G = instance.group
-    field = instance.presentation.field if instance.presentation else QQ
-    if field.characteristic != 0:
-        raise UsageError("center rigidity needs characteristic zero "
-                         "(torsion breaks the 2t = 0 argument)")
-    for a in instance.acting_sample:
-        for z in central_sample:
-            if G.action(a, z) != z:
-                raise UsageError(f"action of {a!r} is not trivial on the center")
-    az_candidates = [g for g in instance.candidates if is_central(g.n)]
-    refuted = 0
-    for a in instance.acting_sample:
-        for n in central_sample:
-            if n == G.n_identity:
-                continue
-            subject = G.element(a, n)
-            # inside A Z(N) the conjugacy class of (a, n) is a singleton
-            for g in az_candidates:
-                if g * subject * g.inverse() != subject:
-                    raise TheoremViolation(
-                        f"{instance.name}: conjugation inside A Z(N) moved {subject!r}")
-            # ... so reality would force n = n^-1, i.e. 2t = 0
-            if subject == subject.inverse():
-                raise TheoremViolation(
-                    f"{instance.name}: nontrivial central element {n!r} is "
-                    f"self-inverse over characteristic zero")
-            refuted += 1
-    return {"instance": instance.name, "refuted": refuted}
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ operands over different fields take the scalar loop.
 The other kernels skip zeros rather than multiply them out: the row update
 runs over the nonzero entries of the pivot row and passes over rows whose
 factor is zero; the scalar product loop runs over the nonzero entries of
-both factors; ``dot`` and ``kron`` skip zero factors.  The matrices met here
+both factors; ``dot`` skips zero factors.  The matrices met here
 are mostly zero, so this removes most of the scalar operations.  The results
 are the same as those of a dense loop: every field is exact, so a skipped
 term is exactly zero, and the reduced row echelon form of a matrix is unique.
@@ -48,7 +48,6 @@ __all__ = [
     "kernel_basis",
     "has_fixed_point",
     "column_space_basis",
-    "kron",
 ]
 
 
@@ -448,18 +447,3 @@ def has_fixed_point(A: Matrix) -> bool:
     """Whether A fixes a nonzero vector, i.e. det(A - I) = 0."""
     A._require_square("has_fixed_point")
     return not (A - Matrix.identity_of(A.field, A.rows)).det()
-
-
-def kron(A: Matrix, B: Matrix) -> Matrix:
-    """Kronecker product, used to flatten matrix equations like gX = Yg."""
-    if A.field != B.field:
-        raise UsageError("kron over mixed fields")
-    zero = A.field.zero()
-    out = []
-    for ia in range(A.rows):
-        a_row = A.row(ia)
-        for ib in range(B.rows):
-            b_row = B.row(ib)
-            for x in a_row:
-                out += [x * y if x and y else zero for y in b_row]
-    return Matrix(A.field, A.rows * B.rows, A.cols * B.cols, tuple(out))

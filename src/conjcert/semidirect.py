@@ -39,7 +39,6 @@ __all__ = [
     "AffineElement",
     "SemidirectProduct",
     "SemidirectElement",
-    "LinearAction",
     "CentralSeriesLevel",
     "CentralSeriesPresentation",
     "LiftPlan",
@@ -50,8 +49,6 @@ __all__ = [
     "lift_central_series",
     "real_witness_via_lift",
     "rational_witness_via_lift",
-    "pair_from_affine",
-    "affine_from_pair",
 ]
 
 
@@ -91,31 +88,6 @@ class AffineElement:
 
     def __repr__(self):
         return f"Affine({self.linear!r} | {self.translation!r})"
-
-
-class LinearAction:
-    """Map from acting-group elements to invertible matrices; the identity
-    and homomorphism laws are spot-checked on the supplied samples."""
-
-    def __init__(self, field: Field, dim: int, matrix_of: Callable, samples: Sequence = ()):
-        self.field = field
-        self.dim = dim
-        self._matrix_of = matrix_of
-        samples = list(samples)
-        if samples:
-            ident = samples[0].identity()
-            if self(ident) != Matrix.identity_of(field, dim):
-                raise UsageError("action does not send the identity to I")
-            for g in samples:
-                for h in samples:
-                    if self(g * h) != self(g) * self(h):
-                        raise UsageError("action is not a homomorphism on samples")
-
-    def __call__(self, h) -> Matrix:
-        m = self._matrix_of(h)
-        if m.rows != self.dim or m.cols != self.dim:
-            raise UsageError("action matrix has the wrong dimension")
-        return m
 
 
 class SemidirectProduct:
@@ -165,16 +137,6 @@ class SemidirectElement:
 
     def __repr__(self):
         return f"({self.h!r}, {self.n!r})"
-
-
-def pair_from_affine(a: AffineElement) -> tuple[Matrix, Vector]:
-    """(A, b) as the group product h.v: h = A, v = A^-1 b."""
-    return a.linear, a.linear.inverse().apply(a.translation)
-
-
-def affine_from_pair(h: Matrix, v: Vector) -> AffineElement:
-    """The pair h.v in the block-matrix picture: translation b = h.v."""
-    return AffineElement(h, h.apply(v))
 
 
 # ---------------------------------------------------------------------------

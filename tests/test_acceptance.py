@@ -11,7 +11,6 @@ from math import gcd
 
 from conjcert.affine import (
     classify_affine_rational,
-    extract_block_certificate,
     rationality_certificates_linear,
     split_at_eigenvalue_one,
 )
@@ -29,18 +28,12 @@ from conjcert.groups import (
 from conjcert.heisenberg import (
     ComplexHeisenbergElement,
     HeisenbergElement,
-    check_square_law,
-    check_strong_reality,
     complex_heisenberg_reality,
-    minus_identity_two_level_instance,
-    rotation_instance,
     standard_gsp_example,
     symplectic_form,
-    torus_on_heisenberg_instance,
     heisenberg_presentation,
 )
 from conjcert.linalg import Matrix, Vector, has_fixed_point
-from conjcert.heisenberg import SolvableInstance
 from conjcert.semidirect import (
     AffineElement,
     make_power_witness,
@@ -54,6 +47,15 @@ from conjcert.sl2 import (
     antidiagonal_witness,
     classify_real,
     rho,
+)
+from conformance_fixtures import (
+    SolvableInstance,
+    check_square_law,
+    check_strong_reality,
+    extract_block_certificate,
+    minus_identity_two_level_instance,
+    rotation_instance,
+    torus_on_heisenberg_instance,
 )
 
 

@@ -13,14 +13,14 @@ from conjcert.cli import build_report
 from conjcert.errors import TheoremViolation, UsageError
 from conjcert.fields import GF, QQ, QQI
 from conjcert.groups import Inverse, element_order, generate_closure, is_rational_bruteforce
-from conjcert.linalg import Matrix, Vector, kernel_basis, kron
+from conjcert.linalg import Matrix, Vector, kernel_basis
 from conjcert.affine import (
     classify_affine_rational,
-    extract_block_certificate,
     rationality_certificates_linear,
     split_at_eigenvalue_one,
 )
 from conjcert.semidirect import AffineElement
+from conformance_fixtures import extract_block_certificate, kron
 
 
 def mat(rows, field=QQ):
@@ -233,7 +233,6 @@ def test_image_translation_takes_no_splitting(monkeypatch):
         raise AssertionError("splitting used for v in im(x - I)")
 
     monkeypatch.setattr(affine, "split_at_eigenvalue_one", refuse)
-    monkeypatch.setattr(affine, "extract_block_certificate", refuse)
     res = classify_affine_rational(linear, vec([1, -1, 0]))
     assert res.verdict == "rational" and res.certificates[2].verified
     monkeypatch.undo()

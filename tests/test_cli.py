@@ -349,7 +349,9 @@ def test_verify_rejects_forged_positive_verdicts():
     (lambda payload: payload["results"][1].update(certificates=None),
      "result 1: certificates must be a list"),
     (lambda payload: payload.update(results=5), "results must be a list"),
-], ids=["null_certificates", "integer_results"])
+    (lambda payload: payload.update(results=payload["results"][:1]),
+     "4 scenario elements but 1 results"),
+], ids=["null_certificates", "integer_results", "truncated_results"])
 def test_verify_rejects_non_list_fields(tmp_path, capsys, edit, message):
     scenario = json.loads((ROOT / "scenarios" / "sl2v_quadratic.json").read_text())
     report = forge(build_report(scenario, 0, 10_000), edit)
@@ -440,6 +442,8 @@ INTEGER_PARAMS = {
     "field_p": lambda value: {"kind": "affine", "elements": [],
                               "params": {"field": {"type": "Fp", "p": value},
                                          "x": [["1"]], "order": 1}},
+    "scenario_seed": lambda value: {"kind": "sl2v", "params": {"n": 2, "t": "1"},
+                                    "elements": [], "seed": value},
 }
 
 

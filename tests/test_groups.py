@@ -7,7 +7,6 @@ from conjcert.fields import GF, QQ
 from conjcert.groups import (
     Certificate,
     Inverse,
-    PSLElement,
     Power,
     conjugacy_classes,
     element_order,
@@ -176,18 +175,6 @@ def test_tampered_certificate_is_rejected():
 def test_certificate_relation_descriptions():
     assert Inverse().describe() == "inverse"
     assert Power(3).describe() == "power 3"
-
-
-def test_psl_canonicalization_p3():
-    f3 = GF(3)
-    gens = [
-        PSLElement.of(Matrix.from_rows(f3, [[1, 1], [0, 1]])),
-        PSLElement.of(Matrix.from_rows(f3, [[0, -1], [1, 0]])),
-    ]
-    G = generate_closure(gens)
-    assert len(G) == 12  # |SL(2,3)| / 2
-    m = Matrix.from_rows(f3, [[1, 1], [0, 1]])
-    assert PSLElement.of(m) == PSLElement.of(-m)
 
 
 def test_element_order_bad_bound():

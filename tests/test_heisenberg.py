@@ -13,18 +13,21 @@ from conjcert.heisenberg import (
     GSpElement,
     HeisenbergElement,
     UnitScalar,
+    complex_heisenberg_group,
+    complex_heisenberg_reality,
+    gsp_act,
+    heisenberg_presentation,
+    standard_gsp_example,
+    symplectic_form,
+)
+from conjcert.semidirect import real_witness_via_lift
+from conformance_fixtures import (
+    SolvableInstance,
     check_center_rigidity,
     check_square_law,
     check_strong_reality,
-    complex_heisenberg_group,
-    complex_heisenberg_reality,
-    demo_gsp_heisenberg,
-    gsp_act,
-    heisenberg_presentation,
     minus_identity_two_level_instance,
     rotation_instance,
-    standard_gsp_example,
-    symplectic_form,
     torus_on_heisenberg_instance,
 )
 def rnd_heis(rng, base_dim=4):
@@ -90,16 +93,25 @@ def test_presentation_round_trips_and_actions():
 
 
 def test_demo_gsp_heisenberg_specific_and_random():
+    """Reality certificates for (x, n) over named and sampled n in H_5, via
+    the two-level lift with the block-swap witness."""
+    pres = heisenberg_presentation()
+    x, y = standard_gsp_example()
     named = [
         HeisenbergElement.of(QQ, [0, 0, 0, 0], 0),
         HeisenbergElement.of(QQ, [1, 0, 0, 0], 0),
         HeisenbergElement.of(QQ, [1, 2, 3, 4], 5),
     ]
-    certs = demo_gsp_heisenberg(named)
+    certs = [real_witness_via_lift(x, n, pres, y) for n in named]
     assert all(c.verified for c in certs)
-    x, y = standard_gsp_example()
     assert certs[0].witness.h == y and certs[0].witness.n == named[0].identity()
-    certs = demo_gsp_heisenberg(20, seed=3)
+    rng = random.Random(3)
+    sampled = []
+    for _ in range(20):
+        v = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)]
+        t = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        sampled.append(HeisenbergElement.of(QQ, v, t))
+    certs = [real_witness_via_lift(x, n, pres, y) for n in sampled]
     assert len(certs) == 20 and all(c.verified for c in certs)
 
 
@@ -138,7 +150,6 @@ def test_strong_reality_two_level_instance():
 
 def test_strong_reality_plane_flip():
     from conjcert.semidirect import vector_presentation
-    from conjcert.heisenberg import SolvableInstance
 
     pres = vector_presentation(QQ, 2, lambda h: h)
     minus = -Matrix.identity_of(QQ, 2)

@@ -1,5 +1,5 @@
-"""Every module of the package uses every name it imports, and binds every
-name it exports.
+"""Every module of the package and of the test suite uses every name it
+imports, and every package module binds every name it exports.
 
 No linter ships with the project, so this is the guard against imports and
 exports left behind when code is deleted.  A name counts as used when it is
@@ -13,6 +13,7 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "conjcert"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict:
@@ -51,7 +52,7 @@ def _used(tree: ast.Module) -> set:
     return used
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.stem)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = _used(tree)

@@ -11,9 +11,9 @@ from conjcert.linalg import (
     column_space_basis,
     has_fixed_point,
     kernel_basis,
-    kron,
     solve_linear,
 )
+from conformance_fixtures import kron
 
 
 def mat(rows, field=QQ):

@@ -20,8 +20,9 @@ from hypothesis import given, settings, strategies as st
 from conjcert.errors import SingularMatrixError, UsageError
 from conjcert.fields import GF, QQ, QQI, FpElement, GaussianRational
 from conjcert.groups import generate_closure
-from conjcert.linalg import Matrix, Vector, kernel_basis, kron, solve_linear
+from conjcert.linalg import Matrix, Vector, kernel_basis, solve_linear
 from conjcert.semidirect import AffineElement
+from conformance_fixtures import kron
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 

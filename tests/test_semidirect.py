@@ -19,13 +19,10 @@ from conjcert.semidirect import (
     AffineElement,
     CentralSeriesLevel,
     CentralSeriesPresentation,
-    LinearAction,
     SemidirectElement,
-    affine_from_pair,
     lift_central_series,
     make_power_witness,
     make_real_witness,
-    pair_from_affine,
     rational_witness_via_lift,
     real_witness_via_lift,
     reduce_translation,
@@ -272,10 +269,11 @@ def test_semidirect_consistent_with_affine_via_convention_map():
         h1, h2 = rnd_invertible(rng, 2), rnd_invertible(rng, 2)
         v1 = vec([rnd_fraction(rng) for _ in range(2)])
         v2 = vec([rnd_fraction(rng) for _ in range(2)])
-        a1, a2 = affine_from_pair(h1, v1), affine_from_pair(h2, v2)
+        # the pair h.v is the affine element with translation b = h.v
+        a1, a2 = AffineElement(h1, h1.apply(v1)), AffineElement(h2, h2.apply(v2))
         prod = G.element(h1, v1) * G.element(h2, v2)
-        assert affine_from_pair(prod.h, prod.n) == a1 * a2
-        back_h, back_v = pair_from_affine(a1)
+        assert AffineElement(prod.h, prod.h.apply(prod.n)) == a1 * a2
+        back_h, back_v = a1.linear, a1.linear.inverse().apply(a1.translation)
         assert (back_h, back_v) == (h1, v1)
 
 
@@ -509,17 +507,6 @@ def test_any_set_theoretic_section_is_accepted():
     G = pres.semidirect(x.identity())
     u_el = G.embed_n(u)
     assert u_el * G.embed_h(x) * u_el.inverse() == G.element(x, vec([1, 1]))
-
-
-def test_linear_action_validates_on_samples():
-    rng = random.Random(8)
-    samples = [rnd_invertible(rng, 2) for _ in range(4)]
-    action = LinearAction(QQ, 2, lambda h: h, samples=samples)
-    assert action(samples[0]) == samples[0]
-    with pytest.raises(UsageError):
-        LinearAction(QQ, 2, lambda h: h * h, samples=samples)  # not multiplicative
-    with pytest.raises(UsageError):
-        LinearAction(QQ, 1, lambda h: h, samples=samples)  # wrong dimension
 
 
 def test_presentation_descent_check_detects_inconsistent_action():
