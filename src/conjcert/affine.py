@@ -80,14 +80,12 @@ class EigenOneSplitting:
         return len(self.image)
 
 
-def split_at_eigenvalue_one(x: Matrix, m: int) -> EigenOneSplitting:
-    """Validated splitting at the eigenvalue 1 for x with x^m = I."""
+def split_at_eigenvalue_one(x: Matrix) -> EigenOneSplitting:
+    """Validated splitting at the eigenvalue 1; the caller has checked that
+    x has finite order."""
     x._require_square("split_at_eigenvalue_one")
     n = x.rows
-    ident = Matrix.identity_of(x.field, n)
-    if x ** m != ident:
-        raise UsageError(f"x^{m} != I; not a finite-order input")
-    shifted = x - ident
+    shifted = x - Matrix.identity_of(x.field, n)
     kernel = kernel_basis(shifted)
     image = column_space_basis(shifted)
     if len(kernel) + len(image) != n:
@@ -135,7 +133,7 @@ class LinearRationalityResult:
     @cached_property
     def splitting(self) -> EigenOneSplitting:
         """The eigenvalue-1 splitting of x, built on first use."""
-        return split_at_eigenvalue_one(self.x, self.order)
+        return split_at_eigenvalue_one(self.x)
 
 
 # -- polynomials: lists of field scalars, lowest degree first ----------------

@@ -37,7 +37,6 @@ from .heisenberg import (
     ComplexHeisenbergElement,
     GSpElement,
     HeisenbergElement,
-    UnitScalar,
     complex_heisenberg_group,
     complex_heisenberg_reality,
     heisenberg_presentation,
@@ -83,7 +82,7 @@ def _field_from_descriptor(desc) -> Field:
 def _scalar_in(field: Field, token) -> object:
     if isinstance(token, bool) or not isinstance(token, (str, int)):
         raise UsageError(f"scalars must be exact strings or integers, got {token!r}")
-    return field.coerce(token if isinstance(token, int) else field.parse(token))
+    return field.coerce(token)
 
 
 def _matrix_in(field: Field, rows) -> Matrix:
@@ -148,12 +147,14 @@ def _decode_heisenberg(field: Field, payload: dict):
 
 def _encode_solvable(field: Field, element) -> dict:
     n = element.n
-    return {"h": field.format(element.h.value),
+    return {"h": field.format(element.h),
             "n": {"a": field.format(n.a), "b": field.format(n.b), "c": field.format(n.c)}}
 
 
 def _decode_solvable(field: Field, payload: dict):
-    lam = UnitScalar.of(_scalar_in(field, payload["h"]))
+    lam = _scalar_in(field, payload["h"])
+    if not lam:
+        raise UsageError("unit scalar must be nonzero")
     n = ComplexHeisenbergElement.of(*(_scalar_in(field, payload["n"][key])
                                       for key in ("a", "b", "c")))
     return complex_heisenberg_group().element(lam, n)
@@ -318,7 +319,7 @@ def _run_solvable(codec: GroupCodec, params: dict, elements, bound: int) -> list
                                         _scalar_in(QQI, payload["c"]))
         x_sign = _int_in(payload.get("x", -1), "solvable x")
         verdict = complex_heisenberg_reality(n, x_sign)
-        subject = group.element(UnitScalar.of(QQI.coerce(x_sign)), n)
+        subject = group.element(QQI.coerce(x_sign), n)
         results.append(codec.result(subject, {"real": "real" if verdict.real else "not_real"},
                                     verdict.certificates, [verdict.reason]))
     return results

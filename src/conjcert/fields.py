@@ -358,10 +358,7 @@ class RationalField(Field):
         raise UsageError(f"cannot coerce {value!r} into Q")
 
     def parse(self, text: str):
-        s = text.strip()
-        if not _RATIONAL_RE.match(s):
-            raise UsageError(f"not an exact rational (decimals rejected): {text!r}")
-        return Fraction(s)
+        return _strict_fraction(text.strip(), text)
 
     def __repr__(self):
         return "QQ"

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
 
 from .errors import TheoremViolation, UsageError
 from .fields import GaussianRational, QQ, QQI
@@ -30,7 +29,6 @@ __all__ = [
     "heisenberg_presentation",
     "standard_gsp_example",
     "ComplexHeisenbergElement",
-    "UnitScalar",
     "complex_heisenberg_group",
     "complex_heisenberg_reality",
     "DEFAULT_LAMBDA_GRID",
@@ -188,45 +186,44 @@ def gsp_act(g: GSpElement, h: HeisenbergElement) -> HeisenbergElement:
     return HeisenbergElement(g.g.apply(h.v), g.mu * h.t)
 
 
-def heisenberg_presentation(field=QQ, base_dim: int = 4) -> CentralSeriesPresentation:
-    """Two-level central series: H > Z(H) > {e} with quotients F^base_dim
-    and the center line."""
-    zero = HeisenbergElement.of(field, [0] * base_dim, 0)
+def heisenberg_presentation() -> CentralSeriesPresentation:
+    """Two-level central series of H_5 over Q: H > Z(H) > {e} with
+    quotients Q^4 and the center line."""
+    zero = HeisenbergElement.of(QQ, [0] * 4, 0)
     levels = [
         CentralSeriesLevel(
-            dim=base_dim,
+            dim=4,
             project=lambda n: n.v,
-            section=lambda vec: HeisenbergElement(vec, field.zero()),
+            section=lambda vec: HeisenbergElement(vec, QQ.zero()),
             act=lambda g: g.g,
         ),
         CentralSeriesLevel(
             dim=1,
-            project=lambda n: Vector(field, (n.t,)),
-            section=lambda vec: HeisenbergElement(Vector.zero(field, base_dim), vec[0]),
-            act=lambda g: Matrix(field, 1, 1, (g.mu,)),
+            project=lambda n: Vector(QQ, (n.t,)),
+            section=lambda vec: HeisenbergElement(zero.v, vec[0]),
+            act=lambda g: Matrix(QQ, 1, 1, (g.mu,)),
         ),
     ]
     return CentralSeriesPresentation(
-        field,
+        QQ,
         multiply=lambda a, b: a * b,
         inverse=lambda a: a.inverse(),
         identity=zero,
         action=gsp_act,
         levels=levels,
-        name=f"H{base_dim + 1}",
     )
 
 
-def standard_gsp_example(field=QQ) -> tuple[GSpElement, GSpElement]:
+def standard_gsp_example() -> tuple[GSpElement, GSpElement]:
     """x = diag(P, P^-1) with P the quarter rotation (mu = -1), and the
     block swap y = [[0, I], [I, 0]] conjugating x to its inverse."""
-    x = GSpElement.of(Matrix.from_rows(field, [
+    x = GSpElement.of(Matrix.from_rows(QQ, [
         [0, 1, 0, 0],
         [-1, 0, 0, 0],
         [0, 0, 0, -1],
         [0, 0, 1, 0],
     ]))
-    y = GSpElement.of(Matrix.from_rows(field, [
+    y = GSpElement.of(Matrix.from_rows(QQ, [
         [0, 0, 1, 0],
         [0, 0, 0, 1],
         [1, 0, 0, 0],
@@ -280,41 +277,16 @@ class ComplexHeisenbergElement:
         return f"CH(a={self.a}, b={self.b}, c={self.c})"
 
 
-@dataclass(frozen=True)
-class UnitScalar:
-    """Nonzero scalar of Q(i) as a multiplicative group element."""
-
-    value: GaussianRational
-
-    @staticmethod
-    def of(value) -> "UnitScalar":
-        v = QQI.coerce(value)
-        if not v:
-            raise UsageError("unit scalar must be nonzero")
-        return UnitScalar(v)
-
-    def __mul__(self, other: "UnitScalar") -> "UnitScalar":
-        return UnitScalar(self.value * other.value)
-
-    def inverse(self) -> "UnitScalar":
-        return UnitScalar(self.value.inverse())
-
-    def identity(self) -> "UnitScalar":
-        return UnitScalar(QQI.one())
-
-    def __repr__(self):
-        return f"<{self.value}>"
-
-
 def complex_heisenberg_group() -> SemidirectProduct:
+    """Q(i)^x, as nonzero ``GaussianRational`` scalars, acting on the complex
+    Heisenberg group by ``scaled_by``."""
     zero = QQI.zero()
     return SemidirectProduct(
-        action=lambda lam, n: n.scaled_by(lam.value),
+        action=lambda lam, n: n.scaled_by(lam),
         n_multiply=lambda a, b: a * b,
         n_inverse=lambda a: a.inverse(),
         n_identity=ComplexHeisenbergElement(zero, zero, zero),
-        h_identity=UnitScalar(QQI.one()),
-        name="C* on complex Heisenberg",
+        h_identity=QQI.one(),
     )
 
 
@@ -343,27 +315,21 @@ def _solve_conjugation_entries(lam: GaussianRational, n: ComplexHeisenbergElemen
     return k, conj.c - target.c
 
 
-def complex_heisenberg_reality(n: ComplexHeisenbergElement, x_sign: int,
-                               lambda_grid: Sequence = DEFAULT_LAMBDA_GRID
+def complex_heisenberg_reality(n: ComplexHeisenbergElement, x_sign: int
                                ) -> ComplexHeisenbergVerdict:
     """Case analysis for (x, n) with x in {1, -1} acting by
     (a, b, c) |-> (lambda a, b / lambda, c).
 
     x = 1: real iff n is non-central (explicit one-entry witnesses) or n = e.
     x = -1: real iff a b = 2 c; the obstruction is independent of lambda,
-    checked on the whole grid, which must be non-empty and free of 0,
-    after solving the forced entries."""
+    checked on every lambda of DEFAULT_LAMBDA_GRID after solving the forced
+    entries."""
     if x_sign not in (1, -1):
         raise UsageError("x must be 1 or -1")
-    lambda_grid = tuple(QQI.coerce(lam) for lam in lambda_grid)
-    if not lambda_grid:
-        raise UsageError("lambda grid must not be empty")
-    if not all(lambda_grid):
-        raise UsageError("lambda grid must not contain 0")
     G = complex_heisenberg_group()
     two = QQI.coerce(2)
     residual = n.a * n.b - two * n.c
-    subject = G.element(UnitScalar.of(QQI.coerce(x_sign)), n)
+    subject = G.element(QQI.coerce(x_sign), n)
 
     if x_sign == 1:
         if not n.a and not n.b:
@@ -381,7 +347,7 @@ def complex_heisenberg_reality(n: ComplexHeisenbergElement, x_sign: int,
         else:
             m = ComplexHeisenbergElement((n.a * n.b - two * n.c) / n.b, QQI.zero(),
                                          QQI.zero())
-        witness = G.element(UnitScalar.of(QQI.coerce(-1)), m)
+        witness = G.element(QQI.coerce(-1), m)
         cert = Certificate.make(subject, witness, Inverse())
         return ComplexHeisenbergVerdict(True, (cert,), residual)
 
@@ -389,11 +355,11 @@ def complex_heisenberg_reality(n: ComplexHeisenbergElement, x_sign: int,
     target = subject.inverse().n
     mismatches = []
     certs = []
-    for lam in lambda_grid:
+    for lam in DEFAULT_LAMBDA_GRID:
         k, mismatch = _solve_conjugation_entries(lam, n, target)
         mismatches.append(mismatch)
         if not mismatch:
-            witness = G.element(UnitScalar.of(lam), k)
+            witness = G.element(lam, k)
             certs.append(Certificate.make(subject, witness, Inverse()))
     if len(set(mismatches)) != 1:
         raise TheoremViolation("the (1,3) obstruction varied with lambda")

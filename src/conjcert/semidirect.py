@@ -94,13 +94,12 @@ class SemidirectProduct:
     """Group on pairs (h, n); the action is conjugation of H on N."""
 
     def __init__(self, action: Callable, n_multiply: Callable, n_inverse: Callable,
-                 n_identity, h_identity, name: str = "semidirect"):
+                 n_identity, h_identity):
         self.action = action
         self.n_multiply = n_multiply
         self.n_inverse = n_inverse
         self.n_identity = n_identity
         self.h_identity = h_identity
-        self.name = name
 
     def element(self, h, n) -> "SemidirectElement":
         return SemidirectElement(self, h, n)
@@ -210,14 +209,13 @@ class CentralSeriesPresentation:
     of H on N, and per-level quotient data for the central series."""
 
     def __init__(self, field: Field, multiply: Callable, inverse: Callable, identity,
-                 action: Callable, levels: Sequence[CentralSeriesLevel], name: str = "N"):
+                 action: Callable, levels: Sequence[CentralSeriesLevel]):
         self.field = field
         self.multiply = multiply
         self.inverse = inverse
         self.identity = identity
         self.action = action
         self.levels = tuple(levels)
-        self.name = name
         self._plans: dict = {}
 
     def lift_plan(self, x) -> "LiftPlan":
@@ -256,7 +254,7 @@ class CentralSeriesPresentation:
 
     def semidirect(self, h_identity) -> SemidirectProduct:
         return SemidirectProduct(self.action, self.multiply, self.inverse,
-                                 self.identity, h_identity, name=self.name)
+                                 self.identity, h_identity)
 
 
 def vector_presentation(field: Field, dim: int, matrix_of: Callable) -> CentralSeriesPresentation:
@@ -274,7 +272,6 @@ def vector_presentation(field: Field, dim: int, matrix_of: Callable) -> CentralS
         identity=Vector.zero(field, dim),
         action=lambda h, v: matrix_of(h).apply(v),
         levels=[level],
-        name="vector",
     )
 
 

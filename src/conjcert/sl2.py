@@ -3,9 +3,9 @@ reality/rationality classifier for SL(2,Q) |x V_n.
 
 V_n is the space of homogeneous degree-n polynomials in x, y with the
 monomial basis x^n, x^(n-1) y, ..., y^n (coefficient a_i on x^(n-i) y^i).
-Substituting a matrix into the variables can be read in two orders; the
-module picks, once and empirically, the order that makes the map a genuine
-homomorphism.  Under that convention diag(r, 1/r) maps to
+g = [[a, b], [c, d]] acts by p |-> p((x, y) g) = p(ax + cy, bx + dy).  This
+order of substitution is a homomorphism: rho(g) rho(h) p = (rho(h) p)((x, y) g)
+= p((x, y) g h) = rho(gh) p.  Under it diag(r, 1/r) maps to
 diag(r^n, r^(n-2), ..., r^-n) and the antidiagonal witnesses
 [[0, t], [-1/t, 0]] map to antidiagonal matrices whose middle entry for
 even n is (-1)^(n/2) -- the sign that decides solvability of the
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import UsageError
 from .fields import QQ
@@ -59,6 +59,8 @@ DEFAULT_T_GRID = tuple(
                           3, -3, Fraction(1, 3), Fraction(-1, 3))
 )
 _DIAG_GRID = tuple(Fraction(s) for s in (1, 2, Fraction(1, 2), 3))
+_SEARCHED_FAMILIES = ("-I", f"antidiagonal t in {tuple(str(t) for t in DEFAULT_T_GRID)}",
+                      "diagonal-conjugated antidiagonals")
 
 
 @dataclass(frozen=True)
@@ -131,20 +133,12 @@ def _binomial_expansion(p, q, e: int) -> list[tuple[int, Fraction]]:
     return [(j, comb(e, j) * p ** (e - j) * q ** j) for j in range(e + 1)]
 
 
-def _substitution_matrix(g: SL2Element, n: int, row_convention: bool) -> Matrix:
-    """Matrix of p |-> p(first, second) in the monomial basis, where
-    (first, second) = (ax+cy, bx+dy) for the row convention and
-    (ax+by, cx+dy) otherwise."""
-    if row_convention:
-        first = (g.a, g.c)
-        second = (g.b, g.d)
-    else:
-        first = (g.a, g.b)
-        second = (g.c, g.d)
+def _substitution_matrix(g: SL2Element, n: int) -> Matrix:
+    """Matrix of p |-> p(ax + cy, bx + dy) in the monomial basis."""
     cols = []
     for i in range(n + 1):
-        lhs = _binomial_expansion(first[0], first[1], n - i)
-        rhs = _binomial_expansion(second[0], second[1], i)
+        lhs = _binomial_expansion(g.a, g.c, n - i)
+        rhs = _binomial_expansion(g.b, g.d, i)
         out = [Fraction(0)] * (n + 1)
         for j1, c1 in lhs:
             for j2, c2 in rhs:
@@ -154,33 +148,12 @@ def _substitution_matrix(g: SL2Element, n: int, row_convention: bool) -> Matrix:
                   tuple(cols[i][j] for j in range(n + 1) for i in range(n + 1)))
 
 
-@lru_cache(maxsize=1)
-def _row_convention() -> bool:
-    """Pick the substitution order that composes covariantly.
-
-    Tested once on non-commuting sample pairs; exactly one order is a
-    homomorphism and it is kept for every later call."""
-    samples = [
-        (SL2Element.of(1, 1, 0, 1), SL2Element.of(1, 0, 1, 1)),
-        (SL2Element.of(2, 0, 0, Fraction(1, 2)), SL2Element.of(0, 1, -1, 0)),
-    ]
-    for convention in (True, False):
-        ok = all(
-            _substitution_matrix(g * h, 3, convention)
-            == _substitution_matrix(g, 3, convention) * _substitution_matrix(h, 3, convention)
-            for g, h in samples
-        )
-        if ok:
-            return convention
-    raise AssertionError("neither substitution order is a homomorphism")
-
-
 @lru_cache(maxsize=4096)
 def rho(g: SL2Element, n: int) -> Matrix:
     """The (n+1)-dimensional symmetric-power image of g, exact over Q."""
     if n < 0:
         raise UsageError("degree must be nonnegative")
-    return _substitution_matrix(g, n, _row_convention())
+    return _substitution_matrix(g, n)
 
 
 @dataclass(frozen=True)
@@ -235,21 +208,19 @@ class RationalityResult:
     reason: str = ""
 
 
-def negation_witness_search(v: Vector, n: int,
-                            t_grid: Sequence = DEFAULT_T_GRID,
-                            diag_grid: Sequence = _DIAG_GRID) -> Optional[SL2Element]:
-    """First h from the configured families with rho(h) v = -v, if any.
+def negation_witness_search(v: Vector, n: int) -> Optional[SL2Element]:
+    """First h from the searched families with rho(h) v = -v, if any.
 
-    Families: -I; antidiagonals [[0,t],[-1/t,0]] over the t grid; those
-    antidiagonals conjugated by diagonal elements over a small grid."""
+    Families: -I; antidiagonals [[0,t],[-1/t,0]] over DEFAULT_T_GRID; those
+    antidiagonals conjugated by diagonal elements over _DIAG_GRID."""
     target = -v
     minus_i = SL2Element.of(-1, 0, 0, -1)
     candidates = [minus_i]
-    for t in t_grid:
+    for t in DEFAULT_T_GRID:
         candidates.append(antidiagonal_witness(t))
-    for s in diag_grid:
+    for s in _DIAG_GRID:
         d = SL2Element.diagonal(s)
-        for t in t_grid:
+        for t in DEFAULT_T_GRID:
             candidates.append(d * antidiagonal_witness(t) * d.inverse())
     seen = set()
     for h in candidates:
@@ -274,11 +245,6 @@ def _forced_not_real(v: Vector, n: int) -> Optional[str]:
         return (f"v is supported on the pure {mono} coordinate; rho(h)v is a "
                 f"scaled n-th power of a linear form and cannot equal -v for even n")
     return None
-
-
-def _searched_families(t_grid) -> tuple:
-    return ("-I", f"antidiagonal t in {tuple(str(t) for t in t_grid)}",
-            "diagonal-conjugated antidiagonals")
 
 
 def classify_real(x: SL2Element, v: Vector, t=Fraction(1)) -> RealityResult:
@@ -308,7 +274,7 @@ def classify_real(x: SL2Element, v: Vector, t=Fraction(1)) -> RealityResult:
             return RealityResult("not_real", reason=forced)
         return RealityResult("unknown",
                              reason="no negating element found in the bounded families",
-                             searched=_searched_families(DEFAULT_T_GRID))
+                             searched=_SEARCHED_FAMILIES)
 
     h = antidiagonal_witness(t)
     Y = rho(h, n)

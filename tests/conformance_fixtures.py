@@ -22,7 +22,7 @@ from conjcert.affine import EigenOneSplitting
 from conjcert.errors import ConjcertError, SingularMatrixError, TheoremViolation, UsageError
 from conjcert.fields import QQ
 from conjcert.groups import Certificate, Inverse
-from conjcert.heisenberg import GSpElement, HeisenbergElement, heisenberg_presentation
+from conjcert.heisenberg import GSpElement, HeisenbergElement, gsp_act
 from conjcert.linalg import Matrix, Vector, has_fixed_point
 from conjcert.semidirect import (
     CentralSeriesLevel,
@@ -84,7 +84,6 @@ def rotation_instance() -> SolvableInstance:
         n_inverse=lambda u: -u,
         n_identity=Vector.zero(QQ, 2),
         h_identity=quarter.identity(),
-        name="quarter-turns on Q^2",
     )
     grid = [Vector.of(QQ, [a, b])
             for a in (-2, -1, 0, 1, 2) for b in (-2, -1, 0, 1, 2)]
@@ -95,6 +94,29 @@ def rotation_instance() -> SolvableInstance:
                             candidates)
 
 
+def _h3_presentation() -> CentralSeriesPresentation:
+    """H_3 > Z(H_3) > {e} over Q, with quotients Q^2 and the center line;
+    the library presents only H_5."""
+    zero = HeisenbergElement.of(QQ, [0, 0], 0)
+    levels = [
+        CentralSeriesLevel(
+            dim=2,
+            project=lambda n: n.v,
+            section=lambda vec: HeisenbergElement(vec, QQ.zero()),
+            act=lambda g: g.g,
+        ),
+        CentralSeriesLevel(
+            dim=1,
+            project=lambda n: Vector(QQ, (n.t,)),
+            section=lambda vec: HeisenbergElement(zero.v, vec[0]),
+            act=lambda g: Matrix(QQ, 1, 1, (g.mu,)),
+        ),
+    ]
+    return CentralSeriesPresentation(QQ, multiply=lambda a, b: a * b,
+                                     inverse=lambda a: a.inverse(), identity=zero,
+                                     action=gsp_act, levels=levels)
+
+
 def torus_on_heisenberg_instance() -> SolvableInstance:
     """diag(s, 1/s) inside Sp(2) = SL(2) acting on the 3-dimensional
     Heisenberg group (the similitude factor is 1, so the center is fixed)."""
@@ -102,7 +124,7 @@ def torus_on_heisenberg_instance() -> SolvableInstance:
         return GSpElement.of(Matrix.from_rows(QQ, [[s, 0], [0, Fraction(1, 1) / Fraction(s)]]))
 
     acting = [torus(1), torus(-1), torus(2), torus(Fraction(1, 2)), torus(3)]
-    pres = heisenberg_presentation(QQ, base_dim=2)
+    pres = _h3_presentation()
     group = pres.semidirect(acting[0].identity())
     n_sample = [
         HeisenbergElement.of(QQ, [1, 2], Fraction(1, 2)),
@@ -144,7 +166,6 @@ def minus_identity_two_level_instance() -> SolvableInstance:
         identity=Vector.zero(QQ, 4),
         action=lambda h, n: h.apply(n),
         levels=levels,
-        name="Q4-sign-flip",
     )
     group = pres.semidirect(ident)
     grid = [Vector.of(QQ, [a, b, c, d])

@@ -319,7 +319,7 @@ def test_unique_conjugator_and_certificates():
 
     # image-block restriction of the 3-cycle: order 3, no fixed point
     cycle = f_mat(QQ, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-    split = split_at_eigenvalue_one(cycle, 3)
+    split = split_at_eigenvalue_one(cycle)
     cycle_block = split.restricted
     block_witness = extract_block_certificate(
         rationality_certificates_linear(cycle, 3).certificates[2], cycle, 2, split)

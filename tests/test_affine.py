@@ -66,18 +66,18 @@ def test_linear_certificates_detect_non_rational():
 
 
 def test_split_identity():
-    s = split_at_eigenvalue_one(Matrix.identity_of(QQ, 2), 1)
+    s = split_at_eigenvalue_one(Matrix.identity_of(QQ, 2))
     assert s.kernel_dim == 2 and s.image_dim == 0
     assert s.restricted.rows == 0
 
 
 def test_split_minus_identity():
-    s = split_at_eigenvalue_one(-Matrix.identity_of(QQ, 2), 2)
+    s = split_at_eigenvalue_one(-Matrix.identity_of(QQ, 2))
     assert s.kernel_dim == 0 and s.image_dim == 2
 
 
 def test_split_three_cycle():
-    s = split_at_eigenvalue_one(THREE_CYCLE, 3)
+    s = split_at_eigenvalue_one(THREE_CYCLE)
     assert s.kernel_dim == 1 and s.image_dim == 2
     k = s.kernel[0]
     assert k[0] == k[1] == k[2] != 0
@@ -90,11 +90,11 @@ def test_split_three_cycle():
 
 def test_split_rejects_infinite_order():
     with pytest.raises(UsageError):
-        split_at_eigenvalue_one(mat([[1, 1], [0, 1]]), 4)
+        split_at_eigenvalue_one(mat([[1, 1], [0, 1]]))
 
 
 def test_extract_block_three_cycle():
-    s = split_at_eigenvalue_one(THREE_CYCLE, 3)
+    s = split_at_eigenvalue_one(THREE_CYCLE)
     g = rationality_certificates_linear(THREE_CYCLE, 3).certificates[2]
     block = extract_block_certificate(g, THREE_CYCLE, 2, s)
     assert block * s.restricted * block.inverse() == s.restricted ** 2
@@ -102,7 +102,7 @@ def test_extract_block_three_cycle():
 
 def test_extract_block_zero_kernel_is_whole_conjugate():
     x = -Matrix.identity_of(QQ, 2)
-    s = split_at_eigenvalue_one(x, 2)
+    s = split_at_eigenvalue_one(x)
     g = mat([[1, 2], [3, 7]])
     block = extract_block_certificate(g, x, 1, s)
     assert block == g  # change of basis is scalar, so the restriction is g itself
@@ -110,7 +110,7 @@ def test_extract_block_zero_kernel_is_whole_conjugate():
 
 def test_extract_block_identity_empty():
     x = Matrix.identity_of(QQ, 2)
-    s = split_at_eigenvalue_one(x, 1)
+    s = split_at_eigenvalue_one(x)
     g = mat([[2, 1], [1, 1]])
     block = extract_block_certificate(g, x, 1, s)
     assert block.rows == 0 and block.cols == 0
@@ -130,7 +130,7 @@ def test_classify_block_route():
     cert = res.certificates[2]
     assert cert.verified
     # round trip: the witness's linear part restricts to a block witness
-    s = split_at_eigenvalue_one(THREE_CYCLE, 3)
+    s = split_at_eigenvalue_one(THREE_CYCLE)
     lifted = cert.witness.linear
     block = extract_block_certificate(lifted, THREE_CYCLE, 2, s)
     assert block * s.restricted * block.inverse() == s.restricted ** 2
@@ -424,7 +424,7 @@ def test_krylov_conjugators_with_repeated_blocks(orders, data):
     x = P * c * P.inverse()
     res = rationality_certificates_linear(x, m)
     assert res.complete and res.order == m
-    splitting = split_at_eigenvalue_one(x, m)
+    splitting = split_at_eigenvalue_one(x)
     coprime = [k for k in range(1, m) if gcd(k, m) == 1]
     assert sorted(res.certificates) == coprime
     for k in coprime:

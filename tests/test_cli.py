@@ -141,6 +141,19 @@ def test_decimal_scalars_rejected(tmp_path, capsys):
     assert main(["run", path]) == 2
 
 
+STRICT_FIELDS = {"Q": "Q", "Qi": "Qi", "F7": {"type": "Fp", "p": 7}}
+
+
+@pytest.mark.parametrize("token", ["1.5", "1e3", "1/0", "0x10", "1/-2", ""])
+@pytest.mark.parametrize("field", sorted(STRICT_FIELDS))
+def test_inexact_scalar_tokens_rejected(tmp_path, capsys, field, token):
+    scenario = {"schema_version": 1, "kind": "affine",
+                "params": {"field": STRICT_FIELDS[field], "x": [["1"]], "order": 1},
+                "elements": [{"v": [token]}]}
+    assert main(["run", write_json(tmp_path / "scenario.json", scenario)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_unknown_kind_rejected(tmp_path, capsys):
     path = write_json(tmp_path / "scenario.json",
                       {"schema_version": 1, "kind": "mystery", "elements": []})
@@ -359,29 +372,51 @@ def test_verify_rejects_non_list_fields(tmp_path, capsys, edit, message):
     assert main(["verify", write_json(tmp_path / "report.json", report)]) == 1
     assert f"verification failure: {message}" in capsys.readouterr().err
 
-def test_traced_lift_verify_sees_every_mapped_layer():
-    """bench/tracer.py wraps GroupCodec.encode and GroupCodec.decode, and
-    counts the lift through semidirect.lift_central_series,
-    SemidirectElement.__mul__ and heisenberg.gsp_act, all by name: a kind
-    record that the runners or verify_report call past those methods, or a
-    lift routed around them, leaves a metric mapped to lift_verify at zero."""
-    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", "lift_verify",
+def test_verify_refuses_a_zero_unit_scalar(tmp_path, capsys):
+    """H = Q(i)^x is carried as plain scalars, so the decoder itself refuses
+    a witness whose acting part is 0."""
+    scenario = json.loads((ROOT / "scenarios" / "solvable_complex_heisenberg.json").read_text())
+    report = build_report(scenario, 0, DEFAULT_BOUND)
+    assert report["results"][0]["certificates"]
+
+    def zero_h(payload):
+        payload["results"][0]["certificates"][0]["witness"]["h"] = "0"
+
+    message = "result 0 certificate 0: unit scalar must be nonzero"
+    forged = forge(report, zero_h)
+    assert verify_report(forged) == [message]
+    assert main(["verify", write_json(tmp_path / "report.json", forged)]) == 1
+    err = capsys.readouterr().err
+    assert f"verification failure: {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("workload", ["finite_gl23", "sl2v_sweep", "affine_kron",
+                                      "lift_verify"])
+def test_traced_workload_sees_every_mapped_layer(workload):
+    """bench/tracer.py wraps route functions, GroupCodec.encode/decode and
+    the lift through semidirect.lift_central_series, SemidirectElement.__mul__
+    and heisenberg.gsp_act, all by name: a kind record that the runners or
+    verify_report call past those methods, or a route taken around them,
+    leaves a metric mapped to the workload at zero."""
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                            "--seconds", "0", "--trace", "1"],
                           cwd=ROOT, capture_output=True, timeout=300, check=False)
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
     out = proc.stdout.decode(errors="replace")
     summary = json.loads(out.splitlines()[-1])
     assert summary["correct"] is True, out[-2000:]
-    reference = json.loads((ROOT / "bench" / "fingerprints.json").read_text())["lift_verify"]["0"]
+    reference = json.loads((ROOT / "bench" / "fingerprints.json").read_text())[workload]["0"]
     assert re.search(r"\bfingerprint=(\w+)", out).group(1) == reference
     spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    mapped = {name for name, _, nonzero_on in tracer.PER_LAYER if "lift_verify" in nonzero_on}
-    assert {"semidirect.lift_calls", "semidirect.pair_mults", "heisenberg.gsp_act_calls",
-            "cli.encode_s", "cli.decode_s"} <= mapped
+    mapped = {name for name, _, nonzero_on in tracer.PER_LAYER if workload in nonzero_on}
     zero = sorted(name for name in mapped if not summary["metrics"][name]["value"])
     assert not zero, zero
+    if workload != "lift_verify":
+        return
+    assert {"semidirect.lift_calls", "semidirect.pair_mults", "heisenberg.gsp_act_calls",
+            "cli.encode_s", "cli.decode_s"} <= mapped
     # the lift and the complex Heisenberg solve work in N alone, so every
     # pair product left is one of the two of a certificate's re-multiplication
     value = {name: metric["value"] for name, metric in summary["metrics"].items()}

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from conjcert import heisenberg
 from conjcert.errors import UsageError
 from conjcert.fields import GaussianRational, QQ, QQI
 from conjcert.groups import Certificate, Inverse
@@ -12,7 +11,6 @@ from conjcert.heisenberg import (
     ComplexHeisenbergElement,
     GSpElement,
     HeisenbergElement,
-    UnitScalar,
     complex_heisenberg_group,
     complex_heisenberg_reality,
     gsp_act,
@@ -212,7 +210,7 @@ def test_complex_heisenberg_group_axioms():
             GaussianRational.of(rng.randint(-3, 3), rng.randint(-3, 3)),
             GaussianRational.of(rng.randint(-3, 3), rng.randint(-3, 3)),
             GaussianRational.of(rng.randint(-3, 3), rng.randint(-3, 3)))
-        return G.element(UnitScalar.of(lam), n)
+        return G.element(lam, n)
 
     for _ in range(20):
         a, b, c = rnd(), rnd(), rnd()
@@ -268,26 +266,10 @@ def test_complex_heisenberg_witness_ignores_center_entry():
     # the central coordinate of the conjugator never shows up
     G = complex_heisenberg_group()
     n = ComplexHeisenbergElement.of(2, 1, 1)
-    subject = G.element(UnitScalar.of(QQI.coerce(-1)), n)
+    subject = G.element(QQI.coerce(-1), n)
     verdict = complex_heisenberg_reality(n, -1)
     base = verdict.certificates[2]  # lambda = i
     k = base.witness.n
     for z in (QQI.coerce(7), GaussianRational.of(1, -2)):
         shifted = G.element(base.witness.h, ComplexHeisenbergElement(k.a, k.b, z))
         assert Certificate.make(subject, shifted, Inverse()).verified
-
-
-@pytest.mark.parametrize("grid", [(), (QQI.one(), QQI.zero(), QQI.coerce(2)), (0,)],
-                         ids=["empty", "zero-inside", "int-zero"])
-@pytest.mark.parametrize("x_sign", [-1, 1])
-def test_complex_heisenberg_refuses_a_degenerate_lambda_grid(monkeypatch, grid, x_sign):
-    """An empty grid used to pass no lambda to the invariance check (a false
-    theorem alarm) and lambda = 0 to divide by zero; both are refused
-    before the forced entries are solved."""
-    def unreachable(*args):
-        raise AssertionError("solved forced entries for a degenerate grid")
-
-    monkeypatch.setattr(heisenberg, "_solve_conjugation_entries", unreachable)
-    with pytest.raises(UsageError, match="lambda grid"):
-        complex_heisenberg_reality(ComplexHeisenbergElement.of(2, 1, 1), x_sign,
-                                   lambda_grid=grid)

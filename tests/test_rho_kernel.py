@@ -16,7 +16,6 @@ from conjcert.fields import QQ
 from conjcert.linalg import Matrix
 from conjcert.sl2 import (
     SL2Element,
-    _row_convention,
     _substitution_matrix,
     antidiagonal_witness,
     rho,
@@ -31,13 +30,13 @@ def dense_binomial(p, q, e):
     return [comb(e, j) * p ** (e - j) * q ** j for j in range(e + 1)]
 
 
-def dense_substitution(g, n, row_convention):
-    first, second = ((g.a, g.c), (g.b, g.d)) if row_convention else ((g.a, g.b), (g.c, g.d))
+def dense_substitution(g, n):
+    """p |-> p(ax + cy, bx + dy), the substitution p((x, y) g)."""
     cols = []
     for i in range(n + 1):
         out = [Fraction(0)] * (n + 1)
-        for j1, c1 in enumerate(dense_binomial(*first, n - i)):
-            for j2, c2 in enumerate(dense_binomial(*second, i)):
+        for j1, c1 in enumerate(dense_binomial(g.a, g.c, n - i)):
+            for j2, c2 in enumerate(dense_binomial(g.b, g.d, i)):
                 out[j1 + j2] += c1 * c2
         cols.append(out)
     return Matrix(QQ, n + 1, n + 1,
@@ -78,18 +77,17 @@ elements = st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(elements, degrees, st.booleans())
-def test_substitution_matrix_matches_dense_convolution(h, n, row_convention):
-    assert _substitution_matrix(h, n, row_convention) == dense_substitution(h, n, row_convention)
+@given(elements, degrees)
+def test_substitution_matrix_matches_dense_convolution(h, n):
+    assert _substitution_matrix(h, n) == dense_substitution(h, n)
 
 
 @settings(max_examples=60, deadline=None)
 @given(monomial_elements, monomial_elements, degrees)
 def test_rho_is_multiplicative_on_monomial_elements(g, h, n):
-    convention = _row_convention()
-    product = _substitution_matrix(g * h, n, convention)
-    assert product == _substitution_matrix(g, n, convention) * _substitution_matrix(h, n, convention)
-    assert rho(g * h, n) == product == dense_substitution(g * h, n, convention)
+    product = _substitution_matrix(g * h, n)
+    assert product == _substitution_matrix(g, n) * _substitution_matrix(h, n)
+    assert rho(g * h, n) == product == dense_substitution(g * h, n)
 
 
 # -- work guard ----------------------------------------------------------------
@@ -98,7 +96,6 @@ def test_monomial_rho_multiplication_budget(monkeypatch):
     """rho of a diagonal or antidiagonal h is monomial; the full convolution
     makes 3,575 Fraction multiplications for it at n = 24, the
     nonzero-term build one per column."""
-    convention = _row_convention()
     n = 24
     count = [0]
     multiply = Fraction.__mul__
@@ -110,17 +107,16 @@ def test_monomial_rho_multiplication_budget(monkeypatch):
     for h in (SL2Element.diagonal(Fraction(5, 3)), antidiagonal_witness(Fraction(1, 2))):
         count[0] = 0
         monkeypatch.setattr(Fraction, "__mul__", counted)
-        matrix = _substitution_matrix(h, n, convention)
+        matrix = _substitution_matrix(h, n)
         monkeypatch.undo()
         assert count[0] <= 4 * (n + 1), (h, count[0])
-        assert matrix == dense_substitution(h, n, convention)
+        assert matrix == dense_substitution(h, n)
         assert sum(1 for e in matrix.entries if e) == n + 1
 
 
 def test_general_rho_still_matches_reference():
-    convention = _row_convention()
     h = SL2Element.of(2, 3, 1, 2)
-    assert _substitution_matrix(h, 24, convention) == dense_substitution(h, 24, convention)
+    assert _substitution_matrix(h, 24) == dense_substitution(h, 24)
 
 
 # -- tracer smoke test ----------------------------------------------------------

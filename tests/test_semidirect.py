@@ -322,7 +322,6 @@ def two_level_abelian_presentation(field=QQ):
         identity=Vector.zero(field, 4),
         action=lambda h, n: h.apply(n),
         levels=levels,
-        name="Q4-two-level",
     )
 
 
