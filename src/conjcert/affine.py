@@ -45,7 +45,7 @@ from math import gcd
 from typing import Optional
 
 from .errors import SingularMatrixError, TheoremViolation, UsageError
-from .groups import Certificate, Power, element_order, element_power
+from .groups import Certificate, Power, element_power
 from .linalg import Matrix, Vector, column_space_basis, kernel_basis, solve_linear
 from .semidirect import AffineElement, make_power_witness, make_real_witness
 
@@ -282,15 +282,6 @@ def _cyclic_conjugators(x: Matrix):
     return conjugator
 
 
-def _coprime_powers(x: Matrix, order: int):
-    """(k, x^k) for 1 < k < order coprime to order, by one running product."""
-    power = x
-    for k in range(2, order):
-        power = power * x
-        if gcd(k, order) == 1:
-            yield k, power
-
-
 def rationality_certificates_linear(x: Matrix, m: int) -> LinearRationalityResult:
     """Conjugators g x g^-1 = x^k for every generating power k, read off one
     cyclic decomposition of x, or the k for which none exists.  Each g is
@@ -301,14 +292,21 @@ def rationality_certificates_linear(x: Matrix, m: int) -> LinearRationalityResul
     ident = Matrix.identity_of(x.field, x.rows)
     if x ** m != ident:
         raise UsageError(f"x^{m} != I")
-    order = element_order(x, bound=m + 1).value
+    powers = [ident]  # x^0, ..., x^(order - 1), by one running product
+    power = x
+    while power != ident:
+        powers.append(power)
+        power = power * x
+    order = len(powers)
     # g is the identity on F^n / im(x - I) iff g^T fixes these functionals
     cokernel = tuple(kernel_basis((x - ident).transpose()))
     conjugator = _cyclic_conjugators(x) if order > 2 else None
     certs = {1: ident}
     not_rational = []
     note = ""
-    for k, target in _coprime_powers(x, order):
+    for k, target in enumerate(powers[2:], start=2):
+        if gcd(k, order) != 1:
+            continue
         g, moved = conjugator(target)
         if moved is not None:
             i, f, g_i = moved

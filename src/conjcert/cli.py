@@ -18,7 +18,6 @@ import hashlib
 import json
 import os
 import sys
-import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -139,9 +138,9 @@ def _encode_heisenberg(field: Field, element) -> dict:
 
 
 def _decode_heisenberg(field: Field, payload: dict):
-    g = GSpElement.of(_matrix_in(field, payload["h"]))
-    n = HeisenbergElement.of(field, _vector_in(field, payload["n"]["v"]),
-                             _scalar_in(field, payload["n"]["t"]))
+    g = GSpElement.of(_matrix_in(QQ, payload["h"]))
+    n = HeisenbergElement.of(QQ, _vector_in(QQ, payload["n"]["v"]),
+                             _scalar_in(QQ, payload["n"]["t"]))
     return heisenberg_presentation().semidirect(g.identity()).element(g, n)
 
 
@@ -350,15 +349,13 @@ def _digest(payload: dict) -> str:
     return "sha256:" + hashlib.sha256(_canonical(payload).encode()).hexdigest()
 
 
-def build_report(scenario: dict, seed: int, bound: int, timing: bool = False) -> dict:
+def build_report(scenario: dict, seed: int, bound: int) -> dict:
     if scenario.get("schema_version") != SCHEMA_VERSION:
         raise UsageError(f"unsupported scenario schema_version "
                          f"{scenario.get('schema_version')!r}")
     params = scenario.get("params", {})
     codec = GroupCodec(scenario.get("kind"), params)
-    started = time.monotonic()
     results = codec.kind.run(codec, params, scenario.get("elements", []), bound)
-    elapsed = time.monotonic() - started
     payload = {
         "schema_version": SCHEMA_VERSION,
         "tool": "conjcert",
@@ -367,8 +364,6 @@ def build_report(scenario: dict, seed: int, bound: int, timing: bool = False) ->
         "bound": bound,
         "results": results,
     }
-    if timing:
-        payload["timing_seconds"] = round(elapsed, 6)
     return {**payload, "integrity": _digest(payload)}
 
 
@@ -485,8 +480,6 @@ def main(argv=None) -> int:
     fmt.add_argument("--text", action="store_false", dest="as_json")
     run_p.add_argument("--verify-only", action="store_true",
                        help="suppress the report; emit only the verification summary")
-    run_p.add_argument("--timing", action="store_true",
-                       help="include wall-clock timing (makes reports nondeterministic)")
 
     verify_p = sub.add_parser("verify", help="re-verify every certificate in a report")
     verify_p.add_argument("report", help="path to a report JSON file")
@@ -497,7 +490,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             scenario = _load_json(args.scenario)
             seed = _resolve_seed(args.seed, scenario)
-            report = build_report(scenario, seed, args.bound, timing=args.timing)
+            report = build_report(scenario, seed, args.bound)
         else:
             report = _load_json(args.report)
         failures = verify_report(report)

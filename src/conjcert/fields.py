@@ -27,7 +27,10 @@ from math import gcd, lcm
 
 from .errors import UsageError
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+# ASCII digits only: int() also takes "_" separators, and both int() and \d
+# take the digits of other scripts, such as "٣" and "３"
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 __all__ = [
     "Field",
@@ -227,7 +230,7 @@ def _quotient(x, y) -> GaussianRational:
 
 
 def _strict_fraction(token: str, original: str) -> Fraction:
-    if not _RATIONAL_RE.match(token):
+    if not _RATIONAL_RE.fullmatch(token):
         raise UsageError(f"not an exact scalar (decimals rejected): {original!r}")
     return Fraction(token)
 
@@ -460,10 +463,10 @@ class PrimeField(Field):
         raise UsageError(f"cannot coerce {value!r} into F_{self.p}")
 
     def parse(self, text: str):
-        try:
-            return FpElement(int(text.strip(), 10) % self.p, self.p)
-        except ValueError as exc:
-            raise UsageError(f"not a residue mod {self.p}: {text!r}") from exc
+        token = text.strip()
+        if not _INTEGER_RE.fullmatch(token):
+            raise UsageError(f"not a residue mod {self.p}: {text!r}")
+        return FpElement(int(token) % self.p, self.p)
 
     def __repr__(self):
         return f"GF({self.p})"

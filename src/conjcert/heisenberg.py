@@ -1,7 +1,7 @@
 """Concrete groups: GSp(4) acting on the 5-dimensional Heisenberg group, and
 the complex Heisenberg family.
 
-The Heisenberg group H_{2m+1} is carried as pairs (v, t) with
+The Heisenberg group H_{2m+1} over Q is carried as pairs (v, t) with
 (v,t)(v',t') = (v+v', t+t'+ w(v,v')/2) for the standard symplectic form
 w(v,v') = v^T J v'.  Similitudes act by (v,t) |-> (g v, mu(g) t).
 """
@@ -55,68 +55,40 @@ def symplectic_form(field, base_dim: int) -> Matrix:
     return Matrix(field, base_dim, base_dim, tuple(entries))
 
 
-@lru_cache(maxsize=64)
-def _half(field):
-    """1/2 in field and its integer view (D, [n]) from ``linalg._scaled``
-    (None without an integer kernel), computed once per field."""
-    one = field.one()
-    half = one / (one + one)
-    return half, _scaled(field, (half,))
-
-
 @dataclass(frozen=True)
 class HeisenbergElement:
-    """(v, t) in H_{2m+1}; the center is {(0, t)}."""
+    """(v, t) in H_{2m+1} over Q; the center is {(0, t)}."""
 
     v: Vector
     t: object
 
     @staticmethod
     def of(field, v, t) -> "HeisenbergElement":
-        if field.characteristic == 2:
-            raise UsageError("Heisenberg multiplication needs 1/2")
-        vector = v if isinstance(v, Vector) else Vector.of(field, v)
-        return HeisenbergElement(vector, field.coerce(t))
-
-    @property
-    def field(self):
-        return self.v.field
+        """(v, t) with entries coerced into ``field``, which must be Q."""
+        if field != QQ:
+            raise UsageError(f"the Heisenberg group is built over Q only, not {field!r}")
+        return HeisenbergElement(Vector.of(QQ, v), QQ.coerce(t))
 
     def __mul__(self, other: "HeisenbergElement") -> "HeisenbergElement":
         """(v, t)(v', t') = (v + v', t + t' + omega/2), with omega = v^T J v'
         in its block form sum_{i<m} (v_i v'_{i+m} - v_{i+m} v'_i), so no J
-        is applied.  Over Q and F_p with a residue table each operand's
-        (v, t) is read as integers once (``linalg._scaled``) and each output
-        entry normalised once; other fields, and operands over different
-        fields, run the same formula on scalars."""
-        field = self.v.field
+        is applied.  Each operand's (v, t) is read as integers over one
+        denominator once (``linalg._scaled``) and each output entry
+        normalised once."""
         self.v._same_shape(other.v)
         m = self.v.dim // 2
-        half, half_ints = _half(field)
-        if half_ints is not None and other.v.field == field:
-            dv, a = _scaled(field, self.v.entries + (self.t,))
-            dw, b = _scaled(field, other.v.entries + (other.t,))
-            hd, (hn,) = half_ints
-            omega = sum([a[i] * b[i + m] - a[i + m] * b[i] for i in range(m)])
-            sums = [x * dw + y * dv for x, y in zip(a, b)]
-            t = _from_ints(field, hd * dv * dw, [sums.pop() * hd + hn * omega])[0]
-            return HeisenbergElement(Vector(field, _from_ints(field, dv * dw, sums)), t)
-        v = self.v + other.v
-        vs, ws = self.v.entries, other.v.entries
-        omega = field.zero()
-        for i in range(m):
-            j = i + m
-            if vs[i] and ws[j]:
-                omega = omega + vs[i] * ws[j]
-            if vs[j] and ws[i]:
-                omega = omega - vs[j] * ws[i]
-        return HeisenbergElement(v, self.t + other.t + half * omega)
+        dv, a = _scaled(QQ, self.v.entries + (self.t,))
+        dw, b = _scaled(QQ, other.v.entries + (other.t,))
+        omega = sum([a[i] * b[i + m] - a[i + m] * b[i] for i in range(m)])
+        sums = [x * dw + y * dv for x, y in zip(a, b)]
+        t = _from_ints(QQ, 2 * dv * dw, [2 * sums.pop() + omega])[0]
+        return HeisenbergElement(Vector(QQ, _from_ints(QQ, dv * dw, sums)), t)
 
     def inverse(self) -> "HeisenbergElement":
         return HeisenbergElement(-self.v, -self.t)
 
     def identity(self) -> "HeisenbergElement":
-        return HeisenbergElement(Vector.zero(self.field, self.v.dim), self.field.zero())
+        return HeisenbergElement(Vector.zero(QQ, self.v.dim), QQ.zero())
 
     def is_central(self) -> bool:
         return self.v.is_zero()

@@ -17,8 +17,9 @@ residue-table element for s mod p; ``apply`` scales the vector the same way
 once per call.  So a product makes no ``Fraction`` or ``FpElement``
 arithmetic, where a scalar loop would normalise every ``+`` and ``*``.  The
 view is kept on the instance outside ``==``, ``hash``, ``repr`` and the
-pickled state.  ℚ(i), 𝔽_p for p above ``fields.RESIDUE_TABLE_MAX``, and
-operands over different fields take the scalar loop.
+pickled state.  ℚ(i), and 𝔽_p for p above ``fields.RESIDUE_TABLE_MAX``, take
+the scalar loop, their only path.  ``*``, ``apply``, ``+``, ``-`` and ``dot``
+refuse operands over two fields with ``UsageError``.
 
 The other kernels skip zeros rather than multiply them out: the row update
 runs over the nonzero entries of the pivot row and passes over rows whose
@@ -109,6 +110,8 @@ class Vector:
     def _same_shape(self, other):
         if not isinstance(other, Vector) or other.dim != self.dim:
             raise DimensionMismatch(f"vector dims {self.dim} vs {getattr(other, 'dim', '?')}")
+        if other.field is not self.field:
+            _same_field(self.field, other.field)
 
     def __repr__(self):
         return "Vector(" + ", ".join(str(e) for e in self.entries) + ")"
@@ -194,8 +197,10 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
+            if other.field is not self.field:
+                _same_field(self.field, other.field)
             m = other.cols
-            if self.field == other.field and self._ints is not None:
+            if self._ints is not None:
                 da, a_cols, a_vals = self._ints
                 db, b_cols, b_vals = other._ints
                 sums = []
@@ -223,7 +228,9 @@ class Matrix:
     def apply(self, v: Vector) -> Vector:
         if self.cols != v.dim:
             raise DimensionMismatch(f"{self.rows}x{self.cols} applied to dim {v.dim}")
-        if self.field == v.field and self._ints is not None:
+        if v.field is not self.field:
+            _same_field(self.field, v.field)
+        if self._ints is not None:
             da, a_cols, a_vals = self._ints
             dv, w = _scaled(self.field, v.entries)
             sums = [sum(map(mul, vals, map(w.__getitem__, cols)))
@@ -315,6 +322,8 @@ class Matrix:
     def _same_shape(self, other):
         if not isinstance(other, Matrix) or (other.rows, other.cols) != (self.rows, self.cols):
             raise DimensionMismatch("shape mismatch")
+        if other.field is not self.field:
+            _same_field(self.field, other.field)
 
     def _require_square(self, what: str):
         if not self.is_square:
@@ -323,6 +332,12 @@ class Matrix:
     def __repr__(self):
         rows = [" ".join(str(self[i, j]) for j in range(self.cols)) for i in range(self.rows)]
         return "Matrix[" + "; ".join(rows) + "]"
+
+
+def _same_field(field: Field, other: Field) -> None:
+    """Refuse two fields; callers test ``is`` first, so one field costs no call."""
+    if other != field:
+        raise UsageError(f"operands over two fields: {field!r} and {other!r}")
 
 
 def _nonzeros(entries) -> list:

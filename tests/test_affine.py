@@ -487,9 +487,9 @@ def test_singular_conjugator_raises_theorem_violation(monkeypatch):
 
 
 def test_affine_scenario_derives_x_once(monkeypatch):
-    """x is derived once per scenario: one order computation and one
+    """x is derived once per scenario: one cyclic decomposition and one
     eigenvalue-1 splitting, however many v share x."""
-    calls = {"element_order": 0, "split_at_eigenvalue_one": 0}
+    calls = {"_cyclic_decomposition": 0, "split_at_eigenvalue_one": 0}
     for name in calls:
         def counted(*args, _f=getattr(affine, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -505,7 +505,7 @@ def test_affine_scenario_derives_x_once(monkeypatch):
     report = build_report(scenario, 0, 100)
     assert [r["verdicts"]["rational"] for r in report["results"]] == [
         "infinite_order", "infinite_order", "rational", "infinite_order"]
-    assert calls == {"element_order": 1, "split_at_eigenvalue_one": 1}
+    assert calls == {"_cyclic_decomposition": 1, "split_at_eigenvalue_one": 1}
 
 
 # -- cyclic conjugators against an exhaustive scan of the kron system ----------

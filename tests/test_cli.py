@@ -144,14 +144,31 @@ def test_decimal_scalars_rejected(tmp_path, capsys):
 STRICT_FIELDS = {"Q": "Q", "Qi": "Qi", "F7": {"type": "Fp", "p": 7}}
 
 
-@pytest.mark.parametrize("token", ["1.5", "1e3", "1/0", "0x10", "1/-2", ""])
+def _one_scalar_scenario(field, token):
+    return {"schema_version": 1, "kind": "affine",
+            "params": {"field": STRICT_FIELDS[field], "x": [["1"]], "order": 1},
+            "elements": [{"v": [token]}]}
+
+
+# "1_0", "٣" (Arabic-Indic three) and "３" (fullwidth three) pass int() and \d
+@pytest.mark.parametrize("token", ["1.5", "1e3", "1/0", "0x10", "1/-2", "", "1_0", "٣", "３"])
 @pytest.mark.parametrize("field", sorted(STRICT_FIELDS))
 def test_inexact_scalar_tokens_rejected(tmp_path, capsys, field, token):
-    scenario = {"schema_version": 1, "kind": "affine",
-                "params": {"field": STRICT_FIELDS[field], "x": [["1"]], "order": 1},
-                "elements": [{"v": [token]}]}
+    scenario = _one_scalar_scenario(field, token)
     assert main(["run", write_json(tmp_path / "scenario.json", scenario)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("field, token, value", [
+    ("Q", "+3", "3"), ("Q", " 3 ", "3"), ("Q", "-007/2", "-7/2"),
+    ("Qi", "+3", "3+0 i"), ("Qi", " 3 ", "3+0 i"), ("Qi", "2+-3 i", "2-3 i"),
+    ("F7", "+3", "3"), ("F7", " 3 ", "3"), ("F7", "-010", "4"),
+])
+def test_exact_scalar_tokens_accepted(tmp_path, capsys, field, token, value):
+    scenario = _one_scalar_scenario(field, token)
+    assert main(["run", write_json(tmp_path / "scenario.json", scenario)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"][0]["element"]["translation"] == [value]
 
 
 def test_unknown_kind_rejected(tmp_path, capsys):

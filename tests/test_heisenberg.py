@@ -183,8 +183,8 @@ def test_no_gsp4_involution_is_fixed_point_free_on_both_levels():
 
 
 def test_heisenberg_needs_odd_or_zero_characteristic():
-    # the F_2 analog is excluded: no 1/2, and the 2t = 0 rigidity argument
-    # would fail anyway because of torsion
+    # H_5 is built over Q only; the F_2 analog in particular has no 1/2, and
+    # the 2t = 0 rigidity argument would fail anyway because of torsion
     from conjcert.fields import GF
 
     with pytest.raises(UsageError):

@@ -1,8 +1,9 @@
 """Every module of the package and of the test suite uses every name it
-imports, and every package module binds every name it exports.
+imports, every package module binds every name it exports, and every
+private module-level name of the package is read somewhere in it.
 
-No linter ships with the project, so this is the guard against imports and
-exports left behind when code is deleted.  A name counts as used when it is
+No linter ships with the project, so this is the guard against imports,
+exports and private helpers left behind when code is deleted.  A name counts as used when it is
 read anywhere in the module (annotations included, also string annotations)
 or listed in ``__all__``.  ``__init__.py`` only re-exports and is skipped."""
 
@@ -87,3 +88,26 @@ def test_every_export_is_bound(path):
     bound = _bound(tree)
     unbound = [name for name in _exported(tree) if name not in bound]
     assert not unbound, f"{path.name}: __all__ names unbound {unbound}"
+
+
+def _private_definitions(tree: ast.Module) -> set:
+    """The module-level private names (``_x``, not dunders) a module binds by
+    definition or assignment; imported names are checked above."""
+    return {name for name in _bound(tree) - set(_imported(tree))
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def _reads(tree: ast.Module) -> set:
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+PACKAGE_READS = set().union(*(_reads(ast.parse(p.read_text(), filename=str(p)))
+                              for p in PACKAGE.glob("*.py")))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_private_name_is_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unread = sorted(_private_definitions(tree) - PACKAGE_READS)
+    assert not unread, f"{path.name}: private names read nowhere in the package {unread}"

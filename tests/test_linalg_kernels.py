@@ -175,31 +175,40 @@ def test_products_match_dense_reference(field_name, data):
 
 
 def test_mixed_moduli_still_raise_where_nonzero_entries_meet():
-    """Operands over different fields skip the integer kernels and keep the
-    scalar loop: GF(3) against GF(5) raises only where nonzero entries
-    meet, as the scalar arithmetic does."""
-    A = Matrix.from_rows(GF(3), [[1, 0], [0, 0]])
-    B = Matrix.from_rows(GF(5), [[1, 2], [3, 4]])
-    with pytest.raises(UsageError, match="mixed moduli"):
-        A * B
-    with pytest.raises(UsageError, match="mixed moduli"):
-        A.apply(Vector.of(GF(5), [1, 2]))
-    # row 0 of B and entry 0 of the vector are the only ones A's nonzero meets
-    B0 = Matrix.from_rows(GF(5), [[0, 0], [3, 4]])
-    assert A * B0 == Matrix.zero_of(GF(3), 2, 2)
-    assert A.apply(Vector.of(GF(5), [0, 2])) == Vector.zero(GF(3), 2)
-    # an F_5 entry inside a matrix labelled F_3 is refused by the integer kernel
+    """An F_5 entry inside a matrix or vector labelled F_3 passes the field
+    check, and the integer kernel refuses it where it meets a nonzero."""
     stray = Matrix(GF(3), 1, 1, (FpElement(1, 5),))
     with pytest.raises(UsageError, match="mixed moduli"):
         stray * Matrix.from_rows(GF(3), [[1]])
     with pytest.raises(UsageError, match="mixed moduli"):
         Matrix.from_rows(GF(3), [[1]]).apply(Vector(GF(3), (FpElement(1, 5),)))
-    # Q against Q(i): the scalar loop, whose sums are Gaussian
-    i = QQI.i()
-    C = Matrix.from_rows(QQ, [[1, Fraction(1, 2)]])
-    D = Matrix.from_rows(QQI, [[i], [2]])
-    assert (C * D).entries == (i + 1,)
-    assert C.apply(Vector.of(QQI, [i, 2])).entries == (i + 1,)
+
+
+# Each operation once over two fields, where the nonzero entries meet and
+# where they never do (disjoint supports): all are refused alike.
+_i = QQI.i()
+_A3 = Matrix.from_rows(GF(3), [[1, 0], [0, 0]])
+TWO_FIELD_OPERATIONS = {
+    "QQ*QQI": lambda: Matrix.from_rows(QQ, [[1, Fraction(1, 2)]])
+    * Matrix.from_rows(QQI, [[_i], [2]]),
+    "QQ.apply(QQI)": lambda: Matrix.from_rows(QQ, [[1, Fraction(1, 2)]]).apply(
+        Vector.of(QQI, [_i, 2])),
+    "GF3*GF5": lambda: _A3 * Matrix.from_rows(GF(5), [[1, 2], [3, 4]]),
+    "GF3*GF5-disjoint": lambda: _A3 * Matrix.from_rows(GF(5), [[0, 0], [3, 4]]),
+    "GF3.apply(GF5)-disjoint": lambda: _A3.apply(Vector.of(GF(5), [0, 2])),
+    "GF4099*GF4111": lambda: Matrix.identity_of(GF(4099), 2) * Matrix.identity_of(GF(4111), 2),
+    "QQ+QQI-vector": lambda: Vector.of(QQ, [1, 2]) + Vector.of(QQI, [_i, 2]),
+    "GF3-GF5-vector": lambda: Vector.of(GF(3), [1, 0]) - Vector.of(GF(5), [0, 1]),
+    "QQ.dot(QQI)": lambda: Vector.of(QQ, [1, 2]).dot(Vector.of(QQI, [_i, 2])),
+    "QQ+QQI-matrix": lambda: Matrix.identity_of(QQ, 2) + Matrix.identity_of(QQI, 2),
+    "GF3-GF5-matrix": lambda: _A3 - Matrix.zero_of(GF(5), 2, 2),
+}
+
+
+@pytest.mark.parametrize("operation", TWO_FIELD_OPERATIONS.values(), ids=TWO_FIELD_OPERATIONS)
+def test_operands_over_two_fields_are_refused(operation):
+    with pytest.raises(UsageError, match="two fields"):
+        operation()
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5), QQI], ids=["QQ", "GF5", "QQI"])
