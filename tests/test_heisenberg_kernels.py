@@ -76,15 +76,30 @@ def test_product_matches_reference(values_name, data):
     assert a * a.inverse() == a.identity() == a.inverse() * a
 
 
-@pytest.mark.parametrize("field", [GF(5), GF(4099), QQI], ids=["GF5", "GF4099", "QQI"])
-def test_operands_over_different_fields_are_refused(field):
-    """H_5 is built over Q only; an operand whose vector lies over another
-    field is refused where it meets a Q element."""
-    with pytest.raises(UsageError, match="over Q only"):
-        HeisenbergElement.of(field, [1, 2, 3, 4], 1)
-    stray = HeisenbergElement(Vector.of(field, [1, 2, 3, 4]), field.one())
+@pytest.mark.parametrize("left, right, error", [
+    (QQ, GF(5), TypeError),
+    (GF(5), QQ, TypeError),
+    (GF(5), GF(7), UsageError),
+    (GF(4099), GF(5), UsageError),
+    (GF(5), GF(4099), UsageError),
+    (QQI, GF(5), TypeError),
+])
+@pytest.mark.parametrize("vector", [[1, 2, 3, 4], [0, 0, 0, 0]], ids=["nonzero", "zero"])
+def test_operands_over_different_fields_are_refused(left, right, error, vector):
+    """H_5 is built over Q only: ``of`` refuses every other field.  Operands
+    built directly over two fields are refused with UsageError where they
+    meet, even when one vector is zero, rather than half-computed until
+    their entries raise ``error``."""
+    for field in (left, right):
+        if field != QQ:
+            with pytest.raises(UsageError, match="over Q only"):
+                HeisenbergElement.of(field, vector, 1)
+    a = HeisenbergElement(Vector.of(left, vector), left.one())
+    b = HeisenbergElement(Vector.of(right, [1, 1, 2, 3]), right.coerce(2))
+    with pytest.raises(error):
+        a.t + b.t
     with pytest.raises(UsageError, match="two fields"):
-        HeisenbergElement.of(QQ, [1, 1, 2, 3], 2) * stray
+        a * b
 
 
 def test_operands_of_different_dimensions_are_refused():
