@@ -6,6 +6,9 @@ serialized losslessly ("p/q", "p/q+r/s i", residues), keys are sorted, and
 a SHA-256 digest of the canonical payload is embedded so that any
 single-field tampering is detected.  ``verify`` additionally re-multiplies
 every certificate from scratch, so a forged digest alone is never enough.
+Each ``build_report`` and ``verify_report`` call decodes through one
+``GroupCodec``, which parses each distinct scalar token and checks each
+distinct GSp matrix once per call; nothing is cached across calls.
 
 Exit codes: 0 = verdicts produced and verified; 1 = verification failure or
 theorem violation (a bug, never expected); 2 = usage or parse error.
@@ -78,22 +81,16 @@ def _field_from_descriptor(desc) -> Field:
     raise UsageError(f"unknown field descriptor {desc!r}")
 
 
-def _scalar_in(field: Field, token) -> object:
-    if isinstance(token, bool) or not isinstance(token, (str, int)):
-        raise UsageError(f"scalars must be exact strings or integers, got {token!r}")
-    return field.coerce(token)
-
-
-def _matrix_in(field: Field, rows) -> Matrix:
-    return Matrix.from_rows(field, [[_scalar_in(field, v) for v in row] for row in rows])
+def _str_rows(rows) -> Optional[tuple]:
+    """``rows`` as a tuple of tuples when it is a list of lists of str."""
+    if type(rows) is list and all(type(row) is list and all(type(v) is str for v in row)
+                                  for row in rows):
+        return tuple(map(tuple, rows))
+    return None
 
 
 def _matrix_out(m: Matrix) -> list:
     return [[m.field.format(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
-
-
-def _vector_in(field: Field, values) -> Vector:
-    return Vector(field, tuple(_scalar_in(field, v) for v in values))
 
 
 def _vector_out(v: Vector) -> list:
@@ -116,9 +113,9 @@ def _encode_affine(field: Field, element: AffineElement) -> dict:
             "translation": _vector_out(element.translation)}
 
 
-def _decode_affine(field: Field, payload: dict) -> AffineElement:
-    return AffineElement.of(_matrix_in(field, payload["linear"]),
-                            _vector_in(field, payload["translation"]))
+def _decode_affine(codec: "GroupCodec", payload: dict) -> AffineElement:
+    return AffineElement.of(codec.matrix(payload["linear"]),
+                            codec.vector(payload["translation"]))
 
 
 def _encode_sl2v(field: Field, element: SL2VElement) -> dict:
@@ -127,9 +124,9 @@ def _encode_sl2v(field: Field, element: SL2VElement) -> dict:
             "v": _vector_out(element.v)}
 
 
-def _decode_sl2v(field: Field, payload: dict) -> SL2VElement:
-    a, b, c, d = (_scalar_in(field, v) for v in payload["h"])
-    return SL2VElement(SL2Element.of(a, b, c, d), _vector_in(field, payload["v"]))
+def _decode_sl2v(codec: "GroupCodec", payload: dict) -> SL2VElement:
+    a, b, c, d = (codec.scalar(v) for v in payload["h"])
+    return SL2VElement(SL2Element.of(a, b, c, d), codec.vector(payload["v"]))
 
 
 def _encode_heisenberg(field: Field, element) -> dict:
@@ -137,10 +134,10 @@ def _encode_heisenberg(field: Field, element) -> dict:
             "n": {"v": _vector_out(element.n.v), "t": field.format(element.n.t)}}
 
 
-def _decode_heisenberg(field: Field, payload: dict):
-    g = GSpElement.of(_matrix_in(QQ, payload["h"]))
-    n = HeisenbergElement.of(QQ, _vector_in(QQ, payload["n"]["v"]),
-                             _scalar_in(QQ, payload["n"]["t"]))
+def _decode_heisenberg(codec: "GroupCodec", payload: dict):
+    g = codec.gsp(payload["h"])
+    n = HeisenbergElement.of(QQ, codec.vector(payload["n"]["v"]),
+                             codec.scalar(payload["n"]["t"]))
     return heisenberg_presentation().semidirect(g.identity()).element(g, n)
 
 
@@ -150,11 +147,11 @@ def _encode_solvable(field: Field, element) -> dict:
             "n": {"a": field.format(n.a), "b": field.format(n.b), "c": field.format(n.c)}}
 
 
-def _decode_solvable(field: Field, payload: dict):
-    lam = _scalar_in(field, payload["h"])
+def _decode_solvable(codec: "GroupCodec", payload: dict):
+    lam = codec.scalar(payload["h"])
     if not lam:
         raise UsageError("unit scalar must be nonzero")
-    n = ComplexHeisenbergElement.of(*(_scalar_in(field, payload["n"][key])
+    n = ComplexHeisenbergElement.of(*(codec.scalar(payload["n"][key])
                                       for key in ("a", "b", "c")))
     return complex_heisenberg_group().element(lam, n)
 
@@ -162,7 +159,9 @@ def _decode_solvable(field: Field, payload: dict):
 @dataclass(frozen=True)
 class Kind:
     """What a scenario kind is: the scalar field it reads from its params,
-    the JSON codec of its elements over that field, and its runner.  A record
+    the JSON codec of its elements over that field, and its runner.  Its
+    ``decode`` reads through the ``GroupCodec`` it is given, so that codec's
+    memo serves every token and matrix.  A record
     holds codec bodies and runners only.  The classifiers stay module-level
     names and the codec is reached through ``GroupCodec``'s methods, because
     ``bench/tracer.py`` rebinds module and class attributes: a traced
@@ -170,13 +169,20 @@ class Kind:
 
     field: Callable[[dict], Field]
     encode: Callable[[Field, object], dict]
-    decode: Callable[[Field, dict], object]
+    decode: Callable[["GroupCodec", dict], object]
     run: Callable[..., list]
 
 
 class GroupCodec:
     """Encode/decode group elements of one scenario's ambient group, as its
-    ``Kind`` record says."""
+    ``Kind`` record says.
+
+    One codec serves one ``build_report`` or ``verify_report`` call, and its
+    memo lives and dies with it: each distinct ``str`` token becomes a scalar
+    of the codec's field once, and each distinct all-``str`` GSp matrix is
+    checked once, so the results that share it share one ``GSpElement``.
+    Only successful decodes enter the memo; a token of any other type goes
+    through the type checks every time."""
 
     def __init__(self, kind: str, params: dict):
         try:
@@ -186,12 +192,42 @@ class GroupCodec:
         if not isinstance(params, dict):
             raise UsageError(f"scenario params must be an object, got {params!r}")
         self.field = self.kind.field(params)
+        self._memo = {}
+
+    def scalar(self, token):
+        """A JSON string or integer as a scalar of the codec's field; bool,
+        float and the rest are refused, not converted."""
+        if type(token) is str:
+            value = self._memo.get(token)
+            if value is None:
+                value = self._memo[token] = self.field.parse(token)
+            return value
+        if isinstance(token, bool) or not isinstance(token, int):
+            raise UsageError(f"scalars must be exact strings or integers, got {token!r}")
+        return self.field.coerce(token)
+
+    def matrix(self, rows) -> Matrix:
+        return Matrix.from_rows(self.field, [[self.scalar(v) for v in row] for row in rows])
+
+    def vector(self, values) -> Vector:
+        return Vector(self.field, tuple(self.scalar(v) for v in values))
+
+    def gsp(self, rows) -> GSpElement:
+        """The similitude of ``rows``, its check g^T J g = mu J run once per
+        distinct all-``str`` matrix."""
+        key = _str_rows(rows)
+        g = None if key is None else self._memo.get(key)
+        if g is None:
+            g = GSpElement.of(self.matrix(rows))
+            if key is not None:
+                self._memo[key] = g
+        return g
 
     def encode(self, element) -> dict:
         return self.kind.encode(self.field, element)
 
     def decode(self, payload: dict):
-        return self.kind.decode(self.field, payload)
+        return self.kind.decode(self, payload)
 
     def result(self, element, verdicts: dict, certificates, notes=()) -> dict:
         """One report entry: the element, its verdicts, every certificate in
@@ -217,7 +253,7 @@ def _run_finite(codec: GroupCodec, params: dict, elements, bound: int) -> list:
     n = None
     gens = []
     for rows in params["linear_generators"]:
-        m = _matrix_in(field, rows)
+        m = codec.matrix(rows)
         n = m.rows
         gens.append(AffineElement.of(m, Vector.zero(field, n)))
     if n is None:
@@ -250,15 +286,15 @@ def _run_finite(codec: GroupCodec, params: dict, elements, bound: int) -> list:
 
 
 def _run_sl2v(codec: GroupCodec, params: dict, elements, bound: int) -> list:
-    t = _scalar_in(QQ, params.get("t", "1"))
+    t = codec.scalar(params.get("t", "1"))
     n = _int_in(params["n"], "sl2v degree n") if "n" in params else None
     results = []
     for payload in elements:
         if len(payload["x"]) != 4:
             raise UsageError("sl2v element x must have exactly 4 entries")
-        a, b, c, d = (_scalar_in(QQ, v) for v in payload["x"])
+        a, b, c, d = (codec.scalar(v) for v in payload["x"])
         x = SL2Element.of(a, b, c, d)
-        v = _vector_in(QQ, payload["v"])
+        v = codec.vector(payload["v"])
         if n is not None and v.dim != n + 1:
             raise UsageError(f"v has dimension {v.dim}, expected n + 1 = {n + 1}")
         rationality = classify_rational_sl2v(x, v, bound=bound, t=t)
@@ -276,12 +312,11 @@ def _run_affine(codec: GroupCodec, params: dict, elements, bound: int) -> list:
     m = _int_in(params["order"], "affine order")
     if not 1 <= m <= bound:
         raise UsageError(f"order {m} lies outside [1, bound = {bound}]")
-    field = codec.field
-    x = _matrix_in(field, params["x"])
+    x = codec.matrix(params["x"])
     linear = rationality_certificates_linear(x, m)
     results = []
     for payload in elements:
-        v = _vector_in(field, payload["v"])
+        v = codec.vector(payload["v"])
         subject = AffineElement.of(x, v)
         outcome = classify_affine_rational(linear, v, bound=bound)
         certs = [outcome.certificates[k] for k in sorted(outcome.certificates)]
@@ -294,16 +329,16 @@ def _run_affine(codec: GroupCodec, params: dict, elements, bound: int) -> list:
 
 def _run_heisenberg(codec: GroupCodec, params: dict, elements, bound: int) -> list:
     if "x" in params:
-        x = GSpElement.of(_matrix_in(QQ, params["x"]))
-        y = GSpElement.of(_matrix_in(QQ, params["witness"]))
+        x = codec.gsp(params["x"])
+        y = codec.gsp(params["witness"])
     else:
         x, y = standard_gsp_example()
     pres = heisenberg_presentation()
     group = pres.semidirect(x.identity())
     results = []
     for payload in elements:
-        n = HeisenbergElement.of(QQ, _vector_in(QQ, payload["v"]),
-                                 _scalar_in(QQ, payload["t"]))
+        n = HeisenbergElement.of(QQ, codec.vector(payload["v"]),
+                                 codec.scalar(payload["t"]))
         cert = real_witness_via_lift(x, n, pres, y)
         results.append(codec.result(group.element(x, n), {"real": "real"}, [cert]))
     return results
@@ -313,9 +348,9 @@ def _run_solvable(codec: GroupCodec, params: dict, elements, bound: int) -> list
     group = complex_heisenberg_group()
     results = []
     for payload in elements:
-        n = ComplexHeisenbergElement.of(_scalar_in(QQI, payload["a"]),
-                                        _scalar_in(QQI, payload["b"]),
-                                        _scalar_in(QQI, payload["c"]))
+        n = ComplexHeisenbergElement.of(codec.scalar(payload["a"]),
+                                        codec.scalar(payload["b"]),
+                                        codec.scalar(payload["c"]))
         x_sign = _int_in(payload.get("x", -1), "solvable x")
         verdict = complex_heisenberg_reality(n, x_sign)
         subject = group.element(QQI.coerce(x_sign), n)

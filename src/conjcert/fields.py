@@ -28,9 +28,17 @@ from math import gcd, lcm
 from .errors import UsageError
 
 # ASCII digits only: int() also takes "_" separators, and both int() and \d
-# take the digits of other scripts, such as "٣" and "３"
+# take the digits of other scripts, such as "٣" and "３".  Each token is
+# matched once and its groups read by int(), which then sees only ASCII digits.
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
+# a + b i: an optionally signed real part, then exactly one sign and an
+# unsigned imaginary part; or a pure imaginary term with its own optional
+# sign.  An omitted imaginary coefficient means 1.
+_GAUSSIAN_RE = re.compile(
+    r"(?P<a>[+-]?[0-9]+)(?:/(?P<ad>[1-9][0-9]*))?"
+    r"(?:\s*(?P<s>[+-])\s*(?:(?P<b>[0-9]+)(?:/(?P<bd>[1-9][0-9]*))?\s*)?i)?"
+    r"|(?P<t>[+-]?)(?:(?P<c>[0-9]+)(?:/(?P<cd>[1-9][0-9]*))?\s*)?i")
 
 __all__ = [
     "Field",
@@ -230,9 +238,11 @@ def _quotient(x, y) -> GaussianRational:
 
 
 def _strict_fraction(token: str, original: str) -> Fraction:
-    if not _RATIONAL_RE.fullmatch(token):
+    match = _RATIONAL_RE.fullmatch(token)
+    if match is None:
         raise UsageError(f"not an exact scalar (decimals rejected): {original!r}")
-    return Fraction(token)
+    num, den = match.groups()
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 @dataclass(frozen=True)
@@ -395,25 +405,21 @@ class GaussianRationalField(Field):
         raise UsageError(f"cannot coerce {value!r} into Q(i)")
 
     def parse(self, text: str):
-        """Accepts "p/q", "p/q+r/s i", "p/q-r/s i" (the space before i is
-        optional)."""
-        s = text.strip()
-        if s.endswith("i"):
-            body = s[:-1].strip()
-            # split at the sign separating real and imaginary parts, ignoring
-            # a leading sign on the real part
-            for pos in range(len(body) - 1, 0, -1):
-                if body[pos] in "+-" and body[pos - 1] not in "+-/":
-                    re_txt, sign, im_txt = body[:pos], body[pos], body[pos + 1 :]
-                    break
-            else:
-                re_txt, sign, im_txt = "0", "+", body
-            re_part = _strict_fraction(re_txt.strip(), text)
-            im_part = _strict_fraction(im_txt.strip() or "1", text)
-            if sign == "-":
-                im_part = -im_part
-            return GaussianRational(re_part, im_part)
-        return GaussianRational(_strict_fraction(s, text), 0)
+        """Reads "p/q", "p/q+r/s i", "p/q-r/s i" and "r/s i" (the space
+        before i is optional, and "i" alone is 1 i) straight into the reduced
+        triple."""
+        match = _GAUSSIAN_RE.fullmatch(text.strip())
+        if match is None:
+            raise UsageError(f"not an exact scalar (decimals rejected): {text!r}")
+        a, ad, sign, b, bd, pure_sign, c, cd = match.groups()
+        if a is None:  # a pure imaginary term
+            a, sign, b, bd = "0", pure_sign or "+", c, cd
+        im = (int(b) if b else 1) if sign else 0
+        if sign == "-":
+            im = -im
+        ad = int(ad) if ad else 1
+        bd = int(bd) if bd else 1
+        return _reduced(int(a) * bd, im * ad, ad * bd)
 
     def format(self, value) -> str:
         value = self.coerce(value)

@@ -2,14 +2,16 @@ import copy
 import importlib.util
 import json
 import pathlib
+import random
 import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
-from conjcert import cli, fields, sl2
+from conjcert import cli, fields, heisenberg, sl2
 from conjcert.cli import (
     DEFAULT_BOUND,
     KINDS,
@@ -150,8 +152,10 @@ def _one_scalar_scenario(field, token):
             "elements": [{"v": [token]}]}
 
 
-# "1_0", "٣" (Arabic-Indic three) and "３" (fullwidth three) pass int() and \d
-@pytest.mark.parametrize("token", ["1.5", "1e3", "1/0", "0x10", "1/-2", "", "1_0", "٣", "３"])
+# "1_0", "٣" (Arabic-Indic three) and "３" (fullwidth three) pass int() and \d;
+# "2+-3 i" puts two signs between the real and the imaginary part
+@pytest.mark.parametrize("token", ["1.5", "1e3", "1/0", "0x10", "1/-2", "", "1_0", "٣", "３",
+                                   "2+-3 i"])
 @pytest.mark.parametrize("field", sorted(STRICT_FIELDS))
 def test_inexact_scalar_tokens_rejected(tmp_path, capsys, field, token):
     scenario = _one_scalar_scenario(field, token)
@@ -161,7 +165,8 @@ def test_inexact_scalar_tokens_rejected(tmp_path, capsys, field, token):
 
 @pytest.mark.parametrize("field, token, value", [
     ("Q", "+3", "3"), ("Q", " 3 ", "3"), ("Q", "-007/2", "-7/2"),
-    ("Qi", "+3", "3+0 i"), ("Qi", " 3 ", "3+0 i"), ("Qi", "2+-3 i", "2-3 i"),
+    ("Qi", "+3", "3+0 i"), ("Qi", " 3 ", "3+0 i"), ("Qi", "2-3 i", "2-3 i"),
+    ("Qi", "-i", "0-1 i"),
     ("F7", "+3", "3"), ("F7", " 3 ", "3"), ("F7", "-010", "4"),
 ])
 def test_exact_scalar_tokens_accepted(tmp_path, capsys, field, token, value):
@@ -388,6 +393,62 @@ def test_verify_rejects_non_list_fields(tmp_path, capsys, edit, message):
     assert verify_report(report) == [message]
     assert main(["verify", write_json(tmp_path / "report.json", report)]) == 1
     assert f"verification failure: {message}" in capsys.readouterr().err
+
+
+# -- the per-call decode memo --------------------------------------------------------
+
+def test_decode_memo_keeps_every_refusal():
+    """Inside one report, after "1" has been decoded, the tokens true, 1.0 and
+    [1] still meet the type checks, a malformed token repeated in two results
+    fails in each, and int 1 decodes like "1"."""
+    scenario = json.loads((ROOT / "scenarios" / "affine_three_cycle.json").read_text())
+    scenario["elements"] = [{"v": ["1", "-1", "0"]}] * 7
+    report = build_report(scenario, 0, DEFAULT_BOUND)
+    tokens = {1: True, 2: 1.0, 3: [1], 4: "1.5", 5: "1.5", 6: 1}
+
+    def edit(payload):
+        for i, token in tokens.items():
+            payload["results"][i]["element"]["translation"][0] = token
+
+    forged = forge(report, edit)
+    refused = "undecodable element (scalars must be exact strings or integers, got"
+    inexact = "undecodable element (not an exact scalar (decimals rejected): '1.5')"
+    assert verify_report(forged) == [f"result 1: {refused} True)",
+                                     f"result 2: {refused} 1.0)",
+                                     f"result 3: {refused} [1])",
+                                     f"result 4: {inexact}",
+                                     f"result 5: {inexact}"]
+    codec = GroupCodec(scenario["kind"], scenario["params"])
+    assert (codec.decode(forged["results"][6]["element"])
+            == codec.decode(forged["results"][0]["element"]))
+    assert codec.scalar(1) == codec.scalar("1") == 1
+
+
+def test_verify_checks_each_distinct_gsp_matrix_once_per_call(monkeypatch):
+    """All results of a heisenberg report share x and the witness's GSp part,
+    so one verify_report call runs GSpElement.of once for each of the two;
+    the memo dies with the call, so the next call runs it again."""
+    rng = random.Random(0)
+
+    def token():
+        return str(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+
+    scenario = {"schema_version": 1, "kind": "heisenberg", "params": {},
+                "elements": [{"v": [token() for _ in range(4)], "t": token()}
+                             for _ in range(220)]}
+    report = build_report(scenario, 0, DEFAULT_BOUND)
+    calls = []
+    of = heisenberg.GSpElement.of
+    monkeypatch.setattr(heisenberg.GSpElement, "of",
+                        staticmethod(lambda g: calls.append(g) or of(g)))
+    assert verify_report(report) == []
+    assert len(calls) == 2 and calls[0] != calls[1]
+    assert verify_report(report) == []
+    assert len(calls) == 4 and calls[2:] == calls[:2]
+    codec = GroupCodec("heisenberg", {})
+    first, last = (codec.decode(result["element"]) for result in report["results"][::219])
+    assert first.h is last.h
+
 
 def test_verify_refuses_a_zero_unit_scalar(tmp_path, capsys):
     """H = Q(i)^x is carried as plain scalars, so the decoder itself refuses

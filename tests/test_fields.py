@@ -1,13 +1,14 @@
 import copy
 import pathlib
 import pickle
+import re
 import subprocess
 import sys
 import textwrap
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conjcert.errors import UsageError
 from conjcert.fields import GF, QQ, QQI, FpElement, GaussianRational, is_prime
@@ -49,6 +50,61 @@ def test_gaussian_parse_format_roundtrip():
     assert QQI.parse("1/2+3/4 i") == GaussianRational.of("1/2", "3/4")
     assert QQI.parse("1/2-3/4 i") == GaussianRational.of("1/2", "-3/4")
     assert QQI.parse("-5/3") == GaussianRational.of("-5/3", 0)
+
+
+# -- token grammars ---------------------------------------------------------------
+
+# The grammars of the parsers that matched a token with these patterns and then
+# read it again with Fraction(str) or int(): the one-match parsers must accept
+# exactly the same strings, with the same values.
+OLD_RATIONAL = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
+OLD_INTEGER = re.compile(r"[+-]?[0-9]+")
+NEAR_TOKENS = (st.text("0123456789+-/ ._e\u0663\uff13", max_size=12)
+               | st.from_regex(r"\s*[+-]?[0-9]{1,12}(/[0-9]{1,6})?\s*", fullmatch=True))
+
+
+@given(NEAR_TOKENS)
+@example("1_0")
+@example("\u0663")  # Arabic-Indic three
+@example("\uff13")  # fullwidth three
+@example("0.5")
+@example("1/0")
+@example("1/04")
+@example(" -007/2 ")
+def test_one_match_parsers_accept_the_old_grammar(token):
+    for field, pattern in ((QQ, OLD_RATIONAL), (GF(7), OLD_INTEGER)):
+        if pattern.fullmatch(token.strip()):
+            value = field.parse(token)
+            if field is QQ:
+                assert type(value) is Fraction and value == Fraction(token)
+            else:
+                assert value == FpElement(int(Fraction(token)) % 7, 7)
+        else:
+            with pytest.raises(UsageError):
+                field.parse(token)
+
+
+@pytest.mark.parametrize("token, re_part, im_part", [
+    ("3", "3", "0"), (" -5/3 ", "-5/3", "0"), ("+1/2", "1/2", "0"), ("-007/2", "-7/2", "0"),
+    ("1/2+3/4 i", "1/2", "3/4"), ("1/2-3/4 i", "1/2", "-3/4"), ("2/4+6/8 i", "1/2", "3/4"),
+    ("1 + 2 i", "1", "2"), ("1+2i", "1", "2"), ("+1+i", "1", "1"), ("1-i", "1", "-1"),
+    ("-1-i", "-1", "-1"), ("1+0 i", "1", "0"), ("i", "0", "1"), ("+i", "0", "1"),
+    ("-i", "0", "-1"), ("3 i", "0", "3"), ("3i", "0", "3"), ("-3/4 i", "0", "-3/4"),
+])
+def test_gaussian_grammar_accepts(token, re_part, im_part):
+    z = QQI.parse(token)
+    assert z == GaussianRational.of(Fraction(re_part), Fraction(im_part))
+    assert QQI.parse(QQI.format(z)) == z
+
+
+@pytest.mark.parametrize("token", [
+    "1+-1 i", "1++2 i", "2+-3 i", "1-+2 i", "+-i", "--1", "- i", "- 3 i", "1 2 i",
+    "1+2", "i i", "ii", "1+2 i i", "1/2/3 i", "1+/2 i", "1.5+2 i", "1+2 j", "1+1/04 i",
+    "1/0+i", "1+1_0 i", "\u0663 i", "1+\uff13 i", "",
+])
+def test_gaussian_grammar_refuses(token):
+    with pytest.raises(UsageError):
+        QQI.parse(token)
 
 
 @given(rationals, rationals, rationals)
