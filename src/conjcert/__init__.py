@@ -19,7 +19,6 @@ from .groups import (
     generate_closure,
     is_rational_bruteforce,
     is_real_bruteforce,
-    rational_classes,
 )
 from .semidirect import (
     AffineElement,
@@ -28,7 +27,6 @@ from .semidirect import (
     lift_central_series,
     make_power_witness,
     make_real_witness,
-    rational_witness_via_lift,
     real_witness_via_lift,
     reduce_translation,
 )

@@ -75,10 +75,6 @@ class EigenOneSplitting:
     def kernel_dim(self) -> int:
         return len(self.kernel)
 
-    @property
-    def image_dim(self) -> int:
-        return len(self.image)
-
 
 def split_at_eigenvalue_one(x: Matrix) -> EigenOneSplitting:
     """Validated splitting at the eigenvalue 1; the caller has checked that

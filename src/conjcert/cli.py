@@ -7,8 +7,9 @@ a SHA-256 digest of the canonical payload is embedded so that any
 single-field tampering is detected.  ``verify`` additionally re-multiplies
 every certificate from scratch, so a forged digest alone is never enough.
 Each ``build_report`` and ``verify_report`` call decodes through one
-``GroupCodec``, which parses each distinct scalar token and checks each
-distinct GSp matrix once per call; nothing is cached across calls.
+``GroupCodec``, which parses each distinct scalar token, checks each
+distinct GSp matrix and builds the kind's ambient group once per call;
+nothing is cached across calls.
 
 Exit codes: 0 = verdicts produced and verified; 1 = verification failure or
 theorem violation (a bug, never expected); 2 = usage or parse error.
@@ -65,6 +66,13 @@ def _int_in(value, what: str) -> int:
     """A JSON integer; bool, float and str are refused, not converted."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise UsageError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _list_in(value, what: str) -> list:
+    """A JSON list; a string or an object is refused, not iterated."""
+    if type(value) is not list:
+        raise UsageError(f"{what} must be a list, got {value!r}")
     return value
 
 
@@ -125,7 +133,7 @@ def _encode_sl2v(field: Field, element: SL2VElement) -> dict:
 
 
 def _decode_sl2v(codec: "GroupCodec", payload: dict) -> SL2VElement:
-    a, b, c, d = (codec.scalar(v) for v in payload["h"])
+    a, b, c, d = (codec.scalar(v) for v in _list_in(payload["h"], "sl2v h"))
     return SL2VElement(SL2Element.of(a, b, c, d), codec.vector(payload["v"]))
 
 
@@ -134,11 +142,19 @@ def _encode_heisenberg(field: Field, element) -> dict:
             "n": {"v": _vector_out(element.n.v), "t": field.format(element.n.t)}}
 
 
+def _heisenberg_group():
+    """H_5 under GSp(4) over Q.  Built per codec, never at import, because
+    the presentation holds ``gsp_act`` as it is bound when built."""
+    return heisenberg_presentation().semidirect(GSpElement(Matrix.identity_of(QQ, 4), QQ.one()))
+
+
 def _decode_heisenberg(codec: "GroupCodec", payload: dict):
     g = codec.gsp(payload["h"])
     n = HeisenbergElement.of(QQ, codec.vector(payload["n"]["v"]),
                              codec.scalar(payload["n"]["t"]))
-    return heisenberg_presentation().semidirect(g.identity()).element(g, n)
+    if g.g.rows != 4 or n.v.dim != 4:
+        raise UsageError("a heisenberg element needs a 4x4 similitude and a 4-entry v")
+    return codec.group.element(g, n)
 
 
 def _encode_solvable(field: Field, element) -> dict:
@@ -153,24 +169,27 @@ def _decode_solvable(codec: "GroupCodec", payload: dict):
         raise UsageError("unit scalar must be nonzero")
     n = ComplexHeisenbergElement.of(*(codec.scalar(payload["n"][key])
                                       for key in ("a", "b", "c")))
-    return complex_heisenberg_group().element(lam, n)
+    return codec.group.element(lam, n)
 
 
 @dataclass(frozen=True)
 class Kind:
     """What a scenario kind is: the scalar field it reads from its params,
-    the JSON codec of its elements over that field, and its runner.  Its
+    the JSON codec of its elements over that field, its runner, and, for
+    the pair kinds, a builder of the ambient ``SemidirectProduct``.  Its
     ``decode`` reads through the ``GroupCodec`` it is given, so that codec's
-    memo serves every token and matrix.  A record
-    holds codec bodies and runners only.  The classifiers stay module-level
-    names and the codec is reached through ``GroupCodec``'s methods, because
-    ``bench/tracer.py`` rebinds module and class attributes: a traced
-    function held inside a record would escape it."""
+    memo and group serve every token, matrix and element.  A record holds
+    codec bodies, runners and group builders only.  The classifiers stay
+    module-level names, the group builders look library names up when
+    called, and the codec is reached through ``GroupCodec``'s methods,
+    because ``bench/tracer.py`` rebinds module and class attributes: a
+    traced function held inside a record would escape it."""
 
     field: Callable[[dict], Field]
     encode: Callable[[Field, object], dict]
     decode: Callable[["GroupCodec", dict], object]
     run: Callable[..., list]
+    group: Callable[[], object] = lambda: None
 
 
 class GroupCodec:
@@ -178,11 +197,12 @@ class GroupCodec:
     ``Kind`` record says.
 
     One codec serves one ``build_report`` or ``verify_report`` call, and its
-    memo lives and dies with it: each distinct ``str`` token becomes a scalar
-    of the codec's field once, and each distinct all-``str`` GSp matrix is
-    checked once, so the results that share it share one ``GSpElement``.
-    Only successful decodes enter the memo; a token of any other type goes
-    through the type checks every time."""
+    memo and group live and die with it: each distinct ``str`` token becomes
+    a scalar of the codec's field once, and each distinct all-``str`` GSp
+    matrix is checked once, so the results that share it share one
+    ``GSpElement``.  Only successful decodes enter the memo; a token of any
+    other type goes through the type checks every time.  Rows and vectors
+    must be JSON lists."""
 
     def __init__(self, kind: str, params: dict):
         try:
@@ -192,6 +212,7 @@ class GroupCodec:
         if not isinstance(params, dict):
             raise UsageError(f"scenario params must be an object, got {params!r}")
         self.field = self.kind.field(params)
+        self.group = self.kind.group()
         self._memo = {}
 
     def scalar(self, token):
@@ -207,10 +228,11 @@ class GroupCodec:
         return self.field.coerce(token)
 
     def matrix(self, rows) -> Matrix:
-        return Matrix.from_rows(self.field, [[self.scalar(v) for v in row] for row in rows])
+        return Matrix.from_rows(self.field, [[self.scalar(v) for v in _list_in(row, "matrix row")]
+                                             for row in _list_in(rows, "matrix")])
 
     def vector(self, values) -> Vector:
-        return Vector(self.field, tuple(self.scalar(v) for v in values))
+        return Vector(self.field, tuple(self.scalar(v) for v in _list_in(values, "vector")))
 
     def gsp(self, rows) -> GSpElement:
         """The similitude of ``rows``, its check g^T J g = mu J run once per
@@ -290,9 +312,10 @@ def _run_sl2v(codec: GroupCodec, params: dict, elements, bound: int) -> list:
     n = _int_in(params["n"], "sl2v degree n") if "n" in params else None
     results = []
     for payload in elements:
-        if len(payload["x"]) != 4:
+        entries = _list_in(payload["x"], "sl2v element x")
+        if len(entries) != 4:
             raise UsageError("sl2v element x must have exactly 4 entries")
-        a, b, c, d = (codec.scalar(v) for v in payload["x"])
+        a, b, c, d = (codec.scalar(v) for v in entries)
         x = SL2Element.of(a, b, c, d)
         v = codec.vector(payload["v"])
         if n is not None and v.dim != n + 1:
@@ -334,18 +357,16 @@ def _run_heisenberg(codec: GroupCodec, params: dict, elements, bound: int) -> li
     else:
         x, y = standard_gsp_example()
     pres = heisenberg_presentation()
-    group = pres.semidirect(x.identity())
     results = []
     for payload in elements:
         n = HeisenbergElement.of(QQ, codec.vector(payload["v"]),
                                  codec.scalar(payload["t"]))
         cert = real_witness_via_lift(x, n, pres, y)
-        results.append(codec.result(group.element(x, n), {"real": "real"}, [cert]))
+        results.append(codec.result(codec.group.element(x, n), {"real": "real"}, [cert]))
     return results
 
 
 def _run_solvable(codec: GroupCodec, params: dict, elements, bound: int) -> list:
-    group = complex_heisenberg_group()
     results = []
     for payload in elements:
         n = ComplexHeisenbergElement.of(codec.scalar(payload["a"]),
@@ -353,7 +374,7 @@ def _run_solvable(codec: GroupCodec, params: dict, elements, bound: int) -> list
                                         codec.scalar(payload["c"]))
         x_sign = _int_in(payload.get("x", -1), "solvable x")
         verdict = complex_heisenberg_reality(n, x_sign)
-        subject = group.element(QQI.coerce(x_sign), n)
+        subject = codec.group.element(QQI.coerce(x_sign), n)
         results.append(codec.result(subject, {"real": "real" if verdict.real else "not_real"},
                                     verdict.certificates, [verdict.reason]))
     return results
@@ -367,8 +388,9 @@ KINDS = {
                    _encode_affine, _decode_affine, _run_affine),
     "sl2v": Kind(lambda params: QQ, _encode_sl2v, _decode_sl2v, _run_sl2v),
     "heisenberg": Kind(lambda params: QQ, _encode_heisenberg, _decode_heisenberg,
-                       _run_heisenberg),
-    "solvable": Kind(lambda params: QQI, _encode_solvable, _decode_solvable, _run_solvable),
+                       _run_heisenberg, _heisenberg_group),
+    "solvable": Kind(lambda params: QQI, _encode_solvable, _decode_solvable, _run_solvable,
+                     lambda: complex_heisenberg_group()),
 }
 
 

@@ -170,9 +170,6 @@ class GaussianRational:
             return NotImplemented
         return _quotient(o, (self._a, self._b, self._d))
 
-    def conjugate(self) -> "GaussianRational":
-        return _reduced(self._a, -self._b, self._d)
-
     def __eq__(self, other):
         o = _triple(other)
         if o is None:
@@ -391,9 +388,6 @@ class GaussianRationalField(Field):
 
     def one(self):
         return _reduced(1, 0, 1)
-
-    def i(self):
-        return _reduced(0, 1, 1)
 
     def coerce(self, value):
         if isinstance(value, GaussianRational):

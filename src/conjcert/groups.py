@@ -1,5 +1,5 @@
-"""Generic group machinery: closure enumeration, element orders, conjugacy
-and rational classes, and the finite reality/rationality oracle.
+"""Generic group machinery: closure enumeration, element orders, and the
+finite reality/rationality oracle.
 
 Group elements are duck-typed: anything hashable with ``__mul__``,
 ``inverse()`` and ``identity()`` works (matrices, affine elements,
@@ -30,8 +30,6 @@ __all__ = [
     "element_power",
     "is_real_bruteforce",
     "is_rational_bruteforce",
-    "conjugacy_classes",
-    "rational_classes",
 ]
 
 DEFAULT_ORDER_BOUND = 10_000
@@ -254,25 +252,3 @@ def is_rational_bruteforce(G: FiniteGroup, g) -> Optional[dict]:
             return None
         certs[k] = Certificate.make(g, h, Power(k))
     return certs
-
-
-def conjugacy_classes(G: FiniteGroup) -> list[tuple]:
-    """Partition into conjugacy classes, ordered by least member index."""
-    return [tuple(G.elements[i] for i in cls) for cls in G.class_table()[0]]
-
-
-def rational_classes(G: FiniteGroup) -> list[tuple]:
-    """Conjugacy classes merged along g ~ g^k for all k coprime to Ord(g):
-    each class joins the least-indexed class among those of its generating powers."""
-    classes, class_of, _ = G.class_table()
-    merged: dict[int, list] = {}
-    for cls in classes:
-        g = G.elements[cls[0]]
-        m = element_order(g, bound=len(G) + 1).value
-        roots, power = [class_of[cls[0]]], g
-        for k in range(2, m):
-            power = power * g
-            if gcd(k, m) == 1:
-                roots.append(class_of[G.index(power)])
-        merged.setdefault(min(roots), []).extend(cls)
-    return [tuple(G.elements[i] for i in sorted(merged[root])) for root in sorted(merged)]

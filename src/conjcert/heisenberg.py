@@ -90,9 +90,6 @@ class HeisenbergElement:
     def identity(self) -> "HeisenbergElement":
         return HeisenbergElement(Vector.zero(QQ, self.v.dim), QQ.zero())
 
-    def is_central(self) -> bool:
-        return self.v.is_zero()
-
     def __repr__(self):
         return f"H({self.v!r}, {self.t})"
 
@@ -106,6 +103,8 @@ class GSpElement:
 
     @staticmethod
     def of(g: Matrix) -> "GSpElement":
+        if not g.rows or not g.is_square:
+            raise UsageError("a similitude needs a nonempty square matrix")
         J = symplectic_form(g.field, g.rows)
         m = g.rows // 2
         form = g.transpose() * J * g

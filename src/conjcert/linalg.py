@@ -139,11 +139,6 @@ class Matrix:
         return Matrix(field, n, n, tuple(o if i == j else z for i in range(n) for j in range(n)))
 
     @staticmethod
-    def zero_of(field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero()
-        return Matrix(field, rows, cols, (z,) * (rows * cols))
-
-    @staticmethod
     def from_columns(field: Field, columns: Iterable[Vector]) -> "Matrix":
         cols = list(columns)
         if not cols:
@@ -278,13 +273,6 @@ class Matrix:
         return Matrix(self.field, self.cols, self.rows,
                       tuple(self.entries[j * self.cols + i]
                             for i in range(self.cols) for j in range(self.rows)))
-
-    def trace(self):
-        self._require_square("trace")
-        total = self.field.zero()
-        for i in range(self.rows):
-            total = total + self[i, i]
-        return total
 
     def det(self):
         self._require_square("det")

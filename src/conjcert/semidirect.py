@@ -28,7 +28,7 @@ witness in the full group, so its soundness does not rest on this algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .errors import FixedPointError, PresentationError, SingularMatrixError, UsageError
 from .fields import Field
@@ -48,7 +48,6 @@ __all__ = [
     "make_power_witness",
     "lift_central_series",
     "real_witness_via_lift",
-    "rational_witness_via_lift",
 ]
 
 
@@ -106,12 +105,6 @@ class SemidirectProduct:
 
     def identity(self) -> "SemidirectElement":
         return SemidirectElement(self, self.h_identity, self.n_identity)
-
-    def embed_h(self, h) -> "SemidirectElement":
-        return SemidirectElement(self, h, self.n_identity)
-
-    def embed_n(self, n) -> "SemidirectElement":
-        return SemidirectElement(self, self.h_identity, n)
 
 
 @dataclass(frozen=True)
@@ -227,31 +220,6 @@ class CentralSeriesPresentation:
             plan = self._plans[x] = LiftPlan(x, _level_solvers(x, self))
         return plan
 
-    def validate(self, h_samples: Sequence = (), vector_samples: Optional[dict] = None):
-        """Spot-check the presentation invariants on samples.
-
-        ``vector_samples`` maps a level index to quotient vectors used to
-        probe project/section round-trips and the quotient homomorphism."""
-        vector_samples = vector_samples or {}
-        for j, lvl in enumerate(self.levels):
-            vecs = vector_samples.get(j, [Vector.unit(self.field, lvl.dim, i)
-                                          for i in range(lvl.dim)])
-            for v in vecs:
-                if lvl.project(lvl.section(v)) != v:
-                    raise PresentationError(f"level {j}: project(section(v)) != v")
-            for v in vecs:
-                for w in vecs:
-                    lifted = self.multiply(lvl.section(v), lvl.section(w))
-                    if lvl.project(lifted) != v + w:
-                        raise PresentationError(f"level {j}: project is not additive")
-            for h in h_samples:
-                ident = h.identity()
-                if lvl.act(ident) != Matrix.identity_of(self.field, lvl.dim):
-                    raise PresentationError(f"level {j}: act(e) != I")
-                for h2 in h_samples:
-                    if lvl.act(h * h2) != lvl.act(h) * lvl.act(h2):
-                        raise PresentationError(f"level {j}: act not multiplicative")
-
     def semidirect(self, h_identity) -> SemidirectProduct:
         return SemidirectProduct(self.action, self.multiply, self.inverse,
                                  self.identity, h_identity)
@@ -358,9 +326,3 @@ def real_witness_via_lift(x, n, pres: CentralSeriesPresentation, h) -> Certifica
     """Certificate for (x,n) ~ (x,n)^-1 in H x| N, composed from the lifted
     conjugator and an H-level reality witness."""
     return _witness_via_lift(x, n, pres, h, Inverse())
-
-
-def rational_witness_via_lift(x, n, pres: CentralSeriesPresentation, h, k: int) -> Certificate:
-    """Certificate for (x,n) ~ (x,n)^k, composed from the lifted conjugator
-    and an H-level witness for x ~ x^k."""
-    return _witness_via_lift(x, n, pres, h, Power(k))

@@ -192,10 +192,6 @@ class RealityResult:
     reason: str = ""
     searched: tuple = ()
 
-    @property
-    def is_real(self) -> bool:
-        return self.verdict == "real"
-
 
 @dataclass(frozen=True)
 class RationalityResult:

@@ -7,21 +7,31 @@ never claim non-existence of witnesses over infinite groups.  Each
 ``SolvableInstance`` carries finite candidate pools, scanned by
 ``_bounded_witness``.
 
-``extract_block_certificate`` restricts a linear conjugator to the image
-block of the eigenvalue-1 splitting, and ``kron`` flattens matrix equations
-like g X = Y g into the linear systems that the affine tests eliminate.
+``validate_presentation`` spot-checks a central-series presentation on
+samples.  ``conjugacy_classes`` and ``rational_classes`` read the finite
+class table as lists of classes.  ``extract_block_certificate`` restricts a
+linear conjugator to the image block of the eigenvalue-1 splitting, and
+``kron`` flattens matrix equations like g X = Y g into the linear systems
+that the affine tests eliminate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Optional, Sequence
 
 from conjcert.affine import EigenOneSplitting
-from conjcert.errors import ConjcertError, SingularMatrixError, TheoremViolation, UsageError
+from conjcert.errors import (
+    ConjcertError,
+    PresentationError,
+    SingularMatrixError,
+    TheoremViolation,
+    UsageError,
+)
 from conjcert.fields import QQ
-from conjcert.groups import Certificate, Inverse
+from conjcert.groups import Certificate, FiniteGroup, Inverse, element_order
 from conjcert.heisenberg import GSpElement, HeisenbergElement, gsp_act
 from conjcert.linalg import Matrix, Vector, has_fixed_point
 from conjcert.semidirect import (
@@ -256,6 +266,59 @@ def check_center_rigidity(instance: SolvableInstance, central_sample: Sequence,
                     f"self-inverse over characteristic zero")
             refuted += 1
     return {"instance": instance.name, "refuted": refuted}
+
+
+# ---------------------------------------------------------------------------
+# Presentation and finite-class oracles
+# ---------------------------------------------------------------------------
+
+def validate_presentation(pres: CentralSeriesPresentation, h_samples: Sequence = (),
+                          vector_samples: Optional[dict] = None):
+    """Spot-check the presentation invariants on samples.
+
+    ``vector_samples`` maps a level index to quotient vectors used to
+    probe project/section round-trips and the quotient homomorphism."""
+    vector_samples = vector_samples or {}
+    for j, lvl in enumerate(pres.levels):
+        vecs = vector_samples.get(j, [Vector.unit(pres.field, lvl.dim, i)
+                                      for i in range(lvl.dim)])
+        for v in vecs:
+            if lvl.project(lvl.section(v)) != v:
+                raise PresentationError(f"level {j}: project(section(v)) != v")
+        for v in vecs:
+            for w in vecs:
+                lifted = pres.multiply(lvl.section(v), lvl.section(w))
+                if lvl.project(lifted) != v + w:
+                    raise PresentationError(f"level {j}: project is not additive")
+        for h in h_samples:
+            ident = h.identity()
+            if lvl.act(ident) != Matrix.identity_of(pres.field, lvl.dim):
+                raise PresentationError(f"level {j}: act(e) != I")
+            for h2 in h_samples:
+                if lvl.act(h * h2) != lvl.act(h) * lvl.act(h2):
+                    raise PresentationError(f"level {j}: act not multiplicative")
+
+
+def conjugacy_classes(G: FiniteGroup) -> list[tuple]:
+    """Partition into conjugacy classes, ordered by least member index."""
+    return [tuple(G.elements[i] for i in cls) for cls in G.class_table()[0]]
+
+
+def rational_classes(G: FiniteGroup) -> list[tuple]:
+    """Conjugacy classes merged along g ~ g^k for all k coprime to Ord(g):
+    each class joins the least-indexed class among those of its generating powers."""
+    classes, class_of, _ = G.class_table()
+    merged: dict[int, list] = {}
+    for cls in classes:
+        g = G.elements[cls[0]]
+        m = element_order(g, bound=len(G) + 1).value
+        roots, power = [class_of[cls[0]]], g
+        for k in range(2, m):
+            power = power * g
+            if gcd(k, m) == 1:
+                roots.append(class_of[G.index(power)])
+        merged.setdefault(min(roots), []).extend(cls)
+    return [tuple(G.elements[i] for i in sorted(merged[root])) for root in sorted(merged)]
 
 
 # ---------------------------------------------------------------------------

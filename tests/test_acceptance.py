@@ -23,7 +23,6 @@ from conjcert.groups import (
     generate_closure,
     is_rational_bruteforce,
     is_real_bruteforce,
-    rational_classes,
 )
 from conjcert.heisenberg import (
     ComplexHeisenbergElement,
@@ -54,6 +53,7 @@ from conformance_fixtures import (
     check_strong_reality,
     extract_block_certificate,
     minus_identity_two_level_instance,
+    rational_classes,
     rotation_instance,
     torus_on_heisenberg_instance,
 )

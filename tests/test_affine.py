@@ -67,18 +67,18 @@ def test_linear_certificates_detect_non_rational():
 
 def test_split_identity():
     s = split_at_eigenvalue_one(Matrix.identity_of(QQ, 2))
-    assert s.kernel_dim == 2 and s.image_dim == 0
+    assert s.kernel_dim == 2 and len(s.image) == 0
     assert s.restricted.rows == 0
 
 
 def test_split_minus_identity():
     s = split_at_eigenvalue_one(-Matrix.identity_of(QQ, 2))
-    assert s.kernel_dim == 0 and s.image_dim == 2
+    assert s.kernel_dim == 0 and len(s.image) == 2
 
 
 def test_split_three_cycle():
     s = split_at_eigenvalue_one(THREE_CYCLE)
-    assert s.kernel_dim == 1 and s.image_dim == 2
+    assert s.kernel_dim == 1 and len(s.image) == 2
     k = s.kernel[0]
     assert k[0] == k[1] == k[2] != 0
     for u in s.image:
@@ -431,7 +431,7 @@ def test_krylov_conjugators_with_repeated_blocks(orders, data):
         g = res.certificates[k]
         assert g * x * g.inverse() == x ** k
         block = extract_block_certificate(g, x, k, splitting)
-        assert block.rows == splitting.image_dim
+        assert block.rows == len(splitting.image)
 
 
 def test_linear_certificates_eliminate_at_most_2n_columns(monkeypatch):
@@ -481,7 +481,7 @@ def test_singular_conjugator_raises_theorem_violation(monkeypatch):
     """The zero matrix satisfies g x = x^k g; only the invertibility check
     refuses it."""
     monkeypatch.setattr(affine, "_cyclic_conjugators",
-                        lambda x: lambda y: (Matrix.zero_of(x.field, x.rows, x.rows), None))
+                        lambda x: lambda y: (x - x, None))
     with pytest.raises(TheoremViolation, match="k = 2 is singular"):
         rationality_certificates_linear(THREE_CYCLE, 3)
 
@@ -519,7 +519,7 @@ def _invertible_by_scan(x, y, p):
     basis = [Matrix(field, n, n, vec.entries)
              for vec in kernel_basis(kron(ident, x.transpose()) - kron(y, ident))]
     for coeffs in itertools.product(range(p), repeat=len(basis)):
-        g = Matrix.zero_of(field, n, n)
+        g = Matrix(field, n, n, (field.zero(),) * (n * n))
         for c, b in zip(coeffs, basis):
             g = g + b.scale(field.coerce(c))
         if g.det():

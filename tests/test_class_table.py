@@ -13,13 +13,13 @@ import pytest
 from conjcert.errors import UsageError
 from conjcert.fields import GF
 from conjcert.groups import (
-    conjugacy_classes,
     generate_closure,
     is_rational_bruteforce,
     is_real_bruteforce,
 )
 from conjcert.linalg import Matrix
 from conjcert.semidirect import AffineElement
+from conformance_fixtures import conjugacy_classes
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 

@@ -1,4 +1,5 @@
 import copy
+import functools
 import importlib.util
 import json
 import pathlib
@@ -10,6 +11,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conjcert import cli, fields, heisenberg, sl2
 from conjcert.cli import (
@@ -380,15 +382,27 @@ def test_verify_rejects_forged_positive_verdicts():
 
 
 
-@pytest.mark.parametrize("edit,message", [
-    (lambda payload: payload["results"][1].update(certificates=None),
+def _element(i, **fields):
+    return lambda payload: payload["results"][i]["element"].update(fields)
+
+
+@pytest.mark.parametrize("name,edit,message", [
+    ("sl2v_quadratic", lambda payload: payload["results"][1].update(certificates=None),
      "result 1: certificates must be a list"),
-    (lambda payload: payload.update(results=5), "results must be a list"),
-    (lambda payload: payload.update(results=payload["results"][:1]),
+    ("sl2v_quadratic", lambda payload: payload.update(results=5), "results must be a list"),
+    ("sl2v_quadratic", lambda payload: payload.update(results=payload["results"][:1]),
      "4 scenario elements but 1 results"),
-], ids=["null_certificates", "integer_results", "truncated_results"])
-def test_verify_rejects_non_list_fields(tmp_path, capsys, edit, message):
-    scenario = json.loads((ROOT / "scenarios" / "sl2v_quadratic.json").read_text())
+    ("sl2v_quadratic", _element(0, h="1001"),
+     "result 0: undecodable element (sl2v h must be a list, got '1001')"),
+    # iterated, "10" would read as [1, 0], and this forgery would verify
+    ("finite_psl2_f2", _element(3, linear=["10", "01"], translation="10"),
+     "result 3: undecodable element (matrix row must be a list, got '10')"),
+    ("finite_psl2_f2", _element(3, translation="10"),
+     "result 3: undecodable element (vector must be a list, got '10')"),
+], ids=["null_certificates", "integer_results", "truncated_results", "string_sl2v_h",
+        "string_rows", "string_translation"])
+def test_verify_rejects_non_list_fields(tmp_path, capsys, name, edit, message):
+    scenario = json.loads((ROOT / "scenarios" / f"{name}.json").read_text())
     report = forge(build_report(scenario, 0, 10_000), edit)
     assert verify_report(report) == [message]
     assert main(["verify", write_json(tmp_path / "report.json", report)]) == 1
@@ -607,3 +621,101 @@ def test_sl2v_classifies_reality_once_per_element(monkeypatch):
     monkeypatch.setattr(cli, "classify_real", counted, raising=False)
     build_report(scenario, 0, DEFAULT_BOUND)
     assert len(calls) == len(scenario["elements"])
+
+
+# -- typed decoding ------------------------------------------------------------------
+
+def test_sl2v_scenario_refuses_a_string_for_x(tmp_path, capsys):
+    """Iterated, "1001" would pass the length check and read as x = I."""
+    scenario = sl2v_scenario([{"x": "1001", "v": "000"}])
+    assert main(["run", write_json(tmp_path / "scenario.json", scenario)]) == 2
+    assert "sl2v element x must be a list, got '1001'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h,message", [
+    ([], "a similitude needs a nonempty square matrix"),
+    ("1234", "matrix must be a list, got '1234'"),
+    ([["0", "1"], ["-1", "0"]], "a heisenberg element needs a 4x4 similitude and a 4-entry v"),
+], ids=["empty", "string", "two_by_two"])
+def test_verify_refuses_a_malformed_gsp_witness(tmp_path, capsys, h, message):
+    """The first two used to raise IndexError out of verify_report; a 2x2
+    similitude is one, but H_5 needs GSp(4)."""
+    scenario = json.loads((ROOT / "scenarios" / "heisenberg_gsp4.json").read_text())
+    report = build_report(scenario, 0, DEFAULT_BOUND)
+
+    def edit(payload):
+        payload["results"][0]["certificates"][0]["witness"]["h"] = h
+
+    forged = forge(report, edit)
+    assert verify_report(forged) == [f"result 0 certificate 0: {message}"]
+    assert main(["verify", write_json(tmp_path / "report.json", forged)]) == 1
+    assert f"verification failure: result 0 certificate 0: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,builder", [
+    ("heisenberg_gsp4", "heisenberg_presentation"),
+    ("solvable_complex_heisenberg", "complex_heisenberg_group"),
+], ids=["heisenberg", "solvable"])
+def test_verify_builds_the_ambient_group_once_per_call(monkeypatch, name, builder):
+    """Every decoded element and witness of a pair kind shares the codec's
+    group, and the next call builds its own."""
+    report = build_report(json.loads((ROOT / "scenarios" / f"{name}.json").read_text()),
+                          0, DEFAULT_BOUND)
+    assert len(report["results"]) > 1
+    calls = []
+    build = getattr(cli, builder)
+    monkeypatch.setattr(cli, builder, lambda: calls.append(1) or build())
+    assert verify_report(report) == []
+    assert len(calls) == 1
+    assert verify_report(report) == []
+    assert len(calls) == 2
+    codec = GroupCodec(report["scenario"]["kind"], report["scenario"].get("params", {}))
+    first, last = (codec.decode(report["results"][i]["element"]) for i in (0, -1))
+    assert first.group is last.group is codec.group
+
+
+# -- hostile element and witness payloads ----------------------------------------------
+
+# strings of scalar characters as often as any strings: iterated, they decode
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=6)
+    | st.text("0123456789/-i ", max_size=6) | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=12)
+
+
+@functools.lru_cache(maxsize=None)
+def shipped_report(path):
+    return build_report(json.loads(path.read_text()), 0, DEFAULT_BOUND)
+
+
+def payloads(report):
+    """Every element and witness payload, with its parent and key.  Relations
+    are left out: their cost is not bounded yet."""
+    for result in report["results"]:
+        yield result, "element"
+        for cert in result["certificates"]:
+            yield cert, "witness"
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_hostile_payloads_are_failures_not_crashes(tmp_path_factory, path, data):
+    """Any JSON in place of one element or witness payload, or of a node
+    inside one, digest recomputed: verify_report returns a list and
+    ``conjcert verify`` exits 0, 1 or 2 without raising."""
+    def replace(payload):
+        parent, key = data.draw(st.sampled_from(list(payloads(payload))))
+        # descend a random number of levels, so shallow nodes are drawn as often as leaves
+        while isinstance(parent[key], (dict, list)) and parent[key] and data.draw(st.booleans()):
+            node = parent[key]
+            parent, key = node, data.draw(st.sampled_from(
+                sorted(node) if isinstance(node, dict) else range(len(node))))
+        parent[key] = data.draw(JSON_VALUES)
+
+    forged = forge(shipped_report(path), replace)
+    assert isinstance(verify_report(forged), list)
+    out = tmp_path_factory.getbasetemp() / f"hostile-{path.stem}.json"
+    assert main(["verify", write_json(out, forged)]) in (0, 1, 2)

@@ -8,15 +8,14 @@ from conjcert.groups import (
     Certificate,
     Inverse,
     Power,
-    conjugacy_classes,
     element_order,
     generate_closure,
     is_rational_bruteforce,
     is_real_bruteforce,
-    rational_classes,
 )
 from conjcert.linalg import Matrix
 from conjcert.semidirect import AffineElement
+from conformance_fixtures import conjugacy_classes, rational_classes
 
 
 def f2mat(rows):

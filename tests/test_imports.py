@@ -1,9 +1,11 @@
 """Every module of the package and of the test suite uses every name it
-imports, every package module binds every name it exports, and every
-private module-level name of the package is read somewhere in it.
+imports, every package module binds every name it exports, every private
+module-level name of the package is read somewhere in it, and so is every
+public function, class and method, bar the few the acceptance tests read.
 
 No linter ships with the project, so this is the guard against imports,
-exports and private helpers left behind when code is deleted.  A name counts as used when it is
+exports and helpers left behind when code is deleted, and against library
+code that only tests reach.  A name counts as used when it is
 read anywhere in the module (annotations included, also string annotations)
 or listed in ``__all__``.  ``__init__.py`` only re-exports and is skipped."""
 
@@ -111,3 +113,32 @@ def test_every_private_name_is_read(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unread = sorted(_private_definitions(tree) - PACKAGE_READS)
     assert not unread, f"{path.name}: private names read nowhere in the package {unread}"
+
+
+# Read by no library code, but by tests/test_acceptance.py from the library.
+ACCEPTANCE_READS = {"has_fixed_point", "vector_presentation", "reduce_translation",
+                    "SL2Element.to_matrix"}
+
+PACKAGE_ATTRIBUTE_READS = {node.attr for p in PACKAGE.glob("*.py")
+                           for node in ast.walk(ast.parse(p.read_text(), filename=str(p)))
+                           if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, name) of each public module-level function and class
+    and of each public method of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{node.name}.{m.name}", m.name) for m in node.body
+                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_public_name_is_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = PACKAGE_READS | PACKAGE_ATTRIBUTE_READS
+    unread = sorted(qualified for qualified, name in _public_definitions(tree)
+                    if name not in read and qualified not in ACCEPTANCE_READS)
+    assert not unread, f"{path.name}: public names read nowhere in the package {unread}"

@@ -61,7 +61,7 @@ def test_solve_shape_error():
 
 
 def test_kernel_zero_matrix_is_full_space():
-    A = Matrix.zero_of(QQ, 3, 3)
+    A = Matrix.from_rows(QQ, [[0] * 3] * 3)
     basis = kernel_basis(A)
     assert len(basis) == 3
 

@@ -23,11 +23,11 @@ from conjcert.semidirect import (
     lift_central_series,
     make_power_witness,
     make_real_witness,
-    rational_witness_via_lift,
     real_witness_via_lift,
     reduce_translation,
     vector_presentation,
 )
+from conformance_fixtures import validate_presentation
 
 
 def mat(rows, field=QQ):
@@ -333,13 +333,13 @@ def test_two_level_lift_verifies():
         [0, 0, 3, 0],
         [0, 0, 0, Fraction(1, 3)],
     ])
-    pres.validate(h_samples=[x, x.inverse()])
+    validate_presentation(pres, h_samples=[x, x.inverse()])
     rng = random.Random(5)
     for _ in range(10):
         n = vec([rnd_fraction(rng) for _ in range(4)])
         u = lift_central_series(x, n, pres)
         G = pres.semidirect(x.identity())
-        u_el, x_el = G.embed_n(u), G.embed_h(x)
+        u_el, x_el = G.element(G.h_identity, u), G.element(x, pres.identity)
         assert u_el * x_el * u_el.inverse() == G.element(x, n)
 
 
@@ -382,8 +382,8 @@ def test_lift_plan_is_built_once_per_x_and_presentation(monkeypatch):
     rng = random.Random(11)
     for _ in range(50):
         n = vec([rnd_fraction(rng) for _ in range(4)])
-        u_el = G.embed_n(lift_central_series(x, n, pres))
-        assert u_el * G.embed_h(x) * u_el.inverse() == G.element(x, n)
+        u_el = G.element(G.h_identity, lift_central_series(x, n, pres))
+        assert u_el * G.element(x, pres.identity) * u_el.inverse() == G.element(x, n)
     assert calls == [pres]
     # an equal x is the same plan; a new presentation builds its own
     lift_central_series(mat([[2, 0, 0, 0], [0, Fraction(1, 2), 0, 0],
@@ -428,7 +428,7 @@ def test_wrong_h_fails_on_every_call():
             real_witness_via_lift(x, vec([1, 1]), pres, wrong)
         # a check that passed for one relation does not cover another
         with pytest.raises(UsageError):
-            rational_witness_via_lift(x, vec([1, 1]), pres, right, 1)
+            semidirect._witness_via_lift(x, vec([1, 1]), pres, right, Power(1))
 
 
 def test_witnesses_via_lift():
@@ -464,7 +464,7 @@ def test_rational_witness_via_lift_f2():
     x = mat([[1, 1], [1, 0]], f2)
     h = mat([[0, 1], [1, 0]], f2)
     for v in [(0, 0), (1, 0), (0, 1), (1, 1)]:
-        cert = rational_witness_via_lift(x, vec(list(v), f2), pres, h, 2)
+        cert = semidirect._witness_via_lift(x, vec(list(v), f2), pres, h, Power(2))
         assert cert.verified and cert.relation == Power(2)
 
 
@@ -504,8 +504,8 @@ def test_any_set_theoretic_section_is_accepted():
     x = mat([[2, 0], [0, 3]])
     u = lift_central_series(x, vec([1, 1]), pres)
     G = pres.semidirect(x.identity())
-    u_el = G.embed_n(u)
-    assert u_el * G.embed_h(x) * u_el.inverse() == G.element(x, vec([1, 1]))
+    u_el = G.element(G.h_identity, u)
+    assert u_el * G.element(x, pres.identity) * u_el.inverse() == G.element(x, vec([1, 1]))
 
 
 def test_presentation_descent_check_detects_inconsistent_action():
@@ -586,11 +586,11 @@ def assert_lift_matches_full_group(pres, x, n, h, relation) -> bool:
         return False
     assert not fixed
     G = pres.semidirect(x.identity())
-    u_el = G.embed_n(u)
-    assert u_el * G.embed_h(x) * u_el.inverse() == G.element(x, n)
+    u_el = G.element(G.h_identity, u)
+    assert u_el * G.element(x, pres.identity) * u_el.inverse() == G.element(x, n)
     cert = semidirect._witness_via_lift(x, n, pres, h, relation)
     assert cert.verified
-    assert cert.witness == u_el * G.embed_h(h) * u_el.inverse()
+    assert cert.witness == u_el * G.element(h, pres.identity) * u_el.inverse()
     return True
 
 
