@@ -28,7 +28,6 @@ from .semidirect import (
     make_power_witness,
     make_real_witness,
     real_witness_via_lift,
-    reduce_translation,
 )
 from .sl2 import SL2Element, classify_rational_sl2v, classify_real, rho
 from .affine import classify_affine_rational, rationality_certificates_linear

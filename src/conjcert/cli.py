@@ -356,7 +356,7 @@ def _run_heisenberg(codec: GroupCodec, params: dict, elements, bound: int) -> li
         y = codec.gsp(params["witness"])
     else:
         x, y = standard_gsp_example()
-    pres = heisenberg_presentation()
+    pres = codec.group.presentation
     results = []
     for payload in elements:
         n = HeisenbergElement.of(QQ, codec.vector(payload["v"]),

@@ -18,9 +18,9 @@ class SingularMatrixError(ConjcertError):
 
 
 class FixedPointError(UsageError):
-    """The acting matrix has a nonzero fixed point, so the unique-conjugator
-    construction does not apply.  Carries the offending kernel basis and,
-    for multi-level lifts, the level index."""
+    """Level j's witness equation (I - Y_j) z = project_j(residual) has no
+    solution for this h, which takes a nonzero fixed point of Y_j.  Carries
+    ker(I - Y_j) in level coordinates as ``kernel`` and j as ``level``."""
 
     def __init__(self, message, kernel=None, level=None):
         super().__init__(message)

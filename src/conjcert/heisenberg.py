@@ -162,27 +162,15 @@ def heisenberg_presentation() -> CentralSeriesPresentation:
     quotients Q^4 and the center line."""
     zero = HeisenbergElement.of(QQ, [0] * 4, 0)
     levels = [
-        CentralSeriesLevel(
-            dim=4,
-            project=lambda n: n.v,
-            section=lambda vec: HeisenbergElement(vec, QQ.zero()),
-            act=lambda g: g.g,
-        ),
-        CentralSeriesLevel(
-            dim=1,
-            project=lambda n: Vector(QQ, (n.t,)),
-            section=lambda vec: HeisenbergElement(zero.v, vec[0]),
-            act=lambda g: Matrix(QQ, 1, 1, (g.mu,)),
-        ),
+        CentralSeriesLevel(4, project=lambda n: n.v,
+                           section=lambda vec: HeisenbergElement(vec, QQ.zero()),
+                           act=lambda g: g.g),
+        CentralSeriesLevel(1, project=lambda n: Vector(QQ, (n.t,)),
+                           section=lambda vec: HeisenbergElement(zero.v, vec[0]),
+                           act=lambda g: Matrix(QQ, 1, 1, (g.mu,))),
     ]
-    return CentralSeriesPresentation(
-        QQ,
-        multiply=lambda a, b: a * b,
-        inverse=lambda a: a.inverse(),
-        identity=zero,
-        action=gsp_act,
-        levels=levels,
-    )
+    return CentralSeriesPresentation(QQ, lambda a, b: a * b, lambda a: a.inverse(), zero,
+                                     gsp_act, levels)
 
 
 def standard_gsp_example() -> tuple[GSpElement, GSpElement]:

@@ -5,8 +5,10 @@ Every elimination goes through one routine, :func:`_echelon`: Gauss-Jordan
 reduction to reduced row echelon form with the first nonzero pivot in
 column order (exact scalars need no magnitude-based pivoting), which also
 returns the determinant as the product of the pivots, negated once per row
-swap.  ``Matrix.det``, ``Matrix.inverse`` (on ``[A | I]``),
-``solve_linear``, ``kernel_basis`` and ``column_space_basis`` all read it.
+swap.  ``Matrix.det``, ``kernel_basis``, ``column_space_basis`` and
+``RowReduction`` read it; ``RowReduction`` keeps the row operations of
+[A | I], which give ``Matrix.inverse`` and solve A w = b
+(``solve_linear``) for many b at one product each.
 
 Products and ``apply`` over ℚ and 𝔽_p run on integers.  Each matrix keeps,
 computed once on first use, its nonzero entries per row as plain ``int``:
@@ -45,6 +47,7 @@ from .fields import Field, PrimeField, RationalField
 __all__ = [
     "Matrix",
     "Vector",
+    "RowReduction",
     "solve_linear",
     "kernel_basis",
     "has_fixed_point",
@@ -283,13 +286,10 @@ class Matrix:
     def inverse(self) -> "Matrix":
         """Row-reduces [A | I] to [I | A^-1]."""
         self._require_square("inverse")
-        n = self.rows
-        z, o = self.field.zero(), self.field.one()
-        aug = [list(self.row(i)) + [o if i == j else z for j in range(n)] for i in range(n)]
-        aug, pivots, _ = _echelon(aug, n, o)
-        if len(pivots) < n:
+        reduced = RowReduction.of(self)
+        if len(reduced.pivots) < self.rows:
             raise SingularMatrixError("matrix is singular")
-        return Matrix(self.field, n, n, tuple(x for row in aug for x in row[n:]))
+        return reduced.transform
 
     def __pow__(self, k: int) -> "Matrix":
         self._require_square("power")
@@ -402,23 +402,44 @@ def _echelon(rows: list[list], ncols: int, one) -> tuple[list[list], list[int], 
     return rows, pivots, det
 
 
+@dataclass(frozen=True)
+class RowReduction:
+    """E A = R for the reduced row echelon form R of A, with R's pivot
+    columns, from one elimination of [A | I]: E b is the last column of the
+    reduced [A | b], so a system solved for many b is eliminated once."""
+
+    matrix: Matrix
+    pivots: tuple
+    transform: Matrix
+
+    @staticmethod
+    def of(A: Matrix) -> "RowReduction":
+        m, n = A.rows, A.cols
+        z, o = A.field.zero(), A.field.one()
+        aug = [list(A.row(i)) + [o if i == j else z for j in range(m)] for i in range(m)]
+        aug, pivots, _ = _echelon(aug, n, o)
+        return RowReduction(A, tuple(pivots),
+                            Matrix(A.field, m, m, tuple(x for row in aug for x in row[n:])))
+
+    def solve(self, b: Vector) -> Optional[Vector]:
+        """The solution of A w = b with free coordinates zero, or None when
+        E b is nonzero on a zero row of R."""
+        reduced = self.transform.apply(b).entries
+        if any(reduced[len(self.pivots):]):
+            return None
+        sol = [self.matrix.field.zero()] * self.matrix.cols
+        for r, col in enumerate(self.pivots):
+            sol[col] = reduced[r]
+        return Vector(self.matrix.field, tuple(sol))
+
+
 def solve_linear(A: Matrix, b: Vector) -> Optional[Vector]:
     """A particular solution of A w = b, or None when inconsistent.
 
     Free variables are set to zero, so the result is deterministic."""
     if A.rows != b.dim:
         raise DimensionMismatch(f"{A.rows}x{A.cols} system with rhs dim {b.dim}")
-    n = A.cols
-    rows = [list(A.row(i)) + [b[i]] for i in range(A.rows)]
-    rows, pivots, _ = _echelon(rows, n, A.field.one())
-    rank = len(pivots)
-    for i in range(rank, A.rows):
-        if rows[i][n]:
-            return None
-    sol = [A.field.zero()] * n
-    for r, col in enumerate(pivots):
-        sol[col] = rows[r][n]
-    return Vector(A.field, tuple(sol))
+    return RowReduction.of(A).solve(b)
 
 
 def kernel_basis(A: Matrix) -> list[Vector]:

@@ -1,28 +1,31 @@
-"""Semidirect products H x| N and the constructive conjugator machinery.
+"""Semidirect products H x| N and the one witness solver.
 
-Two realizations are used throughout:
+``AffineElement`` (A, b) is the block matrix [[A, b], [0, 1]], the product
+b . A in left coordinates: (A,b)(C,d) = (AC, Ad + b).  ``SemidirectElement``
+(h, n) is h . n in right coordinates: (h1,n1)(h2,n2) = (h1 h2,
+act(h2^-1, n1) . n2).  As h . n = act(h, n) . h, the map
+(h, n) -> (h, act(h, n)) takes right coordinates to left ones; for vector N
+it is the change of variable b = h v onto the affine picture.
 
-* ``AffineElement`` (A, b), the block matrix [[A, b], [0, 1]].  This is the
-  canonical convention: a pair multiplies as (A,b)(C,d) = (AC, Ad + b).
-* ``SemidirectElement`` (h, n), the group product h.n with
-  (h1,n1)(h2,n2) = (h1 h2, act(h2^-1)(n1) . n2).
-
-They are intertwined by the documented change of variable b = h.v: the map
-(h, v) -> (h, h.v) is an isomorphism onto the affine picture for vector N.
-
-For a vector group every witness comes from one equation: (h, w)
-conjugates (x, b) to t = (y, c) exactly when h x h^-1 = y and
-(I - y) w = c - h b, so given the linear witness h the translation w is one
-linear solve.  The multi-level lift walks a central series, solving one
-quotient equation per level, and works in N alone: conjugating (x, e) by
-(e, u) gives (x, act(x^-1, u) . u^-1), so each level costs one action of
-x^-1 and a few N products, and the accumulated conjugate is compared with
-n exactly at the end.  What the lifts of one x share is its lift plan,
-built once and kept on the presentation: x^-1, the fixed-point check, which
-is one elimination of I - a per level, the solve operator (I - a)^-1 a that
-it yields, and the H-level relation checks that have passed with the
-inverses of their witnesses.  The certificate re-multiplies the composed
-witness in the full group, so its soundness does not rest on this algebra.
+Every witness comes from one equation.  In left coordinates
+(h1,a1)(h2,a2) = (h1 h2, a1 . act(h1, a2)), so (h, w) conjugates (x, a) to
+(y, w . act(h, a) . act(y, w)^-1) with y = h x h^-1: to a relation's target
+(y, c) exactly when w . act(h, a) = c . act(y, w).  ``lift_central_series``
+solves this down a central series N = N_0 > N_1 > ..., N_j / N_{j+1}
+central in N / N_{j+1}.  With w fixed above level j the residual
+r = (w . act(h, a))^-1 . c . act(y, w) lies in N_j, and multiplying
+s = section_j(z) into w makes it s^-1 . r . act(y, s) modulo N_{j+1}, of
+class project_j(r) - (I - Y_j) z for the level action Y_j of y.  So level j
+solves (I - Y_j) z = project_j(r), free coordinates zero, and fails only
+when that system is inconsistent.  A vector group has one level, with the
+system (I - y) w = c - h b of ``make_real_witness`` and
+``make_power_witness``; ``real_witness_via_lift`` maps a pair and its
+target to left coordinates and the solved (h, w) back to (h, act(h^-1, w)).
+When no Y_j fixes a nonzero vector each level has one solution, so the
+witness is the only one with this h: the (h, act(h^-1, u) . u^-1) of the
+earlier (e, u) lift, where (e, u) conjugates (x, e) to
+(x, act(x^-1, u) . u^-1).  The certificate re-multiplies the witness in
+the full group, so its soundness does not rest on this algebra.
 """
 
 from __future__ import annotations
@@ -30,10 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
-from .errors import FixedPointError, PresentationError, SingularMatrixError, UsageError
+from .errors import FixedPointError, PresentationError, UsageError
 from .fields import Field
 from .groups import Certificate, Inverse, Power
-from .linalg import Matrix, Vector, kernel_basis, solve_linear
+from .linalg import Matrix, RowReduction, Vector, kernel_basis
 
 __all__ = [
     "AffineElement",
@@ -43,7 +46,6 @@ __all__ = [
     "CentralSeriesPresentation",
     "LiftPlan",
     "vector_presentation",
-    "reduce_translation",
     "make_real_witness",
     "make_power_witness",
     "lift_central_series",
@@ -99,6 +101,7 @@ class SemidirectProduct:
         self.n_inverse = n_inverse
         self.n_identity = n_identity
         self.h_identity = h_identity
+        self.presentation = None  # set when a CentralSeriesPresentation builds it
 
     def element(self, h, n) -> "SemidirectElement":
         return SemidirectElement(self, h, n)
@@ -132,59 +135,7 @@ class SemidirectElement:
 
 
 # ---------------------------------------------------------------------------
-# One-level (vector group) conjugators
-# ---------------------------------------------------------------------------
-
-def reduce_translation(x: Matrix, b: Vector) -> Vector:
-    """A w with (I,w) (x,b) (I,w)^-1 = (x,0), i.e. (x - I) w = b.
-
-    Solvable exactly when b lies in im(x - I); free coordinates are set to
-    zero, so w is deterministic, and unique when x has no nonzero fixed
-    point.  Otherwise raises ``FixedPointError`` carrying ker(x - I)."""
-    x._require_square("reduce_translation")
-    if x.rows != b.dim:
-        raise UsageError("translation dimension does not match x")
-    shifted = x - Matrix.identity_of(x.field, x.rows)
-    w = solve_linear(shifted, b)
-    if w is None:
-        raise FixedPointError("translation lies outside im(x - I); no conjugator "
-                              "to (x, 0)", kernel=kernel_basis(shifted))
-    return w
-
-
-def _vector_witness(x: Matrix, b: Vector, h: Matrix, relation) -> Certificate:
-    """Certificate (h, w) (x, b) (h, w)^-1 = t for the relation's target
-    t = (y, c).  The product is (h x h^-1, (I - y) w + h b), so it is t
-    exactly when h x = y h and (I - y) w = c - h b; ``FixedPointError``
-    carries ker(I - y) when that system has no solution."""
-    subject = AffineElement(x, b)
-    target = relation.of(subject)
-    y = target.linear
-    if h * x != y * h:
-        raise UsageError(f"h does not witness the {relation.describe()} relation for x")
-    fixed = Matrix.identity_of(x.field, x.rows) - y
-    w = solve_linear(fixed, target.translation - h.apply(b))
-    if w is None:
-        raise FixedPointError(f"(I - y) w = c - h b has no solution for the "
-                              f"{relation.describe()} relation", kernel=kernel_basis(fixed))
-    return Certificate.make(subject, AffineElement(h, w), relation)
-
-
-def make_real_witness(x: Matrix, b: Vector, h: Matrix) -> Certificate:
-    """Certificate (h, w) (x,b) (h, w)^-1 = (x,b)^-1 for h x h^-1 = x^-1:
-    w solves (I - x^-1) w = -x^-1 b - h b (free coordinates zero), which
-    has a solution whenever b lies in im(x - I)."""
-    return _vector_witness(x, b, h, Inverse())
-
-
-def make_power_witness(x: Matrix, b: Vector, h: Matrix, k: int) -> Certificate:
-    """Certificate (h, w) (x,b) (h, w)^-1 = (x,b)^k for h x h^-1 = x^k:
-    w solves (I - x^k) w = c - h b, c the translation of (x,b)^k."""
-    return _vector_witness(x, b, h, Power(k))
-
-
-# ---------------------------------------------------------------------------
-# Central-series presentations and the lifting algorithm
+# Central-series presentations and the witness solver
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -210,50 +161,54 @@ class CentralSeriesPresentation:
         self.action = action
         self.levels = tuple(levels)
         self._plans: dict = {}
+        self._factors: dict = {}
+        self._products: dict = {}
 
     def lift_plan(self, x) -> "LiftPlan":
-        """The lift plan of x, built on first use and kept on this instance.
-        Building it is the fixed-point check: ``FixedPointError`` is raised,
-        and nothing is kept, when x fixes a nonzero quotient vector."""
+        """x's plan, built on first use and kept on this instance."""
         plan = self._plans.get(x)
         if plan is None:
-            plan = self._plans[x] = LiftPlan(x, _level_solvers(x, self))
+            plan = self._plans[x] = LiftPlan(x, self.semidirect(x.identity()))
         return plan
 
+    def level_factors(self, y) -> tuple:
+        """Each level's ``RowReduction`` of I - Y_j for the level actions
+        Y_j of y, built on first use and kept on this instance."""
+        factors = self._factors.get(y)
+        if factors is None:
+            factors = self._factors[y] = tuple(
+                RowReduction.of(Matrix.identity_of(self.field, lvl.dim) - lvl.act(y))
+                for lvl in self.levels)
+        return factors
+
     def semidirect(self, h_identity) -> SemidirectProduct:
-        return SemidirectProduct(self.action, self.multiply, self.inverse,
-                                 self.identity, h_identity)
+        """H x| N for the H with identity h_identity, built once and kept on
+        this instance, which it names as its ``presentation``."""
+        G = self._products.get(h_identity)
+        if G is None:
+            G = self._products[h_identity] = SemidirectProduct(
+                self.action, self.multiply, self.inverse, self.identity, h_identity)
+            G.presentation = self
+        return G
 
 
 def vector_presentation(field: Field, dim: int, matrix_of: Callable) -> CentralSeriesPresentation:
     """The one-level presentation of a vector group V under a linear action."""
-    level = CentralSeriesLevel(
-        dim=dim,
-        project=lambda v: v,
-        section=lambda v: v,
-        act=matrix_of,
-    )
-    return CentralSeriesPresentation(
-        field,
-        multiply=lambda a, b: a + b,
-        inverse=lambda a: -a,
-        identity=Vector.zero(field, dim),
-        action=lambda h, v: matrix_of(h).apply(v),
-        levels=[level],
-    )
+    level = CentralSeriesLevel(dim, project=lambda v: v, section=lambda v: v, act=matrix_of)
+    return CentralSeriesPresentation(field, lambda a, b: a + b, lambda a: -a,
+                                     Vector.zero(field, dim),
+                                     lambda h, v: matrix_of(h).apply(v), [level])
 
 
 class LiftPlan:
-    """What every lift of one x through one presentation shares: x^-1, per
-    level the solve operator (I - a)^-1 a for x's quotient action a, and
-    the (h, relation) pairs whose H-level relation h x h^-1 = relation(x)
-    has passed, each with h^-1.  Only a passed check is recorded, so a
-    wrong h fails every time."""
+    """What every lift of one x through one presentation shares: the
+    product H x| N its pairs live in, and the (h, relation) pairs whose
+    H-level relation h x h^-1 = relation(x) has passed, each with h^-1.
+    Only a passed check is recorded, so a wrong h fails every time."""
 
-    def __init__(self, x, solvers: tuple):
+    def __init__(self, x, group: SemidirectProduct):
         self.x = x
-        self.x_inverse = x.inverse()
-        self.solvers = solvers
+        self.group = group
         self._witnessed: dict = {}
 
     def check_witness(self, h, relation):
@@ -267,62 +222,76 @@ class LiftPlan:
         return h_inverse
 
 
-def _level_solvers(x, pres: CentralSeriesPresentation) -> tuple:
-    """(I - a)^-1 a for each level's action a of x: one elimination of
-    I - a per level, and I - a is singular exactly when a fixes a nonzero
-    vector, which fails fast with the offending level."""
-    solvers = []
-    for j, lvl in enumerate(pres.levels):
-        a = lvl.act(x)
-        ident = Matrix.identity_of(pres.field, lvl.dim)
-        try:
-            solvers.append((ident - a).inverse() * a)
-        except SingularMatrixError:
+def lift_central_series(h, a, y, c, pres: CentralSeriesPresentation, relation):
+    """The w in N with w . act(h, a) = c . act(y, w), level by level as the
+    module docstring derives.  After level j the residual must vanish in
+    that level's quotient, and after the last it must be e exactly.
+    ``FixedPointError`` means level j's system has no solution."""
+    moved = pres.action(h, a)
+    factors = pres.level_factors(y)
+    w = None
+    residual = pres.multiply(pres.inverse(moved), c)
+    for j, (lvl, factor) in enumerate(zip(pres.levels, factors)):
+        z = factor.solve(lvl.project(residual))
+        if z is None:
             raise FixedPointError(
-                f"action of x on level {j} quotient has a nonzero fixed point",
-                kernel=kernel_basis(a - ident), level=j) from None
-    return tuple(solvers)
-
-
-def lift_central_series(x, n, pres: CentralSeriesPresentation):
-    """u in N with (e,u) (x,e) (e,u)^-1 = (x,n), by descending the series.
-
-    From (h1,n1)(h2,n2) = (h1 h2, act(h2^-1, n1) . n2):
-    (e,u) (x,e) (e,u)^-1 = (x, c) with c = act(x^-1, u) . u^-1, and
-    (x,c)^-1 (x,n) = (e, c^-1 . n), so the lift never leaves N.  At each
-    level the quotient equation (act^-1 - I) w = project(residual) is solved
-    in the inverse-free form w = (I - act)^-1 act project(residual) with the
-    operator from x's lift plan, the solution lifted through the section
-    and multiplied into u, and the residual c^-1 . n must then vanish in
-    that level's quotient; after the last level c is compared with n
-    exactly."""
-    plan = pres.lift_plan(x)
-    u = conjugate = pres.identity
-    residual = n
-    for j, (lvl, solver) in enumerate(zip(pres.levels, plan.solvers)):
-        u = pres.multiply(lvl.section(solver.apply(lvl.project(residual))), u)
-        conjugate = pres.multiply(pres.action(plan.x_inverse, u), pres.inverse(u))
-        residual = pres.multiply(pres.inverse(conjugate), n)
+                f"level {j}'s witness equation (I - Y_{j}) z = project_{j}(residual) has no "
+                f"solution for this h and the {relation.describe()} relation",
+                kernel=kernel_basis(factor.matrix), level=j)
+        w = lvl.section(z) if w is None else pres.multiply(w, lvl.section(z))
+        residual = pres.multiply(pres.inverse(pres.multiply(w, moved)),
+                                 pres.multiply(c, pres.action(y, w)))
         if not lvl.project(residual).is_zero():
             raise PresentationError(
                 f"residual fails to descend past level {j}: "
                 f"project_{j} = {lvl.project(residual)!r}")
-    if conjugate != n:
+    if residual != pres.identity:
         raise PresentationError("lifted conjugator failed exact verification")
-    return u
+    return w
+
+
+def _vector_witness(x: Matrix, b: Vector, h: Matrix, relation) -> Certificate:
+    """Certificate (h, w) (x, b) (h, w)^-1 = t for the relation's target
+    t = (y, c): h must conjugate x to y, and w solves (I - y) w = c - h b,
+    the one level of ``vector_presentation``."""
+    subject = AffineElement(x, b)
+    target = relation.of(subject)
+    y = target.linear
+    if h * x != y * h:
+        raise UsageError(f"h does not witness the {relation.describe()} relation for x")
+    pres = vector_presentation(x.field, x.rows, lambda g: g)
+    w = lift_central_series(h, b, y, target.translation, pres, relation)
+    return Certificate.make(subject, AffineElement(h, w), relation)
+
+
+def make_real_witness(x: Matrix, b: Vector, h: Matrix) -> Certificate:
+    """Certificate (h, w) (x,b) (h, w)^-1 = (x,b)^-1 for h x h^-1 = x^-1:
+    w solves (I - x^-1) w = -x^-1 b - h b (free coordinates zero), which
+    has a solution whenever b lies in im(x - I)."""
+    return _vector_witness(x, b, h, Inverse())
+
+
+def make_power_witness(x: Matrix, b: Vector, h: Matrix, k: int) -> Certificate:
+    """Certificate (h, w) (x,b) (h, w)^-1 = (x,b)^k for h x h^-1 = x^k:
+    w solves (I - x^k) w = c - h b, c the translation of (x,b)^k."""
+    return _vector_witness(x, b, h, Power(k))
 
 
 def _witness_via_lift(x, n, pres: CentralSeriesPresentation, h, relation) -> Certificate:
-    """(e,u) (h,e) (e,u)^-1 = (h, act(h^-1, u) . u^-1) for the lifted u,
-    checked by the certificate in the full group."""
-    h_inverse = pres.lift_plan(x).check_witness(h, relation)
-    u = lift_central_series(x, n, pres)
-    G = pres.semidirect(x.identity())
-    g = G.element(h, pres.multiply(pres.action(h_inverse, u), pres.inverse(u)))
-    return Certificate.make(G.element(x, n), g, relation)
+    """The pair (x, n) is (x, act(x, n)) in left coordinates and its target
+    (y, m) is (y, act(y, m)); the solved (h, w) is the pair
+    (h, act(h^-1, w)), checked by the certificate in the full group."""
+    plan = pres.lift_plan(x)
+    h_inverse = plan.check_witness(h, relation)
+    G = plan.group
+    subject = G.element(x, n)
+    target = relation.of(subject)
+    w = lift_central_series(h, pres.action(x, n), target.h,
+                            pres.action(target.h, target.n), pres, relation)
+    return Certificate.make(subject, G.element(h, pres.action(h_inverse, w)), relation)
 
 
 def real_witness_via_lift(x, n, pres: CentralSeriesPresentation, h) -> Certificate:
-    """Certificate for (x,n) ~ (x,n)^-1 in H x| N, composed from the lifted
-    conjugator and an H-level reality witness."""
+    """Certificate for (x,n) ~ (x,n)^-1 in H x| N from the level-by-level
+    solve and an H-level reality witness h."""
     return _witness_via_lift(x, n, pres, h, Inverse())

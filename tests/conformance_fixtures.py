@@ -8,7 +8,9 @@ never claim non-existence of witnesses over infinite groups.  Each
 ``_bounded_witness``.
 
 ``validate_presentation`` spot-checks a central-series presentation on
-samples.  ``conjugacy_classes`` and ``rational_classes`` read the finite
+samples.  ``reduce_translation`` and ``reference_lift`` are the earlier
+translation solve and (e, u) central-series lift, kept as references for
+the level-by-level witness solve.  ``conjugacy_classes`` and ``rational_classes`` read the finite
 class table as lists of classes.  ``extract_block_certificate`` restricts a
 linear conjugator to the image block of the eigenvalue-1 splitting, and
 ``kron`` flattens matrix equations like g X = Y g into the linear systems
@@ -25,6 +27,7 @@ from typing import Callable, Optional, Sequence
 from conjcert.affine import EigenOneSplitting
 from conjcert.errors import (
     ConjcertError,
+    FixedPointError,
     PresentationError,
     SingularMatrixError,
     TheoremViolation,
@@ -33,7 +36,7 @@ from conjcert.errors import (
 from conjcert.fields import QQ
 from conjcert.groups import Certificate, FiniteGroup, Inverse, element_order
 from conjcert.heisenberg import GSpElement, HeisenbergElement, gsp_act
-from conjcert.linalg import Matrix, Vector, has_fixed_point
+from conjcert.linalg import Matrix, Vector, has_fixed_point, kernel_basis, solve_linear
 from conjcert.semidirect import (
     CentralSeriesLevel,
     CentralSeriesPresentation,
@@ -297,6 +300,70 @@ def validate_presentation(pres: CentralSeriesPresentation, h_samples: Sequence =
             for h2 in h_samples:
                 if lvl.act(h * h2) != lvl.act(h) * lvl.act(h2):
                     raise PresentationError(f"level {j}: act not multiplicative")
+
+
+def reduce_translation(x: Matrix, b: Vector) -> Vector:
+    """A w with (I,w) (x,b) (I,w)^-1 = (x,0), i.e. (x - I) w = b.
+
+    Solvable exactly when b lies in im(x - I); free coordinates are set to
+    zero, so w is deterministic, and unique when x has no nonzero fixed
+    point.  Otherwise raises ``FixedPointError`` carrying ker(x - I)."""
+    x._require_square("reduce_translation")
+    if x.rows != b.dim:
+        raise UsageError("translation dimension does not match x")
+    shifted = x - Matrix.identity_of(x.field, x.rows)
+    w = solve_linear(shifted, b)
+    if w is None:
+        raise FixedPointError("translation lies outside im(x - I); no conjugator "
+                              "to (x, 0)", kernel=kernel_basis(shifted))
+    return w
+
+
+def _level_solvers(x, pres: CentralSeriesPresentation) -> tuple:
+    """(I - a)^-1 a for each level's action a of x: one elimination of
+    I - a per level, and I - a is singular exactly when a fixes a nonzero
+    vector, which fails fast with the offending level."""
+    solvers = []
+    for j, lvl in enumerate(pres.levels):
+        a = lvl.act(x)
+        ident = Matrix.identity_of(pres.field, lvl.dim)
+        try:
+            solvers.append((ident - a).inverse() * a)
+        except SingularMatrixError:
+            raise FixedPointError(
+                f"action of x on level {j} quotient has a nonzero fixed point",
+                kernel=kernel_basis(a - ident), level=j) from None
+    return tuple(solvers)
+
+
+def reference_lift(x, n, pres: CentralSeriesPresentation):
+    """The earlier (e, u) lift, a reference for the level-by-level witness
+    solve: u in N with (e,u) (x,e) (e,u)^-1 = (x,n), by descending the series.
+
+    From (h1,n1)(h2,n2) = (h1 h2, act(h2^-1, n1) . n2):
+    (e,u) (x,e) (e,u)^-1 = (x, c) with c = act(x^-1, u) . u^-1, and
+    (x,c)^-1 (x,n) = (e, c^-1 . n), so the lift never leaves N.  At each
+    level the quotient equation (act^-1 - I) w = project(residual) is solved
+    in the inverse-free form w = (I - act)^-1 act project(residual), the
+    solution lifted through the section and multiplied into u, and the
+    residual c^-1 . n must then vanish in that level's quotient; after the
+    last level c is compared with n exactly.  Every level action of x must
+    be fixed-point-free.  With h x h^-1 = relation(x), the witness is
+    (e,u) (h,e) (e,u)^-1 = (h, act(h^-1, u) . u^-1)."""
+    x_inverse = x.inverse()
+    u = conjugate = pres.identity
+    residual = n
+    for j, (lvl, solver) in enumerate(zip(pres.levels, _level_solvers(x, pres))):
+        u = pres.multiply(lvl.section(solver.apply(lvl.project(residual))), u)
+        conjugate = pres.multiply(pres.action(x_inverse, u), pres.inverse(u))
+        residual = pres.multiply(pres.inverse(conjugate), n)
+        if not lvl.project(residual).is_zero():
+            raise PresentationError(
+                f"residual fails to descend past level {j}: "
+                f"project_{j} = {lvl.project(residual)!r}")
+    if conjugate != n:
+        raise PresentationError("lifted conjugator failed exact verification")
+    return u
 
 
 def conjugacy_classes(G: FiniteGroup) -> list[tuple]:

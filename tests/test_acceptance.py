@@ -38,7 +38,6 @@ from conjcert.semidirect import (
     make_power_witness,
     make_real_witness,
     real_witness_via_lift,
-    reduce_translation,
     vector_presentation,
 )
 from conjcert.sl2 import (
@@ -54,6 +53,7 @@ from conformance_fixtures import (
     extract_block_certificate,
     minus_identity_two_level_instance,
     rational_classes,
+    reduce_translation,
     rotation_instance,
     torus_on_heisenberg_instance,
 )

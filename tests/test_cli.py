@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conjcert import cli, fields, heisenberg, sl2
+from conjcert import cli, fields, heisenberg, semidirect, sl2
 from conjcert.cli import (
     DEFAULT_BOUND,
     KINDS,
@@ -222,6 +222,58 @@ def test_heisenberg_scenario(tmp_path, capsys):
     assert all(r["verdicts"]["real"] == "real" for r in report["results"])
     assert all(c["verified"]
                for r in report["results"] for c in r["certificates"])
+
+
+def heisenberg_fixed_point_scenario(v, t):
+    """x = I, which fixes every quotient vector, with the reality witness
+    diag(1, 1, -1, -1) (mu = -1)."""
+    return {
+        "schema_version": 1,
+        "kind": "heisenberg",
+        "params": {"x": [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                         ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+                   "witness": [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                               ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]},
+        "elements": [{"v": v, "t": t}],
+    }
+
+
+def test_heisenberg_fixed_point_is_solved_when_the_witness_equation_is(tmp_path, capsys):
+    """Both levels of I - x^-1 are zero; for v = 0 the witness h maps
+    (0, t) to (0, -t), so every level's system reads 0 = 0 and (h, e)
+    is the certificate."""
+    report = run_and_load(tmp_path, capsys,
+                          heisenberg_fixed_point_scenario(["0", "0", "0", "0"], "1"))
+    result, = report["results"]
+    assert result["verdicts"] == {"real": "real"}
+    cert, = result["certificates"]
+    assert cert["relation"] == "inverse" and cert["verified"]
+    assert cert["witness"]["n"] == {"v": ["0", "0", "0", "0"], "t": "0"}
+
+
+def test_heisenberg_fixed_point_without_a_solution_names_the_level(tmp_path, capsys):
+    """For v = (1, 0, 0, 0), h fixes v, so level 0 reads 0 z = (-2, 0, 0, 0)."""
+    path = write_json(tmp_path / "scenario.json",
+                      heisenberg_fixed_point_scenario(["1", "0", "0", "0"], "0"))
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert "level 0's witness equation" in err and "inverse relation" in err
+    assert "Traceback" not in err
+
+
+def test_heisenberg_run_builds_one_presentation_and_one_product(monkeypatch):
+    """The runner lifts through the codec's presentation, and the lifts
+    build no SemidirectProduct of their own."""
+    scenario = json.loads((ROOT / "scenarios" / "heisenberg_gsp4.json").read_text())
+    calls, products = [], []
+    build = cli.heisenberg_presentation
+    monkeypatch.setattr(cli, "heisenberg_presentation", lambda: calls.append(1) or build())
+    init = semidirect.SemidirectProduct.__init__
+    monkeypatch.setattr(semidirect.SemidirectProduct, "__init__",
+                        lambda self, *args: products.append(1) or init(self, *args))
+    for runs in (1, 2):
+        assert len(build_report(scenario, 0, DEFAULT_BOUND)["results"]) > 1
+        assert len(calls) == len(products) == runs
 
 
 def test_solvable_scenario(tmp_path, capsys):

@@ -116,8 +116,7 @@ def test_every_private_name_is_read(path):
 
 
 # Read by no library code, but by tests/test_acceptance.py from the library.
-ACCEPTANCE_READS = {"has_fixed_point", "vector_presentation", "reduce_translation",
-                    "SL2Element.to_matrix"}
+ACCEPTANCE_READS = {"has_fixed_point", "SL2Element.to_matrix"}
 
 PACKAGE_ATTRIBUTE_READS = {node.attr for p in PACKAGE.glob("*.py")
                            for node in ast.walk(ast.parse(p.read_text(), filename=str(p)))

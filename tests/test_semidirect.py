@@ -1,5 +1,8 @@
+import collections
+import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,7 +17,14 @@ from conjcert.heisenberg import (
     heisenberg_presentation,
     standard_gsp_example,
 )
-from conjcert.linalg import Matrix, Vector, has_fixed_point, solve_linear
+from conjcert.linalg import (
+    Matrix,
+    RowReduction,
+    Vector,
+    has_fixed_point,
+    kernel_basis,
+    solve_linear,
+)
 from conjcert.semidirect import (
     AffineElement,
     CentralSeriesLevel,
@@ -24,10 +34,9 @@ from conjcert.semidirect import (
     make_power_witness,
     make_real_witness,
     real_witness_via_lift,
-    reduce_translation,
     vector_presentation,
 )
-from conformance_fixtures import validate_presentation
+from conformance_fixtures import reduce_translation, reference_lift, validate_presentation
 
 
 def mat(rows, field=QQ):
@@ -240,6 +249,84 @@ def test_witness_equation_agrees_with_the_translation_frame(field, n, data):
             assert cert.witness == c.inverse() * AffineElement(a, Vector.zero(field, n)) * c
 
 
+def all_invertible(field, n):
+    """GL(n, F_p), in the order of their row-major entries."""
+    for entries in itertools.product(range(field.p), repeat=n * n):
+        m = Matrix(field, n, n, tuple(field.coerce(e) for e in entries))
+        if m.det():
+            yield m
+
+
+def conjugating_triples(field, rng):
+    """(x, h, relation) with h x h^-1 = relation(x), for Inverse and for
+    Power(k).  Over F_2: every pair of GL(2, 2) and sampled x in GL(3, 2)
+    against all of it.  Over Q: x = a b for random involutions a, b, so
+    h = a takes x to x^-1, and, when x has order m, to x^(m - 1); and
+    h = x^j takes x to x^1."""
+    if field.characteristic:
+        for n, draws in ((2, None), (3, 8)):
+            group = list(all_invertible(field, n))
+            xs = group if draws is None else rng.sample(group, draws)
+            for x in xs:
+                m = element_order(x, bound=len(group)).value
+                powers = {k: x ** k for k in range(1, m) if gcd(k, m) == 1}
+                for h in group:
+                    conj = h * x * h.inverse()
+                    if conj == x.inverse():
+                        yield x, h, Inverse()
+                    for k, power in powers.items():
+                        if conj == power:
+                            yield x, h, Power(k)
+        return
+    for n in (2, 3):
+        for _ in range(12):
+            signs = [[rng.choice([1, -1]) for _ in range(n)] for _ in range(2)]
+            a, b = (p * mat([[s[i] if i == j else 0 for j in range(n)] for i in range(n)])
+                    * p.inverse() for p, s in zip((rnd_invertible(rng, n),
+                                                    rnd_invertible(rng, n)), signs))
+            x = a * b
+            yield x, a, Inverse()
+            order = element_order(x, bound=50)
+            if order.is_finite and order.value > 1:
+                yield x, a, Power(order.value - 1)
+            yield x, x ** rng.randint(-2, 2), Power(1)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=["QQ", "GF2"])
+def test_one_level_witness_is_the_particular_solution(field):
+    """On one level the solver is the witness equation: the translation is
+    solve_linear(I - y, c - h b), free coordinates zero, and the solve
+    fails, at level 0 and with ker(I - y), exactly when that system is
+    inconsistent."""
+    rng = random.Random(41)
+    outcomes = collections.Counter()
+    for x, h, relation in conjugating_triples(field, rng):
+        n = x.rows
+        ident = Matrix.identity_of(field, n)
+        if field.characteristic:
+            translations = [vec(list(v), field) for v in itertools.product((0, 1), repeat=n)]
+        else:
+            u = vec([rnd_fraction(rng) for _ in range(n)])
+            translations = [u, (x - ident).apply(u)]
+        for b in translations:
+            target = relation.of(AffineElement(x, b))
+            fixed = ident - target.linear
+            expected = solve_linear(fixed, target.translation - h.apply(b))
+            try:
+                if relation == Inverse():
+                    cert = make_real_witness(x, b, h)
+                else:
+                    cert = make_power_witness(x, b, h, relation.k)
+            except FixedPointError as err:
+                assert expected is None
+                assert err.level == 0 and err.kernel == kernel_basis(fixed)
+                outcomes["failed"] += 1
+                continue
+            assert cert.verified and cert.witness == AffineElement(h, expected)
+            outcomes["fixed" if has_fixed_point(target.linear) else "free"] += 1
+    assert outcomes["free"] and outcomes["fixed"] and outcomes["failed"]
+
+
 def test_semidirect_group_laws():
     rng = random.Random(3)
     for field in (QQ, GF(5)):
@@ -278,18 +365,45 @@ def test_semidirect_consistent_with_affine_via_convention_map():
 
 
 def test_lift_one_level_reduces_to_translation_solve():
+    # left coordinates: (h, w) conjugates (x, b) to (y, c) iff (I - y) w = c - h b
     pres = vector_presentation(QQ, 2, lambda h: h)
-    x = mat([[2, 0], [0, "1/2"]])
-    v = vec([1, 1])
-    u = lift_central_series(x, v, pres)
-    # pair convention: (e,u)(x,e)(e,u)^-1 = (x,v) iff (x - I) u = -x v
-    assert u == reduce_translation(x, -(x.apply(v)))
+    x, h = mat([[2, 0], [0, "1/2"]]), mat([[0, 1], [1, 0]])
+    b = vec([1, 1])
+    target = AffineElement(x, b).inverse()
+    w = lift_central_series(h, b, target.linear, target.translation, pres, Inverse())
+    fixed = Matrix.identity_of(QQ, 2) - target.linear
+    assert w == solve_linear(fixed, target.translation - h.apply(b))
+    assert AffineElement(h, w) * AffineElement(x, b) * AffineElement(h, w).inverse() == target
 
 
 def test_lift_identity_input():
     pres = vector_presentation(QQ, 2, lambda h: h)
-    x = mat([[2, 0], [0, "1/2"]])
-    assert lift_central_series(x, vec([0, 0]), pres) == vec([0, 0])
+    x, h = mat([[2, 0], [0, "1/2"]]), mat([[0, 1], [1, 0]])
+    zero = vec([0, 0])
+    assert lift_central_series(h, zero, x.inverse(), zero, pres, Inverse()) == zero
+
+
+def lift(pres, x, n, h, relation):
+    """lift_central_series on the pair (x, n) of H x| N, in the left
+    coordinates (x, act(x, n)) that ``_witness_via_lift`` hands it."""
+    G = pres.semidirect(x.identity())
+    target = relation.of(G.element(x, n))
+    return lift_central_series(h, pres.action(x, n), target.h,
+                               pres.action(target.h, target.n), pres, relation)
+
+
+def assert_left_witness(pres, x, n, h, relation, w):
+    """(h, w) in left coordinates, the pair (h, act(h^-1, w)), conjugates
+    (x, n) to relation((x, n)) in H x| N."""
+    G = pres.semidirect(x.identity())
+    g = G.element(h, pres.action(h.inverse(), w))
+    subject = G.element(x, n)
+    assert g * subject * g.inverse() == relation.of(subject)
+
+
+def block_swap():
+    """Swaps the coordinates of both levels, so it conjugates diagonal x to x^-1."""
+    return mat([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
 
 
 def two_level_abelian_presentation(field=QQ):
@@ -337,40 +451,53 @@ def test_two_level_lift_verifies():
     rng = random.Random(5)
     for _ in range(10):
         n = vec([rnd_fraction(rng) for _ in range(4)])
-        u = lift_central_series(x, n, pres)
-        G = pres.semidirect(x.identity())
-        u_el, x_el = G.element(G.h_identity, u), G.element(x, pres.identity)
-        assert u_el * x_el * u_el.inverse() == G.element(x, n)
+        w = lift(pres, x, n, block_swap(), Inverse())
+        assert_left_witness(pres, x, n, block_swap(), Inverse(), w)
 
 
-def test_lift_fixed_point_reports_level():
-    pres = two_level_abelian_presentation()
-    x = mat([
+def fixed_bottom_x():
+    """diag(2, 1/2) on the top quotient and the identity on the bottom one,
+    so x^-1 fixes the whole level-1 quotient."""
+    return mat([
         [2, 0, 0, 0],
         [0, Fraction(1, 2), 0, 0],
         [0, 0, 1, 0],
         [0, 0, 0, 1],
     ])
+
+
+def test_lift_fixed_point_reports_level():
+    # with h the top swap and y = x^-1 = I on the bottom, level 1 reads
+    # 0 z = project_1(residual) = -2 (n_2, n_3): inconsistent unless n_2 = n_3 = 0
+    pres = two_level_abelian_presentation()
+    x = fixed_bottom_x()
+    h = mat([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     with pytest.raises(FixedPointError) as err:
-        lift_central_series(x, vec([1, 1, 1, 1]), pres)
+        lift(pres, x, vec([1, 1, 1, 1]), h, Inverse())
     assert err.value.level == 1
+    assert "level 1" in str(err.value) and "inverse relation" in str(err.value)
+    n = vec([1, 1, 0, 0])
+    assert_left_witness(pres, x, n, h, Inverse(), lift(pres, x, n, h, Inverse()))
 
 
-def count_level_solvers(monkeypatch):
-    """Count the fixed-point checks, one per lift plan built."""
+def count_level_factors(monkeypatch):
+    """Count the factorisations of I - Y_j that the solver makes, one per
+    level for each (presentation, y) it solves against."""
     calls = []
-    build = semidirect._level_solvers
+    of = RowReduction.of
 
-    def counted(x, pres):
-        calls.append(pres)
-        return build(x, pres)
+    class Counted:
+        @staticmethod
+        def of(matrix):
+            calls.append(matrix)
+            return of(matrix)
 
-    monkeypatch.setattr(semidirect, "_level_solvers", counted)
+    monkeypatch.setattr(semidirect, "RowReduction", Counted)
     return calls
 
 
-def test_lift_plan_is_built_once_per_x_and_presentation(monkeypatch):
-    calls = count_level_solvers(monkeypatch)
+def test_level_factors_are_built_once_per_y_and_presentation(monkeypatch):
+    calls = count_level_factors(monkeypatch)
     pres = two_level_abelian_presentation()
     x = mat([
         [2, 0, 0, 0],
@@ -378,41 +505,43 @@ def test_lift_plan_is_built_once_per_x_and_presentation(monkeypatch):
         [0, 0, 3, 0],
         [0, 0, 0, Fraction(1, 3)],
     ])
-    G = pres.semidirect(x.identity())
     rng = random.Random(11)
     for _ in range(50):
         n = vec([rnd_fraction(rng) for _ in range(4)])
-        u_el = G.element(G.h_identity, lift_central_series(x, n, pres))
-        assert u_el * G.element(x, pres.identity) * u_el.inverse() == G.element(x, n)
-    assert calls == [pres]
-    # an equal x is the same plan; a new presentation builds its own
-    lift_central_series(mat([[2, 0, 0, 0], [0, Fraction(1, 2), 0, 0],
-                             [0, 0, 3, 0], [0, 0, 0, Fraction(1, 3)]]), n, pres)
+        assert real_witness_via_lift(x, n, pres, block_swap()).verified
+    ident = Matrix.identity_of(QQ, 2)
+    assert calls == [ident - mat([["1/2", 0], [0, 2]]), ident - mat([["1/3", 0], [0, 3]])]
+    # an equal x has the same y = x^-1; another relation of x solves against
+    # y = x, and a new presentation factors its own
+    equal = mat([[2, 0, 0, 0], [0, Fraction(1, 2), 0, 0],
+                 [0, 0, 3, 0], [0, 0, 0, Fraction(1, 3)]])
+    assert real_witness_via_lift(equal, n, pres, block_swap()).verified
+    assert len(calls) == 2
+    assert semidirect._witness_via_lift(x, n, pres, x, Power(1)).verified
+    assert calls[2:] == [ident - mat([[2, 0], [0, "1/2"]]), ident - mat([[3, 0], [0, "1/3"]])]
     other = two_level_abelian_presentation()
-    lift_central_series(x, n, other)
-    assert calls == [pres, other]
+    assert real_witness_via_lift(x, n, other, block_swap()).verified
+    assert len(calls) == 6
 
 
 def test_lift_fixed_point_is_reported_on_every_call(monkeypatch):
-    calls = count_level_solvers(monkeypatch)
+    calls = count_level_factors(monkeypatch)
     pres = two_level_abelian_presentation()
-    x = mat([
-        [2, 0, 0, 0],
-        [0, Fraction(1, 2), 0, 0],
-        [0, 0, 1, 0],
-        [0, 0, 0, 1],
-    ])
+    x = fixed_bottom_x()
     h = mat([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     assert h * x * h.inverse() == x.inverse()
     for attempt in range(3):
         with pytest.raises(FixedPointError) as err:
-            lift_central_series(x, vec([1, 1, 1, 1]), pres)
+            lift(pres, x, vec([1, 1, 1, 1]), h, Inverse())
         assert err.value.level == 1
         assert err.value.kernel == [vec([1, 0]), vec([0, 1])]  # in level 1 coordinates
         with pytest.raises(FixedPointError) as err:
             real_witness_via_lift(x, vec([1, 1, 1, 1]), pres, h)
         assert err.value.level == 1
-    assert len(calls) == 6
+        # a consistent level-1 equation is solved through the same fixed point
+        assert real_witness_via_lift(x, vec([1, 1, 0, 0]), pres, h).verified
+    # the two factorisations for y = x^-1 are kept; only the solve fails
+    assert len(calls) == 2
 
 
 def test_wrong_h_fails_on_every_call():
@@ -502,10 +631,9 @@ def test_any_set_theoretic_section_is_accepted():
         levels=levels,
     )
     x = mat([[2, 0], [0, 3]])
-    u = lift_central_series(x, vec([1, 1]), pres)
-    G = pres.semidirect(x.identity())
-    u_el = G.element(G.h_identity, u)
-    assert u_el * G.element(x, pres.identity) * u_el.inverse() == G.element(x, vec([1, 1]))
+    # h = x commutes with x, so it witnesses x ~ x^1
+    w = lift(pres, x, vec([1, 1]), x, Power(1))
+    assert_left_witness(pres, x, vec([1, 1]), x, Power(1), w)
 
 
 def test_presentation_descent_check_detects_inconsistent_action():
@@ -535,14 +663,15 @@ def test_presentation_descent_check_detects_inconsistent_action():
         levels=bad_levels,
     )
     x = mat([[2, 0], [0, 3]])
-    with pytest.raises(PresentationError):
-        lift_central_series(x, vec([1, 1]), pres)
+    with pytest.raises(PresentationError, match="fails to descend past level 0"):
+        lift(pres, x, vec([1, 1]), x, Power(1))
 
 
 def test_inconsistent_last_section_fails_the_final_comparison():
     # project_1(section_1(v)) = v, but section_1 also writes into the level-0
     # coordinate, which no later level can see: every descent check passes
-    # and only the exact comparison of the conjugate with n is left to fail
+    # and only the exact comparison of w . act(h, a) with c . act(y, w) is
+    # left to fail
     field = QQ
     levels = [
         CentralSeriesLevel(
@@ -568,30 +697,34 @@ def test_inconsistent_last_section_fails_the_final_comparison():
     )
     x = mat([[2, 0], [0, 3]])
     with pytest.raises(PresentationError, match="failed exact verification"):
-        lift_central_series(x, vec([1, 1]), pres)
+        lift(pres, x, vec([1, 1]), x, Power(1))
 
 
 # -- the lift in N against products in the full group -----------------------------
 
 def assert_lift_matches_full_group(pres, x, n, h, relation) -> bool:
-    """Lift (x, n) and compose the witness for h, then redo both with
-    products in H x| N.  A lift may fail only with ``FixedPointError`` and
-    only when some level action of x fixes a nonzero vector.  Returns
-    whether the lift succeeded."""
-    fixed = any(has_fixed_point(lvl.act(x)) for lvl in pres.levels)
+    """Solve (x, n) for h and redo the conjugation with products in
+    H x| N.  A solve may fail only with ``FixedPointError``, at a level
+    where y = relation(x) fixes a nonzero vector, since only a singular
+    I - Y_j makes a level's system inconsistent.  With no such level the
+    witness is the one the reference (e, u) lift composes,
+    (e,u) (h,e) (e,u)^-1.  Returns "failed", "fixed" (solved through a
+    fixed point of y) or "free"."""
+    y = relation.of(x)
+    fixed = [j for j, lvl in enumerate(pres.levels) if has_fixed_point(lvl.act(y))]
     try:
-        u = lift_central_series(x, n, pres)
-    except FixedPointError:
-        assert fixed
-        return False
-    assert not fixed
-    G = pres.semidirect(x.identity())
-    u_el = G.element(G.h_identity, u)
-    assert u_el * G.element(x, pres.identity) * u_el.inverse() == G.element(x, n)
+        w = lift(pres, x, n, h, relation)
+    except FixedPointError as err:
+        assert err.level in fixed
+        return "failed"
+    assert_left_witness(pres, x, n, h, relation, w)
     cert = semidirect._witness_via_lift(x, n, pres, h, relation)
     assert cert.verified
-    assert cert.witness == u_el * G.element(h, pres.identity) * u_el.inverse()
-    return True
+    if not fixed:
+        G = pres.semidirect(x.identity())
+        u_el = G.element(G.h_identity, reference_lift(x, n, pres))
+        assert cert.witness == u_el * G.element(h, pres.identity) * u_el.inverse()
+    return "fixed" if fixed else "free"
 
 
 def rnd_scalar(rng, field):
@@ -623,17 +756,19 @@ def test_lift_agrees_with_the_full_group(shape, field):
         pres, dim = vector_presentation(field, 3, lambda h: h), 3
     else:
         pres, dim = two_level_abelian_presentation(field), 4
-    lifted = failed = 0
+    outcomes = collections.Counter()
     for _ in range(40):
         x = rnd_matrix(rng, 3, field) if shape == "vector" else rnd_two_level(rng, field)
         n = vec([rnd_scalar(rng, field) for _ in range(dim)], field)
         # any power of x commutes with x, so it witnesses x ~ x^1
         h = x ** rng.randint(-2, 2)
-        if assert_lift_matches_full_group(pres, x, n, h, Power(1)):
-            lifted += 1
-        else:
-            failed += 1
-    assert lifted and failed
+        outcomes[assert_lift_matches_full_group(pres, x, n, h, Power(1))] += 1
+    assert outcomes["free"] and outcomes["fixed"]
+    # one level reads (I - x) w = (I - x^j) b, and I - x^j = (I - x) p(x) for
+    # a polynomial p, so that system is consistent through every fixed point;
+    # two levels take the free coordinates of level 0 at zero, and the
+    # level-1 system that this leaves can be inconsistent
+    assert bool(outcomes["failed"]) == (shape == "two_level")
 
 
 def rnd_gsp_word(rng, letters, length):
@@ -667,21 +802,55 @@ def test_heisenberg_lift_agrees_with_the_full_group():
     rng = random.Random(31)
     pres = heisenberg_presentation()
     x, y, letters = gsp_letters(rng)
-    lifted = failed = 0
+    outcomes = collections.Counter()
     for _ in range(25):
         # a conjugate g x g^-1 is real through g y g^-1 ...
         g = rnd_gsp_word(rng, letters, rng.randint(1, 3))
         g_inv = g.inverse()
         assert assert_lift_matches_full_group(pres, g * x * g_inv, rnd_h5(rng),
-                                              g * y * g_inv, Inverse())
+                                              g * y * g_inv, Inverse()) == "free"
         # ... and a random word w is rational through its own powers
         w = rnd_gsp_word(rng, letters, rng.randint(1, 4))
         h = w * w if rng.randrange(2) else w.inverse()
-        if assert_lift_matches_full_group(pres, w, rnd_h5(rng), h, Power(1)):
-            lifted += 1
-        else:
-            failed += 1
-    assert lifted and failed
+        outcomes[assert_lift_matches_full_group(pres, w, rnd_h5(rng), h, Power(1))] += 1
+    assert outcomes["free"] and outcomes["fixed"] and outcomes["failed"]
+
+
+@pytest.mark.parametrize("shape", ["two_level-QQ", "two_level-GF2", "H5"])
+def test_fixed_point_free_witness_matches_the_reference_lift(shape):
+    """With no level action of y fixing a nonzero vector each level's
+    system has exactly one solution, so the witness is the one composed
+    from the reference (e, u) lift: (h, act(h^-1, u) . u^-1)."""
+    rng = random.Random(43)
+    if shape == "H5":
+        pres = heisenberg_presentation()
+        x, y, letters = gsp_letters(rng)
+        cases = [(x, y, Inverse())]
+        for _ in range(4):
+            g = rnd_gsp_word(rng, letters, rng.randint(1, 3))
+            g_inv = g.inverse()
+            cases.append((g * x * g_inv, g * y * g_inv, Inverse()))
+        draws = [(case, rnd_h5(rng)) for case in cases for _ in range(5)]
+        draws.append((cases[0], pres.identity))
+    else:
+        field = QQ if shape == "two_level-QQ" else GF(2)
+        pres = two_level_abelian_presentation(field)
+        draws = []
+        while len(draws) < 25:
+            x = rnd_two_level(rng, field)
+            if any(has_fixed_point(lvl.act(x)) for lvl in pres.levels):
+                continue
+            n = vec([rnd_scalar(rng, field) for _ in range(4)], field)
+            draws.append(((x, x ** rng.randint(-2, 2), Power(1)), n))
+        diagonal = mat([[2, 0, 0, 0], [0, Fraction(1, 2), 0, 0],
+                        [0, 0, 3, 0], [0, 0, 0, Fraction(1, 3)]])
+        if field is QQ:
+            draws.append(((diagonal, block_swap(), Inverse()), vec([1, -2, 3, 5])))
+    for (x, h, relation), n in draws:
+        cert = semidirect._witness_via_lift(x, n, pres, h, relation)
+        u = reference_lift(x, n, pres)
+        assert cert.verified and cert.witness.h == h
+        assert cert.witness.n == pres.multiply(pres.action(h.inverse(), u), pres.inverse(u))
 
 
 def test_heisenberg_lift_makes_only_the_certificate_products(monkeypatch):
