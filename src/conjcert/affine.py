@@ -66,7 +66,6 @@ class EigenOneSplitting:
     """Basis-adapted decomposition F^n = ker(x - I) + im(x - I)."""
 
     kernel: tuple
-    image: tuple
     change_of_basis: Matrix
     inverse_basis: Matrix
     restricted: Matrix  # x on the image block, in the image basis
@@ -103,7 +102,7 @@ def split_at_eigenvalue_one(x: Matrix) -> EigenOneSplitting:
                 raise UsageError("splitting is not x-invariant")
     restricted = Matrix(x.field, n - d, n - d,
                         tuple(adapted[i, j] for i in range(d, n) for j in range(d, n)))
-    return EigenOneSplitting(tuple(kernel), tuple(image), P, P_inv, restricted)
+    return EigenOneSplitting(tuple(kernel), P, P_inv, restricted)
 
 
 @dataclass(frozen=True)

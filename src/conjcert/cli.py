@@ -56,6 +56,7 @@ CLOSURE_CAP = 50_000
 MAX_RELATION_POWER = 10 ** 6
 # is_prime is trial division: about 8 ms at this cap, minutes near 10**18
 MAX_FIELD_MODULUS = 2 ** 31 - 1
+_HEISENBERG_SHAPE = "a heisenberg element needs a 4x4 similitude and a 4-entry v"
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +133,15 @@ def _encode_sl2v(field: Field, element: SL2VElement) -> dict:
             "v": _vector_out(element.v)}
 
 
+def _sl2_in(codec: "GroupCodec", entries, what: str) -> SL2Element:
+    """[a, b, c, d], a JSON list of exactly 4 scalars with ad - bc = 1."""
+    if len(_list_in(entries, what)) != 4:
+        raise UsageError(f"{what} must have exactly 4 entries")
+    return SL2Element.of(*(codec.scalar(v) for v in entries))
+
+
 def _decode_sl2v(codec: "GroupCodec", payload: dict) -> SL2VElement:
-    a, b, c, d = (codec.scalar(v) for v in _list_in(payload["h"], "sl2v h"))
-    return SL2VElement(SL2Element.of(a, b, c, d), codec.vector(payload["v"]))
+    return SL2VElement(_sl2_in(codec, payload["h"], "sl2v h"), codec.vector(payload["v"]))
 
 
 def _encode_heisenberg(field: Field, element) -> dict:
@@ -148,13 +155,16 @@ def _heisenberg_group():
     return heisenberg_presentation().semidirect(GSpElement(Matrix.identity_of(QQ, 4), QQ.one()))
 
 
-def _decode_heisenberg(codec: "GroupCodec", payload: dict):
-    g = codec.gsp(payload["h"])
-    n = HeisenbergElement.of(QQ, codec.vector(payload["n"]["v"]),
-                             codec.scalar(payload["n"]["t"]))
-    if g.g.rows != 4 or n.v.dim != 4:
-        raise UsageError("a heisenberg element needs a 4x4 similitude and a 4-entry v")
+def _heisenberg_in(codec: "GroupCodec", g: GSpElement, n: dict):
+    """The pair (g, (v, t)) of GSp(4) x| H_5 from n = {v, t}, v of 4 entries."""
+    n = HeisenbergElement.of(QQ, codec.vector(n["v"]), codec.scalar(n["t"]))
+    if n.v.dim != 4:
+        raise UsageError(_HEISENBERG_SHAPE)
     return codec.group.element(g, n)
+
+
+def _decode_heisenberg(codec: "GroupCodec", payload: dict):
+    return _heisenberg_in(codec, codec.gsp(payload["h"]), payload["n"])
 
 
 def _encode_solvable(field: Field, element) -> dict:
@@ -163,13 +173,15 @@ def _encode_solvable(field: Field, element) -> dict:
             "n": {"a": field.format(n.a), "b": field.format(n.b), "c": field.format(n.c)}}
 
 
+def _complex_heisenberg_in(codec: "GroupCodec", n: dict) -> ComplexHeisenbergElement:
+    return ComplexHeisenbergElement.of(*(codec.scalar(n[key]) for key in ("a", "b", "c")))
+
+
 def _decode_solvable(codec: "GroupCodec", payload: dict):
     lam = codec.scalar(payload["h"])
     if not lam:
         raise UsageError("unit scalar must be nonzero")
-    n = ComplexHeisenbergElement.of(*(codec.scalar(payload["n"][key])
-                                      for key in ("a", "b", "c")))
-    return codec.group.element(lam, n)
+    return codec.group.element(lam, _complex_heisenberg_in(codec, payload["n"]))
 
 
 @dataclass(frozen=True)
@@ -235,12 +247,14 @@ class GroupCodec:
         return Vector(self.field, tuple(self.scalar(v) for v in _list_in(values, "vector")))
 
     def gsp(self, rows) -> GSpElement:
-        """The similitude of ``rows``, its check g^T J g = mu J run once per
-        distinct all-``str`` matrix."""
+        """The 4x4 similitude of ``rows``, its check g^T J g = mu J run once
+        per distinct all-``str`` matrix."""
         key = _str_rows(rows)
         g = None if key is None else self._memo.get(key)
         if g is None:
             g = GSpElement.of(self.matrix(rows))
+            if g.g.rows != 4:
+                raise UsageError(_HEISENBERG_SHAPE)
             if key is not None:
                 self._memo[key] = g
         return g
@@ -312,11 +326,7 @@ def _run_sl2v(codec: GroupCodec, params: dict, elements, bound: int) -> list:
     n = _int_in(params["n"], "sl2v degree n") if "n" in params else None
     results = []
     for payload in elements:
-        entries = _list_in(payload["x"], "sl2v element x")
-        if len(entries) != 4:
-            raise UsageError("sl2v element x must have exactly 4 entries")
-        a, b, c, d = (codec.scalar(v) for v in entries)
-        x = SL2Element.of(a, b, c, d)
+        x = _sl2_in(codec, payload["x"], "sl2v element x")
         v = codec.vector(payload["v"])
         if n is not None and v.dim != n + 1:
             raise UsageError(f"v has dimension {v.dim}, expected n + 1 = {n + 1}")
@@ -340,7 +350,7 @@ def _run_affine(codec: GroupCodec, params: dict, elements, bound: int) -> list:
     results = []
     for payload in elements:
         v = codec.vector(payload["v"])
-        subject = AffineElement.of(x, v)
+        subject = AffineElement(x, v)
         outcome = classify_affine_rational(linear, v, bound=bound)
         certs = [outcome.certificates[k] for k in sorted(outcome.certificates)]
         if outcome.reality is not None:
@@ -351,27 +361,21 @@ def _run_affine(codec: GroupCodec, params: dict, elements, bound: int) -> list:
 
 
 def _run_heisenberg(codec: GroupCodec, params: dict, elements, bound: int) -> list:
-    if "x" in params:
-        x = codec.gsp(params["x"])
-        y = codec.gsp(params["witness"])
-    else:
-        x, y = standard_gsp_example()
+    x, y = ((codec.gsp(params["x"]), codec.gsp(params["witness"])) if "x" in params
+            else standard_gsp_example())
     pres = codec.group.presentation
     results = []
     for payload in elements:
-        n = HeisenbergElement.of(QQ, codec.vector(payload["v"]),
-                                 codec.scalar(payload["t"]))
-        cert = real_witness_via_lift(x, n, pres, y)
-        results.append(codec.result(codec.group.element(x, n), {"real": "real"}, [cert]))
+        subject = _heisenberg_in(codec, x, payload)
+        cert = real_witness_via_lift(x, subject.n, pres, y)
+        results.append(codec.result(subject, {"real": "real"}, [cert]))
     return results
 
 
 def _run_solvable(codec: GroupCodec, params: dict, elements, bound: int) -> list:
     results = []
     for payload in elements:
-        n = ComplexHeisenbergElement.of(codec.scalar(payload["a"]),
-                                        codec.scalar(payload["b"]),
-                                        codec.scalar(payload["c"]))
+        n = _complex_heisenberg_in(codec, payload)
         x_sign = _int_in(payload.get("x", -1), "solvable x")
         verdict = complex_heisenberg_reality(n, x_sign)
         subject = codec.group.element(QQI.coerce(x_sign), n)

@@ -9,6 +9,7 @@ element's class and a transversal t_y with t_y r t_y^-1 = y for the class
 representative r (Holt, Eick & O'Brien, *Handbook of Computational Group
 Theory*, 2005, ch. 4).  Oracle verdicts are lookups in that table; every
 certificate surfaced from this module is re-verified by exact multiplication.
+``element_power`` is the one square-and-multiply, also behind ``Matrix.__pow__``.
 """
 
 from __future__ import annotations
@@ -102,18 +103,10 @@ class Certificate:
 
 @dataclass(frozen=True)
 class OrderResult:
-    """Either Finite(m) with g^m = e minimal, or ExceedsBound(bound)."""
+    """value is the least m with g^m = e, or None when it exceeds bound."""
 
     value: Optional[int]
     bound: int
-
-    @staticmethod
-    def finite(m: int, bound: int) -> "OrderResult":
-        return OrderResult(m, bound)
-
-    @staticmethod
-    def exceeds(bound: int) -> "OrderResult":
-        return OrderResult(None, bound)
 
     @property
     def is_finite(self) -> bool:
@@ -222,9 +215,9 @@ def element_order(g, bound: int = DEFAULT_ORDER_BOUND) -> OrderResult:
     acc = g
     for m in range(1, bound + 1):
         if acc == identity:
-            return OrderResult.finite(m, bound)
+            return OrderResult(m, bound)
         acc = g * acc
-    return OrderResult.exceeds(bound)
+    return OrderResult(None, bound)
 
 
 def is_real_bruteforce(G: FiniteGroup, g) -> Optional[Certificate]:

@@ -3,13 +3,15 @@ the complex Heisenberg family.
 
 The Heisenberg group H_{2m+1} over Q is carried as pairs (v, t) with
 (v,t)(v',t') = (v+v', t+t'+ w(v,v')/2) for the standard symplectic form
-w(v,v') = v^T J v'.  Similitudes act by (v,t) |-> (g v, mu(g) t).
+w(v,v') = v^T J v'.  Similitudes act by (v,t) |-> (g v, mu(g) t).  A GSp
+element hashes through its matrix, which keeps its hash, and
+``_gsp_inverse`` stays keyed by value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import TheoremViolation, UsageError
 from .fields import GaussianRational, QQ, QQI
@@ -120,21 +122,7 @@ class GSpElement:
         return _gsp_inverse(self)
 
     def __hash__(self):
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        """The dataclass hash of (g, mu), computed once per instance, so the
-        ``_gsp_inverse`` and lift-plan lookups of one element rehash no
-        matrix.  Kept in the instance dict, which ``==`` and ``repr`` never
-        read and ``__getstate__`` leaves out: the field's hash differs
-        between processes, so a pickled hash would be wrong."""
-        return hash((self.g, self.mu))
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+        return hash(self.g)  # g determines mu, and the matrix keeps its hash
 
     def identity(self) -> "GSpElement":
         field = self.g.field
@@ -146,9 +134,8 @@ class GSpElement:
 
 @lru_cache(maxsize=1024)
 def _gsp_inverse(x: GSpElement) -> GSpElement:
-    """Inverses memoised by value: every semidirect product inverts its
-    right factor's GSp part, and a run re-inverts the same few elements,
-    whose hashes are kept on the instance."""
+    """Inverses memoised by value: every semidirect product inverts its right
+    factor's GSp part, and a run re-inverts the same few elements."""
     return GSpElement(x.g.inverse(), x.g.field.one() / x.mu)
 
 
@@ -253,7 +240,6 @@ def complex_heisenberg_group() -> SemidirectProduct:
 class ComplexHeisenbergVerdict:
     real: bool
     certificates: tuple
-    residual: GaussianRational  # a b - 2 c, the lambda-free obstruction
     reason: str = ""
 
 
@@ -287,19 +273,16 @@ def complex_heisenberg_reality(n: ComplexHeisenbergElement, x_sign: int
         raise UsageError("x must be 1 or -1")
     G = complex_heisenberg_group()
     two = QQI.coerce(2)
-    residual = n.a * n.b - two * n.c
     subject = G.element(QQI.coerce(x_sign), n)
 
     if x_sign == 1:
         if not n.a and not n.b:
             if not n.c:
                 cert = Certificate.make(subject, G.identity(), Inverse())
-                return ComplexHeisenbergVerdict(True, (cert,), residual,
-                                                reason="identity element")
+                return ComplexHeisenbergVerdict(True, (cert,), reason="identity element")
             return ComplexHeisenbergVerdict(
-                False, (), residual,
-                reason="central n: every conjugate of (1, n) equals itself and "
-                       "n = n^-1 forces 2c = 0")
+                False, (), reason="central n: every conjugate of (1, n) equals itself and "
+                                  "n = n^-1 forces 2c = 0")
         if n.a:
             m = ComplexHeisenbergElement(QQI.zero(), (two * n.c - n.a * n.b) / n.a,
                                          QQI.zero())
@@ -308,9 +291,10 @@ def complex_heisenberg_reality(n: ComplexHeisenbergElement, x_sign: int
                                          QQI.zero())
         witness = G.element(QQI.coerce(-1), m)
         cert = Certificate.make(subject, witness, Inverse())
-        return ComplexHeisenbergVerdict(True, (cert,), residual)
+        return ComplexHeisenbergVerdict(True, (cert,))
 
     # x = -1
+    residual = n.a * n.b - two * n.c
     target = subject.inverse().n
     mismatches = []
     certs = []
@@ -325,8 +309,7 @@ def complex_heisenberg_reality(n: ComplexHeisenbergElement, x_sign: int
     if residual == QQI.zero():
         if not certs:
             raise TheoremViolation("a b = 2 c but no witness verified")
-        return ComplexHeisenbergVerdict(True, tuple(certs), residual)
+        return ComplexHeisenbergVerdict(True, tuple(certs))
     return ComplexHeisenbergVerdict(
-        False, (), residual,
-        reason="the (1,3) comparison leaves the lambda-free residual "
-               f"a b - 2 c = {residual}, which is nonzero")
+        False, (), reason="the (1,3) comparison leaves the lambda-free residual "
+                          f"a b - 2 c = {residual}, which is nonzero")

@@ -19,8 +19,10 @@ residue-table element for s mod p; ``apply`` scales the vector the same way
 once per call.  So a product makes no ``Fraction`` or ``FpElement``
 arithmetic, where a scalar loop would normalise every ``+`` and ``*``.  The
 view is kept on the instance outside ``==``, ``hash``, ``repr`` and the
-pickled state.  ℚ(i), and 𝔽_p for p above ``fields.RESIDUE_TABLE_MAX``, take
-the scalar loop, their only path.  ``*``, ``apply``, ``+``, ``-`` and ``dot``
+pickled state, and so is the hash, cached the same way so that a matrix
+looked up again rehashes no entry.  ``**`` is ``groups.element_power``.
+ℚ(i), and 𝔽_p for p above ``fields.RESIDUE_TABLE_MAX``, take the scalar
+loop, their only path.  ``*``, ``apply``, ``+``, ``-`` and ``dot``
 refuse operands over two fields with ``UsageError``.
 
 The other kernels skip zeros rather than multiply them out: the row update
@@ -43,6 +45,7 @@ from typing import Iterable, Optional
 
 from .errors import DimensionMismatch, SingularMatrixError, UsageError
 from .fields import Field, PrimeField, RationalField
+from .groups import element_power
 
 __all__ = [
     "Matrix",
@@ -267,9 +270,19 @@ class Matrix:
             vals.append(tuple([row[j] for j in nonzero]))
         return scale, cols, vals
 
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash, kept like ``_ints``; the field's hash differs
+        between processes, so ``__getstate__`` leaves both out."""
+        return hash((self.field, self.rows, self.cols, self.entries))
+
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("_ints", None)
+        state.pop("_hash", None)
         return state
 
     def transpose(self) -> "Matrix":
@@ -293,16 +306,7 @@ class Matrix:
 
     def __pow__(self, k: int) -> "Matrix":
         self._require_square("power")
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Matrix.identity_of(self.field, self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return element_power(self, k)
 
     def is_identity(self) -> bool:
         return self.is_square and self == Matrix.identity_of(self.field, self.rows)

@@ -25,7 +25,9 @@ When no Y_j fixes a nonzero vector each level has one solution, so the
 witness is the only one with this h: the (h, act(h^-1, u) . u^-1) of the
 earlier (e, u) lift, where (e, u) conjugates (x, e) to
 (x, act(x^-1, u) . u^-1).  The certificate re-multiplies the witness in
-the full group, so its soundness does not rest on this algebra.
+the full group, so its soundness does not rest on this algebra.  The
+presentation only describes N: the lift plan of x keeps the factorisations
+of I - Y_j per passed (h, relation), and a one-level witness factors I - y.
 """
 
 from __future__ import annotations
@@ -161,7 +163,6 @@ class CentralSeriesPresentation:
         self.action = action
         self.levels = tuple(levels)
         self._plans: dict = {}
-        self._factors: dict = {}
         self._products: dict = {}
 
     def lift_plan(self, x) -> "LiftPlan":
@@ -170,16 +171,6 @@ class CentralSeriesPresentation:
         if plan is None:
             plan = self._plans[x] = LiftPlan(x, self.semidirect(x.identity()))
         return plan
-
-    def level_factors(self, y) -> tuple:
-        """Each level's ``RowReduction`` of I - Y_j for the level actions
-        Y_j of y, built on first use and kept on this instance."""
-        factors = self._factors.get(y)
-        if factors is None:
-            factors = self._factors[y] = tuple(
-                RowReduction.of(Matrix.identity_of(self.field, lvl.dim) - lvl.act(y))
-                for lvl in self.levels)
-        return factors
 
     def semidirect(self, h_identity) -> SemidirectProduct:
         """H x| N for the H with identity h_identity, built once and kept on
@@ -200,10 +191,16 @@ def vector_presentation(field: Field, dim: int, matrix_of: Callable) -> CentralS
                                      lambda h, v: matrix_of(h).apply(v), [level])
 
 
+def _level_factors(pres: CentralSeriesPresentation, y) -> tuple:
+    """Each level's ``RowReduction`` of I - Y_j for the level actions Y_j of y."""
+    return tuple(RowReduction.of(Matrix.identity_of(pres.field, lvl.dim) - lvl.act(y))
+                 for lvl in pres.levels)
+
+
 class LiftPlan:
     """What every lift of one x through one presentation shares: the
-    product H x| N its pairs live in, and the (h, relation) pairs whose
-    H-level relation h x h^-1 = relation(x) has passed, each with h^-1.
+    product H x| N its pairs live in and, for each (h, relation) that passed
+    h x h^-1 = relation(x), h^-1 and ``_level_factors`` of relation(x).
     Only a passed check is recorded, so a wrong h fails every time."""
 
     def __init__(self, x, group: SemidirectProduct):
@@ -211,24 +208,24 @@ class LiftPlan:
         self.group = group
         self._witnessed: dict = {}
 
-    def check_witness(self, h, relation):
-        """h^-1, once h x h^-1 = relation(x) has been checked."""
-        h_inverse = self._witnessed.get((h, relation))
-        if h_inverse is None:
-            h_inverse = h.inverse()
-            if h * self.x * h_inverse != relation.of(self.x):
+    def check_witness(self, h, relation) -> tuple:
+        """(h^-1, factors), once h x h^-1 = relation(x) has been checked."""
+        entry = self._witnessed.get((h, relation))
+        if entry is None:
+            h_inverse, y = h.inverse(), relation.of(self.x)
+            if h * self.x * h_inverse != y:
                 raise UsageError(f"h does not witness the {relation.describe()} relation for x")
-            self._witnessed[(h, relation)] = h_inverse
-        return h_inverse
+            entry = self._witnessed[(h, relation)] = (
+                h_inverse, _level_factors(self.group.presentation, y))
+        return entry
 
 
-def lift_central_series(h, a, y, c, pres: CentralSeriesPresentation, relation):
+def lift_central_series(h, a, y, c, pres: CentralSeriesPresentation, relation, factors):
     """The w in N with w . act(h, a) = c . act(y, w), level by level as the
-    module docstring derives.  After level j the residual must vanish in
-    that level's quotient, and after the last it must be e exactly.
-    ``FixedPointError`` means level j's system has no solution."""
+    module docstring derives, on the caller's ``_level_factors(pres, y)``.
+    After level j the residual must vanish in its quotient, and after the
+    last it must be e.  ``FixedPointError``: level j's system has no solution."""
     moved = pres.action(h, a)
-    factors = pres.level_factors(y)
     w = None
     residual = pres.multiply(pres.inverse(moved), c)
     for j, (lvl, factor) in enumerate(zip(pres.levels, factors)):
@@ -260,7 +257,8 @@ def _vector_witness(x: Matrix, b: Vector, h: Matrix, relation) -> Certificate:
     if h * x != y * h:
         raise UsageError(f"h does not witness the {relation.describe()} relation for x")
     pres = vector_presentation(x.field, x.rows, lambda g: g)
-    w = lift_central_series(h, b, y, target.translation, pres, relation)
+    w = lift_central_series(h, b, y, target.translation, pres, relation,
+                            _level_factors(pres, y))
     return Certificate.make(subject, AffineElement(h, w), relation)
 
 
@@ -282,12 +280,12 @@ def _witness_via_lift(x, n, pres: CentralSeriesPresentation, h, relation) -> Cer
     (y, m) is (y, act(y, m)); the solved (h, w) is the pair
     (h, act(h^-1, w)), checked by the certificate in the full group."""
     plan = pres.lift_plan(x)
-    h_inverse = plan.check_witness(h, relation)
+    h_inverse, factors = plan.check_witness(h, relation)
     G = plan.group
     subject = G.element(x, n)
     target = relation.of(subject)
     w = lift_central_series(h, pres.action(x, n), target.h,
-                            pres.action(target.h, target.n), pres, relation)
+                            pres.action(target.h, target.n), pres, relation, factors)
     return Certificate.make(subject, G.element(h, pres.action(h_inverse, w)), relation)
 
 

@@ -59,8 +59,6 @@ DEFAULT_T_GRID = tuple(
                           3, -3, Fraction(1, 3), Fraction(-1, 3))
 )
 _DIAG_GRID = tuple(Fraction(s) for s in (1, 2, Fraction(1, 2), 3))
-_SEARCHED_FAMILIES = ("-I", f"antidiagonal t in {tuple(str(t) for t in DEFAULT_T_GRID)}",
-                      "diagonal-conjugated antidiagonals")
 
 
 @dataclass(frozen=True)
@@ -190,7 +188,6 @@ class RealityResult:
     verdict: str  # "real" | "not_real" | "unknown"
     certificate: Optional[Certificate] = None
     reason: str = ""
-    searched: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -269,8 +266,7 @@ def classify_real(x: SL2Element, v: Vector, t=Fraction(1)) -> RealityResult:
         if forced is not None:
             return RealityResult("not_real", reason=forced)
         return RealityResult("unknown",
-                             reason="no negating element found in the bounded families",
-                             searched=_SEARCHED_FAMILIES)
+                             reason="no negating element found in the bounded families")
 
     h = antidiagonal_witness(t)
     Y = rho(h, n)

@@ -704,6 +704,43 @@ def test_verify_refuses_a_malformed_gsp_witness(tmp_path, capsys, h, message):
     assert f"verification failure: result 0 certificate 0: {message}" in capsys.readouterr().err
 
 
+SWAP_4X4 = [["0", "0", "1", "0"], ["0", "0", "0", "1"], ["1", "0", "0", "0"], ["0", "1", "0", "0"]]
+ROTATION_2X2 = [["0", "1"], ["-1", "0"]]
+
+
+@pytest.mark.parametrize("params,element", [
+    # diag(2, 1/2) and the quarter rotation are a consistent GSp(2) pair on H_3
+    ({"x": [["2", "0"], ["0", "1/2"]], "witness": ROTATION_2X2}, {"v": ["1", "2"], "t": "0"}),
+    ({}, {"v": ["1", "2", "3"], "t": "0"}),
+    ({"x": SWAP_4X4, "witness": ROTATION_2X2}, {"v": ["1", "2", "3", "4"], "t": "0"}),
+], ids=["two_by_two_x", "three_entry_v", "two_by_two_witness"])
+def test_heisenberg_scenario_names_the_expected_shape(tmp_path, capsys, params, element):
+    """A scenario's x, witness and v are checked the way a report's elements
+    are.  Before, each failed inside the arithmetic, with "shape mismatch",
+    "4x4 applied to dim 3" and "2x2 times 4x4"."""
+    scenario = {"schema_version": 1, "kind": "heisenberg", "params": params,
+                "elements": [element]}
+    assert main(["run", write_json(tmp_path / "scenario.json", scenario)]) == 2
+    err = capsys.readouterr().err
+    assert "a heisenberg element needs a 4x4 similitude and a 4-entry v" in err
+    assert "Traceback" not in err
+
+
+def test_verify_refuses_an_sl2v_witness_of_three_entries(tmp_path, capsys):
+    """The report decoder reads h as the scenario runner reads x; before, a
+    3-entry h failed with "not enough values to unpack"."""
+    report = build_report(sl2v_scenario(), 0, DEFAULT_BOUND)
+
+    def edit(payload):
+        payload["results"][0]["certificates"][0]["witness"]["h"] = ["0", "1", "-1"]
+
+    message = "result 0 certificate 0: sl2v h must have exactly 4 entries"
+    forged = forge(report, edit)
+    assert verify_report(forged) == [message]
+    assert main(["verify", write_json(tmp_path / "report.json", forged)]) == 1
+    assert f"verification failure: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name,builder", [
     ("heisenberg_gsp4", "heisenberg_presentation"),
     ("solvable_complex_heisenberg", "complex_heisenberg_group"),

@@ -1,7 +1,8 @@
 """Every module of the package and of the test suite uses every name it
 imports, every package module binds every name it exports, every private
 module-level name of the package is read somewhere in it, and so is every
-public function, class and method, bar the few the acceptance tests read.
+public function, class and method and every dataclass field, bar the few the
+acceptance tests read.
 
 No linter ships with the project, so this is the guard against imports,
 exports and helpers left behind when code is deleted, and against library
@@ -141,3 +142,34 @@ def test_every_public_name_is_read(path):
     unread = sorted(qualified for qualified, name in _public_definitions(tree)
                     if name not in read and qualified not in ACCEPTANCE_READS)
     assert not unread, f"{path.name}: public names read nowhere in the package {unread}"
+
+
+# Dataclass fields read by no library code, but by tests/test_acceptance.py
+# through its fixtures.
+ACCEPTANCE_FIELD_READS = {"EigenOneSplitting.restricted", "EigenOneSplitting.change_of_basis",
+                          "AffineRationalityResult.kernel_component",
+                          "AffineRationalityResult.telescope"}
+
+
+def _dataclass_fields(tree: ast.Module):
+    """(qualified name, name) of each field of each ``@dataclass`` class."""
+    for node in tree.body:
+        # @dataclass or @dataclass(...)
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                for d in node.decorator_list):
+            yield from ((f"{node.name}.{f.target.id}", f.target.id) for f in node.body
+                        if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_dataclass_field_is_read(path):
+    """A field that only tests read is state the library keeps for nothing."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    fields = dict(_dataclass_fields(tree))
+    unread = sorted(q for q, name in fields.items()
+                    if name not in PACKAGE_ATTRIBUTE_READS and q not in ACCEPTANCE_FIELD_READS)
+    assert not unread, f"{path.name}: dataclass fields read nowhere in the package {unread}"
+    stale = sorted(q for q in ACCEPTANCE_FIELD_READS & set(fields)
+                   if fields[q] in PACKAGE_ATTRIBUTE_READS)
+    assert not stale, f"{path.name}: allowlisted fields the package reads after all {stale}"

@@ -1,7 +1,8 @@
 """The zero-skipping elimination and the integer product kernels against a
 dense reference, the cached integer view's invisibility, the scalar work of
-one large kron system, of one matrix power and of one finite closure, and
-traced benchmark runs that must still see every linalg layer."""
+one large kron system, of one matrix power and of one finite closure, the
+hashing of one finite build, and traced benchmark runs that must still see
+every linalg layer."""
 
 import copy
 import dataclasses
@@ -17,6 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conjcert.cli import DEFAULT_BOUND, build_report
 from conjcert.errors import SingularMatrixError, UsageError
 from conjcert.fields import GF, QQ, QQI, FpElement, GaussianRational
 from conjcert.groups import generate_closure
@@ -227,7 +229,8 @@ def test_products_with_an_empty_dimension(field):
 ], ids=["QQ", "GF5", "QQI"])
 def test_cached_integer_view_is_invisible(field, rows):
     """A product leaves the matrix comparing, hashing, printing, pickling,
-    copying and replacing exactly as before it."""
+    copying and replacing exactly as before it.  The hash is kept on the
+    instance like the integer view, and no pickle or copy carries either."""
     A = Matrix.from_rows(field, rows)
 
     def observe(M):
@@ -236,11 +239,13 @@ def test_cached_integer_view_is_invisible(field, rows):
                 pickle.dumps(dataclasses.replace(M)))
 
     before = observe(A)
+    assert "_hash" in vars(A)
     square = A * A
     image = A.apply(Vector.of(field, [1, 2, 3]))
     assert observe(A) == before
     for twin in (pickle.loads(pickle.dumps(A)), copy.copy(A), copy.deepcopy(A),
                  dataclasses.replace(A)):
+        assert "_hash" not in vars(twin) and "_ints" not in vars(twin)
         assert twin == A and twin * twin == square
         assert twin.apply(Vector.of(field, [1, 2, 3])) == image
     rebuilt = Matrix.from_rows(field, rows)
@@ -330,6 +335,20 @@ def test_finite_closure_multiplication_budget(monkeypatch):
     monkeypatch.undo()
     assert len(G.elements) == 432
     assert counts["__mul__"] + counts["__rmul__"] <= 500, counts
+
+
+def test_finite_build_hashing_budget(monkeypatch):
+    """One seed-1 finite_gl23 build.  Each matrix computes its hash once, so
+    the lookups of the closure, the class table and the oracle rehash no
+    matrix entry; the 2x2 translations are still rehashed per lookup.  The
+    build made 48,498 FpElement.__hash__ calls when every lookup rehashed
+    its matrix too, and makes 27,778 now."""
+    scenario = _bench_workloads().finite_gl23(1)[0][0]
+    counts = _count_calls(monkeypatch, FpElement, ("__hash__",))
+    report = build_report(scenario, 1, DEFAULT_BOUND)
+    monkeypatch.undo()
+    assert len(report["results"]) == len(scenario["elements"])
+    assert counts["__hash__"] <= 30_000, counts
 
 
 # -- tracer smoke test ----------------------------------------------------------

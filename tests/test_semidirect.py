@@ -1,5 +1,7 @@
 import collections
+import importlib.util
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -7,6 +9,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conjcert.cli import DEFAULT_BOUND, build_report
 from conjcert.errors import FixedPointError, PresentationError, UsageError
 from conjcert.fields import GF, QQ
 from conjcert.groups import Inverse, Power, element_order
@@ -36,7 +39,18 @@ from conjcert.semidirect import (
     real_witness_via_lift,
     vector_presentation,
 )
+from conjcert.sl2 import SL2Element, antidiagonal_witness, rho
 from conformance_fixtures import reduce_translation, reference_lift, validate_presentation
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _bench_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def mat(rows, field=QQ):
@@ -370,8 +384,9 @@ def test_lift_one_level_reduces_to_translation_solve():
     x, h = mat([[2, 0], [0, "1/2"]]), mat([[0, 1], [1, 0]])
     b = vec([1, 1])
     target = AffineElement(x, b).inverse()
-    w = lift_central_series(h, b, target.linear, target.translation, pres, Inverse())
     fixed = Matrix.identity_of(QQ, 2) - target.linear
+    w = lift_central_series(h, b, target.linear, target.translation, pres, Inverse(),
+                            (RowReduction.of(fixed),))
     assert w == solve_linear(fixed, target.translation - h.apply(b))
     assert AffineElement(h, w) * AffineElement(x, b) * AffineElement(h, w).inverse() == target
 
@@ -380,16 +395,19 @@ def test_lift_identity_input():
     pres = vector_presentation(QQ, 2, lambda h: h)
     x, h = mat([[2, 0], [0, "1/2"]]), mat([[0, 1], [1, 0]])
     zero = vec([0, 0])
-    assert lift_central_series(h, zero, x.inverse(), zero, pres, Inverse()) == zero
+    factors = (RowReduction.of(Matrix.identity_of(QQ, 2) - x.inverse()),)
+    assert lift_central_series(h, zero, x.inverse(), zero, pres, Inverse(), factors) == zero
 
 
 def lift(pres, x, n, h, relation):
     """lift_central_series on the pair (x, n) of H x| N, in the left
-    coordinates (x, act(x, n)) that ``_witness_via_lift`` hands it."""
+    coordinates (x, act(x, n)) and with the plan's level factorisations,
+    as ``_witness_via_lift`` hands them to it."""
     G = pres.semidirect(x.identity())
     target = relation.of(G.element(x, n))
+    _, factors = pres.lift_plan(x).check_witness(h, relation)
     return lift_central_series(h, pres.action(x, n), target.h,
-                               pres.action(target.h, target.n), pres, relation)
+                               pres.action(target.h, target.n), pres, relation, factors)
 
 
 def assert_left_witness(pres, x, n, h, relation, w):
@@ -482,7 +500,7 @@ def test_lift_fixed_point_reports_level():
 
 def count_level_factors(monkeypatch):
     """Count the factorisations of I - Y_j that the solver makes, one per
-    level for each (presentation, y) it solves against."""
+    level for each (x, h, relation) whose lift plan entry it fills."""
     calls = []
     of = RowReduction.of
 
@@ -496,7 +514,7 @@ def count_level_factors(monkeypatch):
     return calls
 
 
-def test_level_factors_are_built_once_per_y_and_presentation(monkeypatch):
+def test_level_factors_are_built_once_per_x_h_and_relation(monkeypatch):
     calls = count_level_factors(monkeypatch)
     pres = two_level_abelian_presentation()
     x = mat([
@@ -510,18 +528,50 @@ def test_level_factors_are_built_once_per_y_and_presentation(monkeypatch):
         n = vec([rnd_fraction(rng) for _ in range(4)])
         assert real_witness_via_lift(x, n, pres, block_swap()).verified
     ident = Matrix.identity_of(QQ, 2)
-    assert calls == [ident - mat([["1/2", 0], [0, 2]]), ident - mat([["1/3", 0], [0, 3]])]
-    # an equal x has the same y = x^-1; another relation of x solves against
-    # y = x, and a new presentation factors its own
+    inverse_factors = [ident - mat([["1/2", 0], [0, 2]]), ident - mat([["1/3", 0], [0, 3]])]
+    assert calls == inverse_factors
+    # an equal x and an equal h share the plan entry; another relation of x
+    # solves against y = x, another h for the same relation fills its own
+    # entry, and so does a new presentation
     equal = mat([[2, 0, 0, 0], [0, Fraction(1, 2), 0, 0],
                  [0, 0, 3, 0], [0, 0, 0, Fraction(1, 3)]])
     assert real_witness_via_lift(equal, n, pres, block_swap()).verified
     assert len(calls) == 2
     assert semidirect._witness_via_lift(x, n, pres, x, Power(1)).verified
     assert calls[2:] == [ident - mat([[2, 0], [0, "1/2"]]), ident - mat([[3, 0], [0, "1/3"]])]
+    assert real_witness_via_lift(x, n, pres, block_swap().scale(2)).verified
+    assert calls[4:] == inverse_factors
     other = two_level_abelian_presentation()
     assert real_witness_via_lift(x, n, other, block_swap()).verified
-    assert len(calls) == 6
+    assert len(calls) == 8
+
+
+def test_lift_verify_heisenberg_build_factors_each_level_once(monkeypatch):
+    """The seed-1 lift_verify heisenberg scenario lifts every element
+    through one x, one h and the inverse relation: two levels, two
+    factorisations for the whole report."""
+    calls = count_level_factors(monkeypatch)
+    scenario = _bench_workloads().lift_verify(1)[0][0]
+    assert scenario["kind"] == "heisenberg"
+    assert len(build_report(scenario, 1, DEFAULT_BOUND)["results"]) > 1
+    assert len(calls) == 2
+
+
+def test_make_real_witness_hashes_no_matrix(monkeypatch):
+    """The one-level solve factors I - y on the spot; a 25x25 y is never
+    hashed, where a per-y cache hashed it twice."""
+    X, Y = rho(SL2Element.diagonal(2), 24), rho(antidiagonal_witness(1), 24)
+    v = vec([0 if i == 12 else Fraction(i + 1, 3) for i in range(25)])  # solvable middle row
+    hashes = []
+    matrix_hash = Matrix.__hash__
+
+    def counted(self):
+        hashes.append(self)
+        return matrix_hash(self)
+
+    monkeypatch.setattr(Matrix, "__hash__", counted)
+    assert make_real_witness(X, v, Y).verified
+    assert hashes == []
 
 
 def test_lift_fixed_point_is_reported_on_every_call(monkeypatch):

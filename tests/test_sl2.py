@@ -209,7 +209,7 @@ def test_classify_real_unknown_is_honest():
     # only covers pure powers; the bounded search exhausts and reports unknown
     res = classify_real(SL2Element.identity_element(), vec([1, 0, 1]))
     assert res.verdict == "unknown"
-    assert res.searched  # the families that were tried are reported
+    assert res.reason == "no negating element found in the bounded families"
 
 
 def test_classify_rational_generic_diagonal():
