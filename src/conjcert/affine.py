@@ -333,7 +333,6 @@ class AffineRationalityResult:
     certificate: x itself is not rational, and the note says why."""
 
     verdict: str  # "rational" | "infinite_order" | "not_rational"
-    order: Optional[int]
     certificates: dict
     kernel_component: Optional[Vector] = None
     telescope: tuple = ()
@@ -352,7 +351,7 @@ def classify_affine_rational(linear: LinearRationalityResult, v: Vector,
     component of v, and each telescoped step is checked to grow it
     linearly."""
     if not linear.complete:
-        return AffineRationalityResult("not_rational", None, {}, note=linear.note)
+        return AffineRationalityResult("not_rational", {}, note=linear.note)
     x, order, certs = linear.x, linear.order, linear.certificates
     field = x.field
     subject = AffineElement(x, v)
@@ -376,7 +375,7 @@ def classify_affine_rational(linear: LinearRationalityResult, v: Vector,
             telescope.append(tele_kernel)
         h = -(certs[order - 1] if order > 2 else certs[1])
         return AffineRationalityResult(
-            "infinite_order", None, {}, kernel_component=v_kernel,
+            "infinite_order", {}, kernel_component=v_kernel,
             telescope=tuple(telescope), reality=make_real_witness(x, v, h),
             note="kernel component grows linearly, so (x, v) has infinite order; "
                  "rational iff real")
@@ -398,4 +397,4 @@ def classify_affine_rational(linear: LinearRationalityResult, v: Vector,
     note = ("v in im(x - I), so (x, v) is conjugate to (x, 0)" if in_image else
             f"v outside im(x - I) in characteristic {p}: (x, v) has order "
             f"{n_order}, a multiple of {p}, and h = k g_k is the witness for each power k")
-    return AffineRationalityResult("rational", n_order, certificates, note=note)
+    return AffineRationalityResult("rational", certificates, note=note)

@@ -361,6 +361,10 @@ def _run_affine(codec: GroupCodec, params: dict, elements, bound: int) -> list:
 
 
 def _run_heisenberg(codec: GroupCodec, params: dict, elements, bound: int) -> list:
+    for given, missing in (("x", "witness"), ("witness", "x")):
+        if given in params and missing not in params:
+            raise UsageError(f"heisenberg params give {given} but no {missing}; "
+                             f"give both or neither")
     x, y = ((codec.gsp(params["x"]), codec.gsp(params["witness"])) if "x" in params
             else standard_gsp_example())
     pres = codec.group.presentation

@@ -103,10 +103,9 @@ class Certificate:
 
 @dataclass(frozen=True)
 class OrderResult:
-    """value is the least m with g^m = e, or None when it exceeds bound."""
+    """value is the least m with g^m = e, or None when it exceeds the bound."""
 
     value: Optional[int]
-    bound: int
 
     @property
     def is_finite(self) -> bool:
@@ -215,9 +214,9 @@ def element_order(g, bound: int = DEFAULT_ORDER_BOUND) -> OrderResult:
     acc = g
     for m in range(1, bound + 1):
         if acc == identity:
-            return OrderResult(m, bound)
+            return OrderResult(m)
         acc = g * acc
-    return OrderResult(None, bound)
+    return OrderResult(None)
 
 
 def is_real_bruteforce(G: FiniteGroup, g) -> Optional[Certificate]:

@@ -18,9 +18,12 @@ s = section_j(z) into w makes it s^-1 . r . act(y, s) modulo N_{j+1}, of
 class project_j(r) - (I - Y_j) z for the level action Y_j of y.  So level j
 solves (I - Y_j) z = project_j(r), free coordinates zero, and fails only
 when that system is inconsistent.  A vector group has one level, with the
-system (I - y) w = c - h b of ``make_real_witness`` and
-``make_power_witness``; ``real_witness_via_lift`` maps a pair and its
-target to left coordinates and the solved (h, w) back to (h, act(h^-1, w)).
+system (I - Y) w = c - H b of ``make_real_witness`` and
+``make_power_witness`` on the matrix images Y, H of y, h, certified in
+the caller's pair group (``AffineElement`` and the identity map by
+default, ``SL2VElement`` and rho(., n) for sl2v).  ``real_witness_via_lift``
+maps a pair and its target to left coordinates and the solved (h, w) back
+to (h, act(h^-1, w)).
 When no Y_j fixes a nonzero vector each level has one solution, so the
 witness is the only one with this h: the (h, act(h^-1, u) . u^-1) of the
 earlier (e, u) lift, where (e, u) conjugates (x, e) to
@@ -32,7 +35,7 @@ of I - Y_j per passed (h, relation), and a one-level witness factors I - y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from typing import Callable, Sequence
 
 from .errors import FixedPointError, PresentationError, UsageError
@@ -247,32 +250,35 @@ def lift_central_series(h, a, y, c, pres: CentralSeriesPresentation, relation, f
     return w
 
 
-def _vector_witness(x: Matrix, b: Vector, h: Matrix, relation) -> Certificate:
-    """Certificate (h, w) (x, b) (h, w)^-1 = t for the relation's target
-    t = (y, c): h must conjugate x to y, and w solves (I - y) w = c - h b,
-    the one level of ``vector_presentation``."""
-    subject = AffineElement(x, b)
+def _vector_witness(x, b: Vector, h, relation, pair, matrix_of) -> Certificate:
+    """Certificate pair(h, w) pair(x, b) pair(h, w)^-1 = t, made in the
+    caller's pair group, for the relation's target t = pair(y, c): h must
+    conjugate x to y, and w solves (I - Y) w = c - H b on the images
+    Y, H = matrix_of(y), matrix_of(h), the one level of ``vector_presentation``."""
+    subject = pair(x, b)
     target = relation.of(subject)
-    y = target.linear
+    y, c = (getattr(target, f.name) for f in fields(pair))
     if h * x != y * h:
         raise UsageError(f"h does not witness the {relation.describe()} relation for x")
-    pres = vector_presentation(x.field, x.rows, lambda g: g)
-    w = lift_central_series(h, b, y, target.translation, pres, relation,
-                            _level_factors(pres, y))
-    return Certificate.make(subject, AffineElement(h, w), relation)
+    pres = vector_presentation(b.field, b.dim, matrix_of)
+    w = lift_central_series(h, b, y, c, pres, relation, _level_factors(pres, y))
+    return Certificate.make(subject, pair(h, w), relation)
 
 
-def make_real_witness(x: Matrix, b: Vector, h: Matrix) -> Certificate:
+def make_real_witness(x, b: Vector, h, pair=AffineElement, matrix_of=lambda g: g) -> Certificate:
     """Certificate (h, w) (x,b) (h, w)^-1 = (x,b)^-1 for h x h^-1 = x^-1:
-    w solves (I - x^-1) w = -x^-1 b - h b (free coordinates zero), which
-    has a solution whenever b lies in im(x - I)."""
-    return _vector_witness(x, b, h, Inverse())
+    w solves (I - X^-1) w = -X^-1 b - H b (free coordinates zero), which
+    has a solution whenever b lies in im(X - I).  Affine pairs by default;
+    sl2v passes ``SL2VElement`` and rho(., n)."""
+    return _vector_witness(x, b, h, Inverse(), pair, matrix_of)
 
 
-def make_power_witness(x: Matrix, b: Vector, h: Matrix, k: int) -> Certificate:
+def make_power_witness(x, b: Vector, h, k: int, pair=AffineElement,
+                       matrix_of=lambda g: g) -> Certificate:
     """Certificate (h, w) (x,b) (h, w)^-1 = (x,b)^k for h x h^-1 = x^k:
-    w solves (I - x^k) w = c - h b, c the translation of (x,b)^k."""
-    return _vector_witness(x, b, h, Power(k))
+    w solves (I - X^k) w = c - H b, c the translation of (x,b)^k; the pair
+    type and matrix images as for ``make_real_witness``."""
+    return _vector_witness(x, b, h, Power(k), pair, matrix_of)
 
 
 def _witness_via_lift(x, n, pres: CentralSeriesPresentation, h, relation) -> Certificate:

@@ -10,7 +10,10 @@ diag(r^n, r^(n-2), ..., r^-n) and the antidiagonal witnesses
 [[0, t], [-1/t, 0]] map to antidiagonal matrices whose middle entry for
 even n is (-1)^(n/2) -- the sign that decides solvability of the
 conjugation system on the invariant middle coordinate.  That system is
-``semidirect``'s one witness equation for (rho(x), v) and rho(h).
+``semidirect``'s one witness equation on the images rho(x), rho(h), and
+its certificate is made in SL(2,Q) |x V_n itself.  The negation search
+scans one antidiagonal family: diag(s, 1/s) conjugates [[0, t], [-1/t, 0]]
+to [[0, s^2 t], [-1/(s^2 t), 0]], so no conjugate is multiplied out.
 
 rho(h) is built column by column from the nonzero terms of the two
 binomial expansions only: a linear form with a zero coefficient expands
@@ -31,13 +34,7 @@ from typing import Optional
 
 from .errors import UsageError
 from .fields import QQ
-from .groups import (
-    Certificate,
-    Inverse,
-    OrderResult,
-    Power,
-    element_order,
-)
+from .groups import Certificate, Inverse, Power, element_order
 from .linalg import Matrix, Vector
 from .semidirect import make_real_witness
 
@@ -195,7 +192,6 @@ class RationalityResult:
     """Rationality verdict with the ``classify_real`` result it used."""
 
     verdict: str  # "rational" | "not_rational" | "unknown"
-    order: OrderResult
     certificates: dict
     reality: RealityResult
     reason: str = ""
@@ -204,22 +200,13 @@ class RationalityResult:
 def negation_witness_search(v: Vector, n: int) -> Optional[SL2Element]:
     """First h from the searched families with rho(h) v = -v, if any.
 
-    Families: -I; antidiagonals [[0,t],[-1/t,0]] over DEFAULT_T_GRID; those
-    antidiagonals conjugated by diagonal elements over _DIAG_GRID."""
+    Families: -I, then the antidiagonals [[0,u],[-1/u,0]] over
+    DEFAULT_T_GRID conjugated by diag(s, 1/s) over _DIAG_GRID (s = 1
+    first).  Such a conjugate is the antidiagonal of t = s^2 u, so the scan
+    is one antidiagonal family, each distinct t tried once, in that order."""
     target = -v
-    minus_i = SL2Element.of(-1, 0, 0, -1)
-    candidates = [minus_i]
-    for t in DEFAULT_T_GRID:
-        candidates.append(antidiagonal_witness(t))
-    for s in _DIAG_GRID:
-        d = SL2Element.diagonal(s)
-        for t in DEFAULT_T_GRID:
-            candidates.append(d * antidiagonal_witness(t) * d.inverse())
-    seen = set()
-    for h in candidates:
-        if h in seen:
-            continue
-        seen.add(h)
+    ts = dict.fromkeys(s * s * u for s in _DIAG_GRID for u in DEFAULT_T_GRID)
+    for h in (SL2Element.of(-1, 0, 0, -1), *map(antidiagonal_witness, ts)):
         if rho(h, n).apply(v) == target:
             return h
     return None
@@ -247,21 +234,19 @@ def classify_real(x: SL2Element, v: Vector, t=Fraction(1)) -> RealityResult:
     rho(x) = I, the witness is (h, 0) for a negating rho(h) from
     ``negation_witness_search``.  Otherwise h is the antidiagonal
     [[0, t], [-1/t, 0]] and ``make_real_witness`` solves for the
-    translation; for even n only its middle row can be inconsistent."""
+    translation and certifies the ``SL2VElement`` pair it makes; for even n
+    only the middle row can be inconsistent."""
     t = QQ.coerce(t)
     if not t:
         raise UsageError("t must be nonzero")
     if not x.is_diagonal:
         raise UsageError("x must be diagonal; conjugate into diag(r, 1/r) first")
     n = v.dim - 1
-    subject = SL2VElement(x, v)
-    X = rho(x, n)
-
-    if X.is_identity():
+    if rho(x, n).is_identity():
         h = negation_witness_search(v, n)
         if h is not None:
             witness = SL2VElement(h, Vector.zero(QQ, v.dim))
-            return RealityResult("real", Certificate.make(subject, witness, Inverse()))
+            return RealityResult("real", Certificate.make(SL2VElement(x, v), witness, Inverse()))
         forced = _forced_not_real(v, n)
         if forced is not None:
             return RealityResult("not_real", reason=forced)
@@ -277,8 +262,7 @@ def classify_real(x: SL2Element, v: Vector, t=Fraction(1)) -> RealityResult:
             "[[0,t],[-1/t,0]], whose symmetric power scales the invariant middle "
             f"coordinate by {Y[m, m]}; the middle row of the conjugation system reads "
             f"0 = -({Y[m, m]} + 1) v_mid with v_mid = {v[m]}, which is unsolvable"))
-    w = make_real_witness(X, v, Y).witness.translation
-    return RealityResult("real", Certificate.make(subject, SL2VElement(h, w), Inverse()))
+    return RealityResult("real", make_real_witness(x, v, h, SL2VElement, lambda g: rho(g, n)))
 
 
 def _certified_infinite(x: SL2Element, v: Vector) -> bool:
@@ -308,17 +292,16 @@ def classify_rational_sl2v(x: SL2Element, v: Vector, bound: int = 10_000,
         # a finite-order diagonal x over Q is +-I, so the order is 1 or 2
         # and k = 1 is the only generating power
         return RationalityResult(
-            "rational", order, {1: Certificate.make(subject, subject.identity(), Power(1))},
-            reality)
+            "rational", {1: Certificate.make(subject, subject.identity(), Power(1))}, reality)
 
     if not _certified_infinite(x, v):
-        return RationalityResult("unknown", order, {}, reality,
+        return RationalityResult("unknown", {}, reality,
                                  reason="order bound exceeded without a structural "
                                         "infiniteness certificate")
     if reality.verdict == "real":
-        return RationalityResult("rational", order, {-1: reality.certificate}, reality,
+        return RationalityResult("rational", {-1: reality.certificate}, reality,
                                  reason="infinite order: rational iff real")
     if reality.verdict == "not_real":
-        return RationalityResult("not_rational", order, {}, reality,
+        return RationalityResult("not_rational", {}, reality,
                                  reason="infinite order and not real: " + reality.reason)
-    return RationalityResult("unknown", order, {}, reality, reason=reality.reason)
+    return RationalityResult("unknown", {}, reality, reason=reality.reason)

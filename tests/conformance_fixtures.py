@@ -10,7 +10,9 @@ never claim non-existence of witnesses over infinite groups.  Each
 ``validate_presentation`` spot-checks a central-series presentation on
 samples.  ``reduce_translation`` and ``reference_lift`` are the earlier
 translation solve and (e, u) central-series lift, kept as references for
-the level-by-level witness solve.  ``conjugacy_classes`` and ``rational_classes`` read the finite
+the level-by-level witness solve; ``reference_negation_search`` is the
+earlier sl2 negation search, with its diagonal conjugates built by SL(2)
+products.  ``conjugacy_classes`` and ``rational_classes`` read the finite
 class table as lists of classes.  ``extract_block_certificate`` restricts a
 linear conjugator to the image block of the eigenvalue-1 splitting, and
 ``kron`` flattens matrix equations like g X = Y g into the linear systems
@@ -42,6 +44,7 @@ from conjcert.semidirect import (
     CentralSeriesPresentation,
     SemidirectProduct,
 )
+from conjcert.sl2 import DEFAULT_T_GRID, SL2Element, antidiagonal_witness, rho
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +367,25 @@ def reference_lift(x, n, pres: CentralSeriesPresentation):
     if conjugate != n:
         raise PresentationError("lifted conjugator failed exact verification")
     return u
+
+
+def reference_negation_search(v: Vector, n: int) -> Optional[SL2Element]:
+    """The earlier negation search, a reference for
+    ``sl2.negation_witness_search``: the first h with rho(h) v = -v among
+    -I, the antidiagonals A(t) = [[0,t],[-1/t,0]] over DEFAULT_T_GRID, and
+    their conjugates d A(t) d^-1 by d = diag(s, 1/s) for s in 1, 2, 1/2, 3,
+    each built by SL(2) products and tried once."""
+    candidates = [SL2Element.of(-1, 0, 0, -1), *map(antidiagonal_witness, DEFAULT_T_GRID)]
+    for s in (1, 2, Fraction(1, 2), 3):
+        d = SL2Element.diagonal(s)
+        candidates += [d * antidiagonal_witness(t) * d.inverse() for t in DEFAULT_T_GRID]
+    seen = set()
+    for h in candidates:
+        if h not in seen:
+            seen.add(h)
+            if rho(h, n).apply(v) == -v:
+                return h
+    return None
 
 
 def conjugacy_classes(G: FiniteGroup) -> list[tuple]:

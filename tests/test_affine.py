@@ -190,8 +190,7 @@ def test_classify_finite_characteristic_kernel_component_is_rational():
     f3 = GF(3)
     x = Matrix.identity_of(f3, 2)
     res = classify_affine_rational(rationality_certificates_linear(x, 1), vec([1, 0], f3))
-    assert res.verdict == "rational" and res.order == 3
-    assert set(res.certificates) == {1, 2}
+    assert res.verdict == "rational" and set(res.certificates) == {1, 2}
     assert all(c.verified for c in res.certificates.values())
     assert res.certificates[2].witness.linear == x.scale(f3.coerce(2))
     _, G = _gl2_f3_affine()
@@ -216,7 +215,7 @@ def test_non_semisimple_translation_in_image_is_rational():
     brute = is_rational_bruteforce(G, AffineElement.of(x, vec([1, 0], f3)))
     assert brute is not None and set(brute) == {1, 2}
     res = classify_affine_rational(linear, vec([0, 1], f3))
-    assert res.verdict == "rational" and res.order == 3 and set(res.certificates) == {1, 2}
+    assert res.verdict == "rational" and set(res.certificates) == {1, 2}
     assert all(c.verified for c in res.certificates.values())
     brute = is_rational_bruteforce(G, AffineElement.of(x, vec([0, 1], f3)))
     assert brute is not None and set(brute) == {1, 2}

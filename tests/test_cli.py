@@ -1,5 +1,6 @@
 import copy
 import functools
+import hashlib
 import importlib.util
 import json
 import pathlib
@@ -660,6 +661,51 @@ def test_shipped_scenario_digest_is_pinned(path):
     assert report["integrity"] == GOLDEN_DIGESTS[path.stem]
 
 
+# For each benchmark workload and seed: the SHA-256 of the newline-joined
+# integrity digests of its scenarios' reports, built at seed 0 and the
+# default bound as bench/run.py builds them.  A change here changes report
+# bytes: say why in CHANGES.md.
+WORKLOAD_SEEDS = (0, 1, 3, 11)
+WORKLOAD_DIGESTS = {
+    ("finite_gl23", 0): "8af0768fde7f9a603fec64a9335771bd948282dd08dcf0d7ec7799c631d1268b",
+    ("finite_gl23", 1): "ca294244596048c564538b772593137ed83096c56b21dec047609022e4c23270",
+    ("finite_gl23", 3): "6e96db9822728cc6d7a437a433390f9582defb993c5fd5ac02f4037a52c301c9",
+    ("finite_gl23", 11): "27a12b4ef81edf96514504236a9866c8a49d77b56fd13cd74a2a0d363ae58e9b",
+    ("sl2v_sweep", 0): "044868dc061a90554c2cd24a59aeda508cdd777eb83208fb43e2d76b15e1d830",
+    ("sl2v_sweep", 1): "5c2f0c5c3c019080301a06aa571d9f259f86c66672519ca344c3d414bdf35b4f",
+    ("sl2v_sweep", 3): "20ac87f9acb5abe50970297b00199aa9e7bc3518897dd1355df7a34ef51b846a",
+    ("sl2v_sweep", 11): "764b9e158161d873345ba509951a1ba92d166eea5017c9f3bf3342a48d811d3b",
+    ("affine_kron", 0): "1d03b9a30d6af5a0b726fcf2bb2ed9dae066fd943bce1fabe2d81b6cd976e97d",
+    ("affine_kron", 1): "2697db03bc5e72bf8b67b958dfc15ed7edf0c54c5f84c9fe303bd4608cb3b19e",
+    ("affine_kron", 3): "7e6d216e4e90ef6cd0a97cafd4b2bacd0db72d8840ee5c1ae3b032fcf07277b2",
+    ("affine_kron", 11): "10110da045b34de030ccfe53316eea579aa0b5d14d689e76f7f66c4381c3de56",
+    ("lift_verify", 0): "e27072f8b4a6b932d7e4ba48d63208052dc39f74b913177b659c0a313a388a75",
+    ("lift_verify", 1): "0ba108ff5cf228dcebf05ba18faf56f0a5e88819772c464fe538c6412bf12c1a",
+    ("lift_verify", 3): "94d89aef8708f073d93dfb7ad0c6bf292634e3fccbf24e3a1773a380bfbbd14a",
+    ("lift_verify", 11): "f1398f32e8ecd6cd92e6a2105ee69574603ab7fa94b2003c43e44d5af9fa9a29",
+}
+
+
+def _bench_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_workload_digests_cover_every_workload_and_seed():
+    assert set(WORKLOAD_DIGESTS) == {(w, seed) for w in _bench_workloads().WORKLOADS
+                                     for seed in WORKLOAD_SEEDS}
+
+
+@pytest.mark.parametrize("workload,seed", sorted(WORKLOAD_DIGESTS))
+def test_workload_reports_are_pinned(workload, seed):
+    scenarios, _ = _bench_workloads().WORKLOADS[workload](seed)
+    integrity = "\n".join(build_report(s, 0, DEFAULT_BOUND)["integrity"] for s in scenarios)
+    assert hashlib.sha256(integrity.encode()).hexdigest() == WORKLOAD_DIGESTS[workload, seed]
+
+
 def test_sl2v_classifies_reality_once_per_element(monkeypatch):
     scenario = json.loads((ROOT / "scenarios" / "sl2v_quadratic.json").read_text())
     calls = []
@@ -724,6 +770,25 @@ def test_heisenberg_scenario_names_the_expected_shape(tmp_path, capsys, params, 
     err = capsys.readouterr().err
     assert "a heisenberg element needs a 4x4 similitude and a 4-entry v" in err
     assert "Traceback" not in err
+
+
+IDENTITY_4X4 = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+
+
+@pytest.mark.parametrize("params,missing", [
+    ({"witness": IDENTITY_4X4}, "x"),
+    ({"x": IDENTITY_4X4}, "witness"),
+], ids=["lone_witness", "lone_x"])
+def test_heisenberg_params_name_the_missing_field(tmp_path, capsys, params, missing):
+    """x and the witness come together.  Before, a lone witness was ignored
+    and the built-in example reported "real", and a lone x failed with
+    "malformed input (KeyError('witness'))"."""
+    scenario = {"schema_version": 1, "kind": "heisenberg", "params": params,
+                "elements": [{"v": ["1", "2", "3", "4"], "t": "0"}]}
+    assert main(["run", write_json(tmp_path / "scenario.json", scenario)]) == 2
+    err = capsys.readouterr().err
+    assert f"heisenberg params give {next(iter(params))} but no {missing}" in err
+    assert "KeyError" not in err
 
 
 def test_verify_refuses_an_sl2v_witness_of_three_entries(tmp_path, capsys):

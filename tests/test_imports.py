@@ -117,7 +117,7 @@ def test_every_private_name_is_read(path):
 
 
 # Read by no library code, but by tests/test_acceptance.py from the library.
-ACCEPTANCE_READS = {"has_fixed_point", "SL2Element.to_matrix"}
+ACCEPTANCE_READS = {"has_fixed_point", "SL2Element.to_matrix", "SL2Element.diagonal"}
 
 PACKAGE_ATTRIBUTE_READS = {node.attr for p in PACKAGE.glob("*.py")
                            for node in ast.walk(ast.parse(p.read_text(), filename=str(p)))

@@ -39,7 +39,7 @@ from conjcert.semidirect import (
     real_witness_via_lift,
     vector_presentation,
 )
-from conjcert.sl2 import SL2Element, antidiagonal_witness, rho
+from conjcert.sl2 import SL2Element, SL2VElement, antidiagonal_witness, rho
 from conformance_fixtures import reduce_translation, reference_lift, validate_presentation
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -188,6 +188,24 @@ def test_make_power_witness_f2_matches_closed_form_conjugator():
         s = AffineElement.of(x, b)
         closed_form = AffineElement.of(h, [v[1], v[1]])
         assert closed_form * s * closed_form.inverse() == s * s
+
+
+def test_witness_computes_the_relation_target_once(monkeypatch):
+    """In either pair group the solve takes the relation's target once, and
+    the certificate's check takes it once more, on its own."""
+    targets = []
+    for relation in (Inverse, Power):
+        monkeypatch.setattr(relation, "of", lambda self, s, of=relation.of:
+                            targets.append(self) or of(self, s))
+    f2 = GF(2)
+    make_power_witness(mat([[1, 1], [1, 0]], f2), vec([1, 0], f2), mat([[0, 1], [1, 0]], f2), 2)
+    assert targets == [Power(2)] * 2
+    targets.clear()
+    # n = 4: rho(h) fixes the middle coordinate, so v_mid = 0 keeps the system solvable
+    cert = make_real_witness(SL2Element.diagonal(2), vec([1, 2, 0, 4, 5]), antidiagonal_witness(1),
+                             SL2VElement, lambda g: rho(g, 4))
+    assert targets == [Inverse()] * 2
+    assert cert.witness.h == antidiagonal_witness(1) and cert.verified
 
 
 def test_make_power_witness_minus_identity():

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conformance_fixtures import reference_negation_search
+from conjcert import sl2
 from conjcert.errors import UsageError
 from conjcert.fields import QQ
-from conjcert.groups import Certificate, Inverse, element_order
+from conjcert.groups import Certificate, Inverse, Power, element_order
 from conjcert.linalg import Matrix, Vector
 from conjcert.sl2 import (
     SL2Element,
@@ -204,6 +206,60 @@ def test_negation_search_examples():
     assert negation_witness_search(vec([1, 0, 0]), 2) is None
 
 
+def count_calls(monkeypatch, owner, name, wrap=lambda f: f):
+    """Record the (args, kwargs) of each call of owner.name; ``wrap``
+    re-wraps the counted function (``staticmethod`` for a static method)."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrap(counted))
+    return calls
+
+
+def test_sl2v_reality_witness_is_certified_once(monkeypatch):
+    """make_real_witness certifies the SL2VElement pair itself, so classify_real
+    makes one Certificate.make and keeps it (an affine certificate of the
+    23x23 rho images was made and dropped before)."""
+    makes = count_calls(monkeypatch, Certificate, "make", staticmethod)
+    x, v = SL2Element.diagonal(2), vec([Fraction(i + 1, 3) for i in range(23)])
+    res = classify_real(x, v)
+    assert res.verdict == "real" and len(makes) == 1
+    cert = res.certificate
+    assert cert.subject == SL2VElement(x, v)
+    assert isinstance(cert.witness, SL2VElement) and cert.witness.h == antidiagonal_witness(1)
+    assert cert.verified and cert.check()
+
+
+def _negation_vectors(n, rng):
+    """A vector negated by a drawn family member (for even n, rho(A(t))^2 = I,
+    so u - rho(A(t)) u is negated), each single monomial, and a random vector."""
+    t = rng.choice((1, 2, Fraction(1, 2), 3)) ** 2 * rng.choice(sl2.DEFAULT_T_GRID)
+    u = vec([rng.randint(-3, 3) for _ in range(n + 1)])
+    yield u - rho(antidiagonal_witness(t), n).apply(u)
+    for i in range(n + 1):
+        yield Vector.unit(QQ, n + 1, i).scale(QQ.coerce(rng.randint(1, 5)))
+    yield vec([rng.randint(-3, 3) for _ in range(n + 1)])
+
+
+def test_negation_search_is_one_antidiagonal_family(monkeypatch):
+    """The conjugates d A(t) d^-1 are the antidiagonals A(s^2 t), so the search
+    multiplies no SL(2) elements, and it finds the same h as the earlier
+    scan of the explicitly conjugated families, in the same order."""
+    rng = random.Random(27)
+    cases = [(n, v) for n in range(2, 25) for v in _negation_vectors(n, rng)]
+    expected = [reference_negation_search(v, n) for n, v in cases]
+    # some cases need a conjugated family, and some no family negates
+    assert any(h is not None and h.b not in sl2.DEFAULT_T_GRID for h in expected)
+    assert None in expected
+    products = count_calls(monkeypatch, SL2Element, "__mul__")
+    assert [negation_witness_search(v, n) for n, v in cases] == expected
+    assert products == []
+
+
 def test_classify_real_unknown_is_honest():
     # x^2 + y^2 cannot be negated over the reals, but the shipped sound rule
     # only covers pure powers; the bounded search exhausts and reports unknown
@@ -215,28 +271,28 @@ def test_classify_real_unknown_is_honest():
 def test_classify_rational_generic_diagonal():
     res = classify_rational_sl2v(SL2Element.diagonal(2), vec([1, 1, 1]))
     assert res.verdict == "rational"
-    assert not res.order.is_finite
+    assert res.reason == "infinite order: rational iff real"
     assert res.certificates[-1].verified
 
 
 def test_classify_rational_identity_zero():
     res = classify_rational_sl2v(SL2Element.identity_element(), vec([0, 0, 0]))
     assert res.verdict == "rational"
-    assert res.order.value == 1
+    assert set(res.certificates) == {1} and res.certificates[1].relation == Power(1)
 
 
 def test_classify_rational_minus_identity_odd():
     x = SL2Element.of(-1, 0, 0, -1)
     res = classify_rational_sl2v(x, vec([3, -2, 1, 5]))
     assert res.verdict == "rational"
-    assert res.order.value == 2
-    assert set(res.certificates) == {1}
+    assert set(res.certificates) == {1} and res.certificates[1].relation == Power(1)
 
 
 def test_classify_rational_minus_identity_even():
     x = SL2Element.of(-1, 0, 0, -1)
     rational = classify_rational_sl2v(x, vec([0, 1, 0]))
-    assert rational.verdict == "rational" and not rational.order.is_finite
+    assert rational.verdict == "rational"
+    assert rational.reason == "infinite order: rational iff real"
     blocked = classify_rational_sl2v(x, vec([1, 0, 0]))
     assert blocked.verdict == "not_rational"
 
@@ -266,10 +322,11 @@ def test_sl2v_finite_order_is_one_or_two(n, sign, data):
         assert res.verdict == "rational" and set(res.certificates) == {1}
         assert res.certificates[1].verified
 
-def test_classify_rational_records_the_probed_bound():
+def test_classify_rational_records_the_probed_bound(monkeypatch):
+    """The order probe is capped at 64 steps and never exceeds the caller's bound."""
+    probes = count_calls(monkeypatch, sl2, "element_order")
     x, v = SL2Element.diagonal(2), vec([1, 1, 1])
     wide = classify_rational_sl2v(x, v, bound=10_000)
     narrow = classify_rational_sl2v(x, v, bound=10)
-    assert not wide.order.is_finite and wide.order.bound == 64
-    assert not narrow.order.is_finite and narrow.order.bound == 10
+    assert [kwargs["bound"] for _, kwargs in probes] == [64, 10]
     assert wide.verdict == narrow.verdict == "rational"
