@@ -19,11 +19,11 @@ class project_j(r) - (I - Y_j) z for the level action Y_j of y.  So level j
 solves (I - Y_j) z = project_j(r), free coordinates zero, and fails only
 when that system is inconsistent.  A vector group has one level, with the
 system (I - Y) w = c - H b of ``make_real_witness`` and
-``make_power_witness`` on the matrix images Y, H of y, h, certified in
-the caller's pair group (``AffineElement`` and the identity map by
-default, ``SL2VElement`` and rho(., n) for sl2v).  ``real_witness_via_lift``
-maps a pair and its target to left coordinates and the solved (h, w) back
-to (h, act(h^-1, w)).
+``make_power_witness`` on the matrix images Y, H of y, h; the reality
+witness is certified in the caller's pair group (``AffineElement`` and the
+identity map by default, ``SL2VElement`` and rho(., n) for sl2v).
+``real_witness_via_lift`` maps a pair and its target to left coordinates
+and the solved (h, w) back to (h, act(h^-1, w)).
 When no Y_j fixes a nonzero vector each level has one solution, so the
 witness is the only one with this h: the (h, act(h^-1, u) . u^-1) of the
 earlier (e, u) lift, where (e, u) conjugates (x, e) to
@@ -273,12 +273,10 @@ def make_real_witness(x, b: Vector, h, pair=AffineElement, matrix_of=lambda g: g
     return _vector_witness(x, b, h, Inverse(), pair, matrix_of)
 
 
-def make_power_witness(x, b: Vector, h, k: int, pair=AffineElement,
-                       matrix_of=lambda g: g) -> Certificate:
-    """Certificate (h, w) (x,b) (h, w)^-1 = (x,b)^k for h x h^-1 = x^k:
-    w solves (I - X^k) w = c - H b, c the translation of (x,b)^k; the pair
-    type and matrix images as for ``make_real_witness``."""
-    return _vector_witness(x, b, h, Power(k), pair, matrix_of)
+def make_power_witness(x: Matrix, b: Vector, h: Matrix, k: int) -> Certificate:
+    """Certificate (h, w) (x,b) (h, w)^-1 = (x,b)^k for affine (x,b) and
+    h x h^-1 = x^k: w solves (I - X^k) w = c - H b, c the translation of (x,b)^k."""
+    return _vector_witness(x, b, h, Power(k), AffineElement, lambda g: g)
 
 
 def _witness_via_lift(x, n, pres: CentralSeriesPresentation, h, relation) -> Certificate:

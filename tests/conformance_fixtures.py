@@ -369,6 +369,21 @@ def reference_lift(x, n, pres: CentralSeriesPresentation):
     return u
 
 
+def count_calls(monkeypatch, owner, name, wrap=lambda f: f) -> list:
+    """Record the (args, kwargs) of each call of owner.name for the rest of
+    the test; ``wrap`` re-wraps the recording function (``staticmethod`` for
+    a static method)."""
+    calls = []
+    original = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrap(recorded))
+    return calls
+
+
 def reference_negation_search(v: Vector, n: int) -> Optional[SL2Element]:
     """The earlier negation search, a reference for
     ``sl2.negation_witness_search``: the first h with rho(h) v = -v among

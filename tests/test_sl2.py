@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conformance_fixtures import reference_negation_search
+from conformance_fixtures import count_calls, reference_negation_search
 from conjcert import sl2
 from conjcert.errors import UsageError
 from conjcert.fields import QQ
@@ -204,20 +204,6 @@ def test_negation_search_examples():
     assert negation_witness_search(vec([1, 2, 3, 4]), 3) == SL2Element.of(-1, 0, 0, -1)
     assert negation_witness_search(vec([0, 1, 0]), 2) == SL2Element.of(0, 1, -1, 0)
     assert negation_witness_search(vec([1, 0, 0]), 2) is None
-
-
-def count_calls(monkeypatch, owner, name, wrap=lambda f: f):
-    """Record the (args, kwargs) of each call of owner.name; ``wrap``
-    re-wraps the counted function (``staticmethod`` for a static method)."""
-    calls = []
-    original = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls.append((args, kwargs))
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, wrap(counted))
-    return calls
 
 
 def test_sl2v_reality_witness_is_certified_once(monkeypatch):
