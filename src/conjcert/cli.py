@@ -302,7 +302,7 @@ def _run_finite(codec: GroupCodec, params: dict, elements, bound: int) -> list:
     if elements == "all":
         subjects = list(G)
     else:
-        subjects = [codec.decode(p) for p in elements]
+        subjects = [codec.decode(p) for p in _list_in(elements, "scenario elements")]
         for s in subjects:
             if s not in G:
                 raise UsageError(f"element {s!r} is not in the generated group")
@@ -325,12 +325,12 @@ def _run_sl2v(codec: GroupCodec, params: dict, elements, bound: int) -> list:
     t = codec.scalar(params.get("t", "1"))
     n = _int_in(params["n"], "sl2v degree n") if "n" in params else None
     results = []
-    for payload in elements:
+    for payload in _list_in(elements, "scenario elements"):
         x = _sl2_in(codec, payload["x"], "sl2v element x")
         v = codec.vector(payload["v"])
         if n is not None and v.dim != n + 1:
             raise UsageError(f"v has dimension {v.dim}, expected n + 1 = {n + 1}")
-        rationality = classify_rational_sl2v(x, v, bound=bound, t=t)
+        rationality = classify_rational_sl2v(x, v, t=t)
         reality = rationality.reality
         certs = [] if reality.certificate is None else [reality.certificate]
         certs.extend(c for _, c in sorted(rationality.certificates.items())
@@ -348,7 +348,7 @@ def _run_affine(codec: GroupCodec, params: dict, elements, bound: int) -> list:
     x = codec.matrix(params["x"])
     linear = rationality_certificates_linear(x, m)
     results = []
-    for payload in elements:
+    for payload in _list_in(elements, "scenario elements"):
         v = codec.vector(payload["v"])
         subject = AffineElement(x, v)
         outcome = classify_affine_rational(linear, v, bound=bound)
@@ -369,7 +369,7 @@ def _run_heisenberg(codec: GroupCodec, params: dict, elements, bound: int) -> li
             else standard_gsp_example())
     pres = codec.group.presentation
     results = []
-    for payload in elements:
+    for payload in _list_in(elements, "scenario elements"):
         subject = _heisenberg_in(codec, x, payload)
         cert = real_witness_via_lift(x, subject.n, pres, y)
         results.append(codec.result(subject, {"real": "real"}, [cert]))
@@ -378,7 +378,7 @@ def _run_heisenberg(codec: GroupCodec, params: dict, elements, bound: int) -> li
 
 def _run_solvable(codec: GroupCodec, params: dict, elements, bound: int) -> list:
     results = []
-    for payload in elements:
+    for payload in _list_in(elements, "scenario elements"):
         n = _complex_heisenberg_in(codec, payload)
         x_sign = _int_in(payload.get("x", -1), "solvable x")
         verdict = complex_heisenberg_reality(n, x_sign)
@@ -418,6 +418,8 @@ def build_report(scenario: dict, seed: int, bound: int) -> dict:
     if scenario.get("schema_version") != SCHEMA_VERSION:
         raise UsageError(f"unsupported scenario schema_version "
                          f"{scenario.get('schema_version')!r}")
+    if bound < 1:
+        raise UsageError(f"bound must be at least 1, got {bound}")
     params = scenario.get("params", {})
     codec = GroupCodec(scenario.get("kind"), params)
     results = codec.kind.run(codec, params, scenario.get("elements", []), bound)
@@ -539,7 +541,7 @@ def main(argv=None) -> int:
                        help=f"the seed recorded in the report; no analysis draws random "
                             f"numbers (also {SEED_ENV_VAR})")
     run_p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
-                       help="order-detection bound")
+                       help="at least 1: finite closure cap 10x, affine order bound")
     fmt = run_p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", default=True, dest="as_json")
     fmt.add_argument("--text", action="store_false", dest="as_json")

@@ -37,8 +37,8 @@ class PresentationError(ConjcertError):
     (e.g. a residual fails to descend to the next level)."""
 
 
-class ClosureCapExceeded(ConjcertError):
-    """Group closure grew past the configured cap."""
+class ClosureCapExceeded(UsageError):
+    """Group closure grew past the cap: the input asks for too large a group."""
 
 
 class TheoremViolation(ConjcertError):

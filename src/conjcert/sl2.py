@@ -14,6 +14,7 @@ conjugation system on the invariant middle coordinate.  That system is
 its certificate is made in SL(2,Q) |x V_n itself.  The negation search
 scans one antidiagonal family: diag(s, 1/s) conjugates [[0, t], [-1/t, 0]]
 to [[0, s^2 t], [-1/(s^2 t), 0]], so no conjugate is multiplied out.
+The order of (x, v) is 1, 2 or infinite, decided by one two-step probe.
 
 rho(h) is built column by column from the nonzero terms of the two
 binomial expansions only: a linear form with a zero coefficient expands
@@ -231,18 +232,19 @@ def classify_real(x: SL2Element, v: Vector, t=Fraction(1)) -> RealityResult:
     """Decide whether (x, v) is conjugate to its inverse in SL(2,Q) |x V_n.
 
     x must already be diagonal (conjugate it into diag(r, 1/r) first).  If
-    rho(x) = I, the witness is (h, 0) for a negating rho(h) from
-    ``negation_witness_search``.  Otherwise h is the antidiagonal
-    [[0, t], [-1/t, 0]] and ``make_real_witness`` solves for the
-    translation and certifies the ``SL2VElement`` pair it makes; for even n
-    only the middle row can be inconsistent."""
+    x = +-I and rho(x) = I, the witness is (h, 0) for a negating rho(h)
+    from ``negation_witness_search``.  Otherwise (also for x != +-I at
+    n = 0, where rho is trivial) h is the antidiagonal [[0, t], [-1/t, 0]]
+    and ``make_real_witness`` solves for the translation and certifies the
+    ``SL2VElement`` pair it makes; for even n only the middle row can be
+    inconsistent."""
     t = QQ.coerce(t)
     if not t:
         raise UsageError("t must be nonzero")
     if not x.is_diagonal:
         raise UsageError("x must be diagonal; conjugate into diag(r, 1/r) first")
     n = v.dim - 1
-    if rho(x, n).is_identity():
+    if x.a in (1, -1) and rho(x, n).is_identity():
         h = negation_witness_search(v, n)
         if h is not None:
             witness = SL2VElement(h, Vector.zero(QQ, v.dim))
@@ -265,39 +267,23 @@ def classify_real(x: SL2Element, v: Vector, t=Fraction(1)) -> RealityResult:
     return RealityResult("real", make_real_witness(x, v, h, SL2VElement, lambda g: rho(g, n)))
 
 
-def _certified_infinite(x: SL2Element, v: Vector) -> bool:
-    """Structural proof that (x, v) has infinite order (char 0)."""
-    n = v.dim - 1
-    r = x.a
-    if r != 1 and r != -1:
-        return True  # x itself has infinite order
-    image = rho(x, n)
-    if image.is_identity():
-        return not v.is_zero()  # pure translation telescopes
-    return False
-
-
-def classify_rational_sl2v(x: SL2Element, v: Vector, bound: int = 10_000,
-                           t=Fraction(1)) -> RationalityResult:
+def classify_rational_sl2v(x: SL2Element, v: Vector, t=Fraction(1)) -> RationalityResult:
     """Rationality of (x, v): conjugacy onto every generating power.
 
-    Reality is classified first and returned in ``reality``.  Infinite
-    order leaves only the k = -1 generator, so rationality is exactly
-    reality and the reality certificate is reused."""
+    Reality is classified first and returned in ``reality``.  The order of
+    (x, v) is 1, 2 or infinite, so one two-step probe decides it:
+    - x = diag(r, 1/r) with r != +-1 has infinite order;
+    - x = +-I gives (x, v)^2 = (I, (rho(x) + I) v), which is e or a nonzero
+      translation, whose powers telescope and never return to e.
+    This rests on ``classify_real`` refusing a non-diagonal x before the
+    probe runs; an elliptic x, of order 3, 4 or 6, must revisit it.  Order
+    1 or 2 leaves k = 1 the only generating power; infinite order leaves
+    k = -1, so rationality is exactly reality and reuses its certificate."""
     reality = classify_real(x, v, t)
     subject = SL2VElement(x, v)
-    order = element_order(subject, bound=min(bound, 64))
-
-    if order.is_finite:
-        # a finite-order diagonal x over Q is +-I, so the order is 1 or 2
-        # and k = 1 is the only generating power
+    if element_order(subject, bound=2).is_finite:
         return RationalityResult(
             "rational", {1: Certificate.make(subject, subject.identity(), Power(1))}, reality)
-
-    if not _certified_infinite(x, v):
-        return RationalityResult("unknown", {}, reality,
-                                 reason="order bound exceeded without a structural "
-                                        "infiniteness certificate")
     if reality.verdict == "real":
         return RationalityResult("rational", {-1: reality.certificate}, reality,
                                  reason="infinite order: rational iff real")

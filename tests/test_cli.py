@@ -609,6 +609,40 @@ def test_affine_order_of_the_element_above_the_bound_exits_quickly(tmp_path, cap
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_bound_below_one_is_a_usage_error(capsys, path):
+    assert main(["run", str(path), "--bound", "0"]) == 2
+    assert "error: bound must be at least 1, got 0" in capsys.readouterr().err
+
+
+def test_finite_closure_past_its_cap_is_a_usage_error(capsys):
+    """--bound 1 caps the closure at 10 elements; PSL(2,2) |x F_2^2 has 24."""
+    assert main(["run", str(ROOT / "scenarios" / "finite_psl2_f2.json"), "--bound", "1"]) == 2
+    assert "error: closure exceeded cap 10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_scenario_elements_must_be_a_list(tmp_path, capsys, path):
+    """Only a finite scenario takes the string "all"; any other string fails
+    naming the field, not as a malformed-input TypeError."""
+    scenario = json.loads(path.read_text())
+    value = "xyz" if scenario["kind"] == "finite" else "all"
+    scenario["elements"] = value
+    assert main(["run", write_json(tmp_path / "scenario.json", scenario)]) == 2
+    assert f"error: scenario elements must be a list, got {value!r}" in capsys.readouterr().err
+
+
+def test_sl2v_order_two_is_rational_at_bound_one(tmp_path, capsys):
+    """(-I, v) with n = 1 has order 2, and --bound does not reach the order
+    probe: the element is rational with its power 1 certificate."""
+    scenario = {"schema_version": 1, "kind": "sl2v", "params": {"n": 1},
+                "elements": [{"x": ["-1", "0", "0", "-1"], "v": ["1", "2"]}]}
+    result = run_and_load(tmp_path, capsys, scenario, ["--bound", "1"])["results"][0]
+    assert result["verdicts"]["rational"] == "rational"
+    powers = [c for c in result["certificates"] if c["relation"] == {"power": 1}]
+    assert len(powers) == 1 and powers[0]["verified"]
+
+
 # Each integer parameter as the one scenario field that a test replaces.
 INTEGER_PARAMS = {
     "affine_order": lambda value: {"kind": "affine", "elements": [{"v": ["1", "0"]}],

@@ -144,6 +144,17 @@ def test_every_public_name_is_read(path):
     assert not unread, f"{path.name}: public names read nowhere in the package {unread}"
 
 
+def test_acceptance_reads_are_not_stale():
+    """Each allowlisted name is a public definition that the package does not
+    read; an entry that fails either is left over from deleted code."""
+    defined = dict(q for p in MODULES for q in _public_definitions(ast.parse(p.read_text())))
+    missing = sorted(ACCEPTANCE_READS - set(defined))
+    assert not missing, f"allowlisted names the package does not define {missing}"
+    read = PACKAGE_READS | PACKAGE_ATTRIBUTE_READS
+    stale = sorted(q for q in ACCEPTANCE_READS if defined[q] in read)
+    assert not stale, f"allowlisted names the package reads after all {stale}"
+
+
 # Dataclass fields read by no library code, but by tests/test_acceptance.py
 # through its fixtures.
 ACCEPTANCE_FIELD_READS = {"EigenOneSplitting.restricted", "EigenOneSplitting.change_of_basis",

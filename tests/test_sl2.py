@@ -182,6 +182,10 @@ def test_classify_real_mod4_middle_obstruction():
     assert bad.verdict == "not_real"
     good = classify_real(x, vec([1, 1, 0, 1, 1]))
     assert good.verdict == "real" and good.certificate.verified
+    # n = 0: rho(x) = I although x != +-I, and the middle coordinate is all of v
+    assert classify_real(x, vec([1])).verdict == "not_real"
+    good = classify_real(x, vec([0]))
+    assert good.verdict == "real" and good.certificate.verified
 
 
 def test_classify_real_n6_always_real():
@@ -291,28 +295,39 @@ def test_sl2v_order_matches_structure():
 
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(0, 10), sign=st.sampled_from([1, -1]), data=st.data())
-def test_sl2v_finite_order_is_one_or_two(n, sign, data):
-    """A finite-order (x, v) with x = +-I has order 1 or 2, so k = 1 is its
-    only generating power and the certificate set is exactly {1}."""
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(0, 10),
+       r=st.sampled_from([1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3]), data=st.data())
+def test_sl2v_finite_order_is_one_or_two(n, r, data):
+    """(x, v) with x = diag(r, 1/r) has order 1, 2 or infinity: a 64-step and
+    a 2-step probe agree on finiteness.  Finite order makes k = 1 the only
+    generating power, and infinite order makes rational exactly real."""
     v = vec(data.draw(st.lists(st.fractions(-3, 3, max_denominator=3),
                                min_size=n + 1, max_size=n + 1), label="v"))
-    x = SL2Element.of(sign, 0, 0, sign)
+    x = SL2Element.diagonal(r)
     order = element_order(SL2VElement(x, v), bound=64)
+    assert order.is_finite == element_order(SL2VElement(x, v), bound=2).is_finite
     # rho(-I) = (-1)^n I, so only odd n with x = -I negates the translation
-    assert order.is_finite == (v.is_zero() or (sign == -1 and n % 2 == 1))
+    assert order.is_finite == (r in (1, -1) and (v.is_zero() or (r == -1 and n % 2 == 1)))
+    res = classify_rational_sl2v(x, v)
     if order.is_finite:
         assert order.value in (1, 2)
-        res = classify_rational_sl2v(x, v)
         assert res.verdict == "rational" and set(res.certificates) == {1}
         assert res.certificates[1].verified
+    else:
+        expected = {"real": "rational", "not_real": "not_rational", "unknown": "unknown"}
+        assert res.verdict == expected[res.reality.verdict]
+
 
 def test_classify_rational_records_the_probed_bound(monkeypatch):
-    """The order probe is capped at 64 steps and never exceeds the caller's bound."""
+    """Every order probe from sl2 is capped at 2 steps: the order of (x, v)
+    is 1, 2 or infinite for each diagonal x."""
     probes = count_calls(monkeypatch, sl2, "element_order")
-    x, v = SL2Element.diagonal(2), vec([1, 1, 1])
-    wide = classify_rational_sl2v(x, v, bound=10_000)
-    narrow = classify_rational_sl2v(x, v, bound=10)
-    assert [kwargs["bound"] for _, kwargs in probes] == [64, 10]
-    assert wide.verdict == narrow.verdict == "rational"
+    minus = SL2Element.of(-1, 0, 0, -1)
+    cases = [(SL2Element.diagonal(2), vec([1, 1, 1]), "rational"),
+             (minus, vec([1, 2]), "rational"),
+             (minus, vec([1, 0, 0]), "not_rational"),
+             (SL2Element.identity_element(), vec([0, 0, 0]), "rational")]
+    for x, v, verdict in cases:
+        assert classify_rational_sl2v(x, v).verdict == verdict
+    assert [kwargs["bound"] for _, kwargs in probes] == [2] * len(cases)
