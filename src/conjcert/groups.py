@@ -3,12 +3,17 @@ finite reality/rationality oracle.
 
 Group elements are duck-typed: anything hashable with ``__mul__``,
 ``inverse()`` and ``identity()`` works (matrices, affine elements,
-semidirect pairs, ...).  A ``FiniteGroup`` walks the orbits of conjugation
-by its generators once, on element indices, into a class table holding each
+semidirect pairs, ...).  ``generate_closure`` keeps its breadth-first
+Schreier tree: each element's parent and the generator that reaches it, so
+every element is a word in the generators and a product with it is a walk
+through the right-multiplication table.  A ``FiniteGroup`` reads its
+inverses off that tree and walks the orbits of conjugation by its
+generators once, on element indices, into a class table holding each
 element's class and a transversal t_y with t_y r t_y^-1 = y for the class
 representative r (Holt, Eick & O'Brien, *Handbook of Computational Group
-Theory*, 2005, ch. 4).  Oracle verdicts are lookups in that table; every
-certificate surfaced from this module is re-verified by exact multiplication.
+Theory*, 2005, ch. 4).  Inverses, powers and conjugators are index walks;
+exact multiplication is left to the closure and to ``Certificate.check``,
+which re-verifies every certificate surfaced from this module.
 ``element_power`` is the one square-and-multiply, also behind ``Matrix.__pow__``.
 """
 
@@ -61,16 +66,18 @@ class Power:
 
 
 def element_power(g, k: int):
-    """g**k by square-and-multiply; negative k via inverse()."""
+    """g**k by left-to-right square-and-multiply from g itself (Knuth, *TAOCP*
+    vol. 2, 4.6.3): k.bit_length() + k.bit_count() - 2 products for k >= 1,
+    none for k = 0; negative k via inverse()."""
     if k < 0:
         return element_power(g.inverse(), -k)
-    result = g.identity()
-    base = g
-    while k:
-        if k & 1:
-            result = result * base
-        base = base * base
-        k >>= 1
+    if k == 0:
+        return g.identity()
+    result = g
+    for bit in bin(k)[3:]:  # the bits below the top one
+        result = result * result
+        if bit == "1":
+            result = result * g
     return result
 
 
@@ -114,14 +121,17 @@ class OrderResult:
 
 class FiniteGroup:
     """A finite group as an explicit element list in deterministic (breadth-first
-    closure) order; ``right[i][j]`` is the index of elements[i] * generators[j]."""
+    closure) order; ``right[i][j]`` is the index of elements[i] * generators[j],
+    and elements[i] = elements[parent[i]] * generators[column[i]] for i > 0 (the
+    closure's Schreier tree).  ``index`` maps each element to its position."""
 
-    def __init__(self, elements, generators, right):
-        self.elements = tuple(elements)
+    def __init__(self, index: dict, generators, right, parent, column):
+        self.elements = tuple(index)
         self.generators = tuple(generators)
+        self._index = index
         self._right = right
-        self._index = {g: i for i, g in enumerate(self.elements)}
-        self._inverses: dict = {}
+        self._parent, self._column = parent, column
+        self._inverse = self._inverse_table()
         self._table: Optional[tuple] = None
 
     def __len__(self):
@@ -134,24 +144,55 @@ class FiniteGroup:
         return g in self._index
 
     def index(self, g) -> int:
-        return self._index[g]
+        """The position of g in elements; a non-member is a UsageError."""
+        i = self._index.get(g)
+        if i is None:
+            raise UsageError(f"{g!r} is not in the group")
+        return i
 
     @property
     def identity(self):
         return self.elements[0]
 
+    def _inverse_table(self) -> list:
+        """inverse[i] is the index of elements[i]^-1.  For the word
+        s_1 ... s_L of elements[i] (s_L = column[i], its parent spells the
+        rest) that is the walk from the identity through the inverse
+        generator permutations s_L^-1, ..., s_1^-1, read up the tree."""
+        undo = [[0] * len(self._right) for _ in self.generators]
+        for i, row in enumerate(self._right):
+            for j, k in enumerate(row):
+                undo[j][k] = i  # elements[k] * generators[j]^-1 = elements[i]
+        parent, column = self._parent, self._column
+        inverse = []
+        for x in range(len(self._right)):
+            y = 0
+            while x:
+                y, x = undo[column[x]][y], parent[x]
+            inverse.append(y)
+        return inverse
+
+    def _times(self, a: int, b: int) -> int:
+        """The index of elements[a] * elements[b]: a walk from a through
+        ``right`` along the word of b, read down the tree."""
+        word = []
+        while b:
+            word.append(self._column[b])
+            b = self._parent[b]
+        right = self._right
+        for j in reversed(word):
+            a = right[a][j]
+        return a
+
     def inverse_of(self, g):
-        inv = self._inverses.get(g)
-        if inv is None:
-            inv = self._inverses[g] = g.inverse()
-        return inv
+        return self.elements[self._inverse[self.index(g)]]
 
     def class_table(self) -> tuple:
         """(classes, class_of, transversal) on indices, built once: orbits of
         conjugation by the generators, each walked breadth first from its least
         member r, members sorted; transversal[y] is t_y with t_y r t_y^-1 = y."""
         if self._table is None:
-            inv, right = [self.index(self.inverse_of(g)) for g in self.elements], self._right
+            inv, right = self._inverse, self._right
             class_of, transversal, classes = [-1] * len(inv), [0] * len(inv), []
             for r in range(len(inv)):
                 if class_of[r] < 0:
@@ -168,15 +209,18 @@ class FiniteGroup:
             self._table = (classes, class_of, transversal)
         return self._table
 
-    def conjugator(self, s, target):
-        """t_target t_s^-1 when s and target share a class, else None."""
-        if s not in self:
-            raise UsageError(f"{s!r} is not in the group")
+    def _conjugating(self, i: int, j: int) -> Optional[int]:
+        """The index of t_j t_i^-1, which conjugates elements[i] to
+        elements[j], when the two share a class, else None."""
         _, class_of, transversal = self.class_table()
-        i, j = self.index(s), self.index(target)
         if class_of[i] != class_of[j]:
             return None
-        return self.elements[transversal[j]] * self.inverse_of(self.elements[transversal[i]])
+        return self._times(transversal[j], self._inverse[transversal[i]])
+
+    def conjugator(self, s, target):
+        """t_target t_s^-1 when s and target share a class, else None."""
+        h = self._conjugating(self.index(s), self.index(target))
+        return None if h is None else self.elements[h]
 
 
 def generate_closure(generators, cap: int = 100_000) -> FiniteGroup:
@@ -186,23 +230,28 @@ def generate_closure(generators, cap: int = 100_000) -> FiniteGroup:
         raise UsageError("generate_closure needs at least one generator")
     order = [generators[0].identity()]
     index = {order[0]: 0}
-    right = []
-    for cur in order:  # grows while walked: breadth first
+    right, parent, column = [], [0], [0]
+    for i, cur in enumerate(order):  # grows while walked: breadth first
         row = []
-        for gen in generators:
+        for j, gen in enumerate(generators):
             cand = cur * gen
-            if cand not in index:
-                index[cand] = len(order)
+            k = index.get(cand)
+            if k is None:
+                k = index[cand] = len(order)
                 order.append(cand)
+                parent.append(i)
+                column.append(j)
                 if len(order) > cap:
                     raise ClosureCapExceeded(f"closure exceeded cap {cap}")
-            row.append(index[cand])
+            row.append(k)
         right.append(row)
-    return FiniteGroup(order, generators, right)
+    return FiniteGroup(index, generators, right, parent, column)
 
 
 def element_order(g, bound: int = DEFAULT_ORDER_BOUND) -> OrderResult:
-    """Order by iterated multiplication; no eigenvalue shortcuts.
+    """Order by iterated multiplication; no eigenvalue shortcuts.  g^bound
+    is the last power formed, so an order above the bound costs bound - 1
+    products.
 
     Each step multiplies g on the left, g * g^m rather than g^m * g: the
     power is the same, but a product acts by its left factor, so the action
@@ -211,12 +260,12 @@ def element_order(g, bound: int = DEFAULT_ORDER_BOUND) -> OrderResult:
     if bound < 1:
         raise UsageError("bound must be >= 1")
     identity = g.identity()
-    acc = g
-    for m in range(1, bound + 1):
-        if acc == identity:
-            return OrderResult(m)
-        acc = g * acc
-    return OrderResult(None)
+    acc, m = g, 1
+    while acc != identity:
+        if m == bound:
+            return OrderResult(None)
+        acc, m = g * acc, m + 1
+    return OrderResult(m)
 
 
 def is_real_bruteforce(G: FiniteGroup, g) -> Optional[Certificate]:
@@ -229,18 +278,18 @@ def is_real_bruteforce(G: FiniteGroup, g) -> Optional[Certificate]:
 def is_rational_bruteforce(G: FiniteGroup, g) -> Optional[dict]:
     """Certificates {k: h_k} for every k coprime to Ord(g), or None if some
     such g^k lies outside the class of g.  h_1 = e; every other h_k is the
-    class-table conjugator t_{g^k} t_g^-1."""
-    if g not in G:
-        raise UsageError(f"{g!r} is not in the group")
+    class-table conjugator t_{g^k} t_g^-1.  The powers g^k are walked on
+    indices."""
+    i = G.index(g)
     m = element_order(g, bound=len(G)).value
     certs = {1: Certificate.make(g, G.identity, Power(1))}
-    power = g
+    power = i
     for k in range(2, m):
-        power = power * g
+        power = G._times(power, i)
         if gcd(k, m) != 1:
             continue
-        h = G.conjugator(g, power)
+        h = G._conjugating(i, power)
         if h is None:
             return None
-        certs[k] = Certificate.make(g, h, Power(k))
+        certs[k] = Certificate.make(g, G.elements[h], Power(k))
     return certs

@@ -1,5 +1,6 @@
 """The finite oracle's class table against an independent plain scan, its
-multiplication count, and byte-identical finite reports across hash seeds."""
+index walks against exact multiplication, its multiplication count, and
+byte-identical finite reports across hash seeds."""
 
 import json
 import os
@@ -13,13 +14,14 @@ import pytest
 from conjcert.errors import UsageError
 from conjcert.fields import GF
 from conjcert.groups import (
+    element_power,
     generate_closure,
     is_rational_bruteforce,
     is_real_bruteforce,
 )
 from conjcert.linalg import Matrix
 from conjcert.semidirect import AffineElement
-from conformance_fixtures import conjugacy_classes
+from conformance_fixtures import conjugacy_classes, count_calls
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -85,9 +87,46 @@ def test_class_table_matches_plain_scan(p, linear_rows, size, reals):
     assert real_count == reals
 
 
+@pytest.mark.parametrize("p, linear_rows", [(3, GL23_LINEAR), (2, PSL22_LINEAR)])
+def test_index_walks_match_exact_multiplication(p, linear_rows):
+    """Every table inverse, every power index the rational oracle walks, and
+    the conjugator of each element to and from its class representative equal
+    the exact products they stand for."""
+    G = affine_group(p, linear_rows)
+    classes, class_of, transversal = G.class_table()
+    for s in G.elements:
+        assert G.inverse_of(s) == s.inverse()
+        i = G.index(s)
+        powers = [i]
+        while powers[-1] != 0:
+            powers.append(G._times(powers[-1], i))
+        for k, power in enumerate(powers, 1):
+            assert G.elements[power] == element_power(s, k)
+        t_s = G.elements[transversal[i]]
+        rep = G.elements[classes[class_of[i]][0]]
+        assert G.conjugator(rep, s) == t_s
+        assert G.conjugator(s, rep) == t_s.inverse()
+        j = G.index(s.inverse())
+        real = class_of[j] == class_of[i]
+        expected = G.elements[transversal[j]] * t_s.inverse() if real else None
+        assert G.conjugator(s, s.inverse()) == expected
+
+
+def test_class_table_makes_no_inverses(monkeypatch):
+    """The closure, the inverse table and the class table run on indices:
+    no exact inverse() at all."""
+    inverses = count_calls(monkeypatch, AffineElement, "inverse")
+    G = affine_group(3, GL23_LINEAR)
+    G.class_table()
+    for s in G.elements:
+        G.inverse_of(s)
+    assert inverses == []
+
+
 def test_class_table_multiplication_budget(monkeypatch):
     """Closure plus both oracles on all 432 elements of GL(2,3) x| F_3^2.
-    The class table needs about 10,700 products; a scan per relation needs
+    With inverses, powers and conjugators walked on indices this takes 7,123
+    products (10,665 when each was multiplied out); a scan per relation needs
     over 230,000, so a return to scanning fails here without a wall-clock
     budget."""
     calls = [0]
@@ -102,7 +141,7 @@ def test_class_table_multiplication_budget(monkeypatch):
     for s in G.elements:
         is_real_bruteforce(G, s)
         is_rational_bruteforce(G, s)
-    assert calls[0] <= 20_000
+    assert calls[0] <= 7_800, calls[0]
 
 
 def _gl23_subjects_scenario():
@@ -153,3 +192,9 @@ def test_oracles_reject_non_members():
             is_real_bruteforce(G, outsider)
         with pytest.raises(UsageError):
             is_rational_bruteforce(G, outsider)
+        with pytest.raises(UsageError):
+            G.inverse_of(outsider)
+        with pytest.raises(UsageError):
+            G.conjugator(outsider, G.identity)
+        with pytest.raises(UsageError):
+            G.conjugator(G.identity, outsider)

@@ -9,13 +9,14 @@ from conjcert.groups import (
     Inverse,
     Power,
     element_order,
+    element_power,
     generate_closure,
     is_rational_bruteforce,
     is_real_bruteforce,
 )
 from conjcert.linalg import Matrix
 from conjcert.semidirect import AffineElement
-from conformance_fixtures import conjugacy_classes, rational_classes
+from conformance_fixtures import conjugacy_classes, count_calls, rational_classes
 
 
 def f2mat(rows):
@@ -64,6 +65,49 @@ def test_element_order_examples():
     shift = AffineElement.of(Matrix.identity_of(QQ, 1), [1])
     res = element_order(shift, bound=100)
     assert not res.is_finite
+
+
+def test_element_order_stops_at_the_bound(monkeypatch):
+    """A probe of an element whose order exceeds the bound b makes b - 1
+    products: g^b is the last power it tests, and it forms no further one."""
+    shift = AffineElement.of(Matrix.identity_of(QQ, 1), [1])
+    for bound in (1, 2, 5):
+        products = count_calls(monkeypatch, AffineElement, "__mul__")
+        assert not element_order(shift, bound=bound).is_finite
+        monkeypatch.undo()
+        assert len(products) == bound - 1
+    x = f2mat([[1, 1], [1, 0]])
+    assert element_order(x, bound=3).value == 3
+    assert not element_order(x, bound=2).is_finite
+
+
+def _power_subjects():
+    return (Matrix.from_rows(QQ, [[1, 2], [-1, 3]]),
+            Matrix.from_rows(GF(5), [[1, 2], [3, 3]]),
+            AffineElement.of(Matrix.from_rows(GF(5), [[0, 4], [1, 1]]), [2, 1]))
+
+
+@pytest.mark.parametrize("g", _power_subjects(), ids=["q", "f5", "affine"])
+def test_element_power_matches_repeated_multiplication(g):
+    inverse = g.inverse()
+    expected = {0: g.identity()}
+    for k in range(1, 41):
+        expected[k] = expected[k - 1] * g
+    for k in range(1, 7):
+        expected[-k] = expected[1 - k] * inverse
+    for k in range(-6, 41):
+        assert element_power(g, k) == expected[k], k
+
+
+@pytest.mark.parametrize("g", _power_subjects(), ids=["q", "f5", "affine"])
+def test_element_power_product_count(monkeypatch, g):
+    """Square-and-multiply from g: k.bit_length() - 1 squarings and
+    k.bit_count() - 1 multiplications by g, so k = 5 takes 3 products."""
+    for k in range(0, 41):
+        products = count_calls(monkeypatch, type(g), "__mul__")
+        element_power(g, k)
+        monkeypatch.undo()
+        assert len(products) == (k.bit_length() + k.bit_count() - 2 if k else 0), k
 
 
 def test_real_bruteforce_identity_and_involution():
