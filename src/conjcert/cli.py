@@ -46,7 +46,7 @@ from .heisenberg import (
     standard_gsp_example,
 )
 from .linalg import Matrix, Vector
-from .semidirect import AffineElement, real_witness_via_lift
+from .semidirect import AffineElement, SemidirectProduct, real_witness_via_lift
 from .sl2 import SL2Element, SL2VElement, classify_rational_sl2v
 
 SCHEMA_VERSION = 1
@@ -152,7 +152,8 @@ def _encode_heisenberg(field: Field, element) -> dict:
 def _heisenberg_group():
     """H_5 under GSp(4) over Q.  Built per codec, never at import, because
     the presentation holds ``gsp_act`` as it is bound when built."""
-    return heisenberg_presentation().semidirect(GSpElement(Matrix.identity_of(QQ, 4), QQ.one()))
+    return SemidirectProduct(heisenberg_presentation(),
+                             GSpElement(Matrix.identity_of(QQ, 4), QQ.one()))
 
 
 def _heisenberg_in(codec: "GroupCodec", g: GSpElement, n: dict):
@@ -367,11 +368,10 @@ def _run_heisenberg(codec: GroupCodec, params: dict, elements, bound: int) -> li
                              f"give both or neither")
     x, y = ((codec.gsp(params["x"]), codec.gsp(params["witness"])) if "x" in params
             else standard_gsp_example())
-    pres = codec.group.presentation
     results = []
     for payload in _list_in(elements, "scenario elements"):
         subject = _heisenberg_in(codec, x, payload)
-        cert = real_witness_via_lift(x, subject.n, pres, y)
+        cert = real_witness_via_lift(x, subject.n, codec.group, y)
         results.append(codec.result(subject, {"real": "real"}, [cert]))
     return results
 
@@ -381,7 +381,7 @@ def _run_solvable(codec: GroupCodec, params: dict, elements, bound: int) -> list
     for payload in _list_in(elements, "scenario elements"):
         n = _complex_heisenberg_in(codec, payload)
         x_sign = _int_in(payload.get("x", -1), "solvable x")
-        verdict = complex_heisenberg_reality(n, x_sign)
+        verdict = complex_heisenberg_reality(n, x_sign, codec.group)
         subject = codec.group.element(QQI.coerce(x_sign), n)
         results.append(codec.result(subject, {"real": "real" if verdict.real else "not_real"},
                                     verdict.certificates, [verdict.reason]))

@@ -225,15 +225,23 @@ class ComplexHeisenbergElement:
 
 def complex_heisenberg_group() -> SemidirectProduct:
     """Q(i)^x, as nonzero ``GaussianRational`` scalars, acting on the complex
-    Heisenberg group by ``scaled_by``."""
-    zero = QQI.zero()
-    return SemidirectProduct(
-        action=lambda lam, n: n.scaled_by(lam),
-        n_multiply=lambda a, b: a * b,
-        n_inverse=lambda a: a.inverse(),
-        n_identity=ComplexHeisenbergElement(zero, zero, zero),
-        h_identity=QQI.one(),
-    )
+    Heisenberg group N by ``scaled_by``, with N presented by its two-level
+    central series N > Z(N) > {e} over Q(i): the (a, b) plane, on which
+    lambda acts by diag(lambda, 1/lambda), and the center line c, on which
+    it acts trivially."""
+    zero, one = QQI.zero(), QQI.one()
+    levels = [
+        CentralSeriesLevel(2, project=lambda n: Vector(QQI, (n.a, n.b)),
+                           section=lambda vec: ComplexHeisenbergElement(vec[0], vec[1], zero),
+                           act=lambda lam: Matrix(QQI, 2, 2, (lam, zero, zero, one / lam))),
+        CentralSeriesLevel(1, project=lambda n: Vector(QQI, (n.c,)),
+                           section=lambda vec: ComplexHeisenbergElement(zero, zero, vec[0]),
+                           act=lambda lam: Matrix(QQI, 1, 1, (one,))),
+    ]
+    pres = CentralSeriesPresentation(QQI, lambda a, b: a * b, lambda a: a.inverse(),
+                                     ComplexHeisenbergElement(zero, zero, zero),
+                                     lambda lam, n: n.scaled_by(lam), levels)
+    return SemidirectProduct(pres, one)
 
 
 @dataclass(frozen=True)
@@ -260,10 +268,10 @@ def _solve_conjugation_entries(lam: GaussianRational, n: ComplexHeisenbergElemen
     return k, conj.c - target.c
 
 
-def complex_heisenberg_reality(n: ComplexHeisenbergElement, x_sign: int
-                               ) -> ComplexHeisenbergVerdict:
-    """Case analysis for (x, n) with x in {1, -1} acting by
-    (a, b, c) |-> (lambda a, b / lambda, c).
+def complex_heisenberg_reality(n: ComplexHeisenbergElement, x_sign: int,
+                               G: SemidirectProduct) -> ComplexHeisenbergVerdict:
+    """Case analysis for (x, n) in the caller's ``complex_heisenberg_group()``
+    G, with x in {1, -1} acting by (a, b, c) |-> (lambda a, b / lambda, c).
 
     x = 1: real iff n is non-central (explicit one-entry witnesses) or n = e.
     x = -1: real iff a b = 2 c; the obstruction is independent of lambda,
@@ -271,7 +279,6 @@ def complex_heisenberg_reality(n: ComplexHeisenbergElement, x_sign: int
     entries."""
     if x_sign not in (1, -1):
         raise UsageError("x must be 1 or -1")
-    G = complex_heisenberg_group()
     two = QQI.coerce(2)
     subject = G.element(QQI.coerce(x_sign), n)
 

@@ -22,15 +22,19 @@ system (I - Y) w = c - H b of ``make_real_witness`` and
 ``make_power_witness`` on the matrix images Y, H of y, h; the reality
 witness is certified in the caller's pair group (``AffineElement`` and the
 identity map by default, ``SL2VElement`` and rho(., n) for sl2v).
-``real_witness_via_lift`` maps a pair and its target to left coordinates
-and the solved (h, w) back to (h, act(h^-1, w)).
+``real_witness_via_lift`` maps a pair of the caller's ``SemidirectProduct``
+and its target to left coordinates and the solved (h, w) back to
+(h, act(h^-1, w)).
 When no Y_j fixes a nonzero vector each level has one solution, so the
 witness is the only one with this h: the (h, act(h^-1, u) . u^-1) of the
 earlier (e, u) lift, where (e, u) conjugates (x, e) to
 (x, act(x^-1, u) . u^-1).  The certificate re-multiplies the witness in
-the full group, so its soundness does not rest on this algebra.  The
-presentation only describes N: the lift plan of x keeps the factorisations
-of I - Y_j per passed (h, relation), and a one-level witness factors I - y.
+the full group, so its soundness does not rest on this algebra.  A
+``CentralSeriesPresentation`` describes N once, and every ``SemidirectProduct``
+reads N's operations and the action from its presentation.  The presentation
+also keeps the witnessed (x, h, relation) cache: h^-1 and the factorisations
+of I - Y_j for each h that passed h x h^-1 = relation(x).  A one-level
+witness factors I - y on the spot.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ __all__ = [
     "SemidirectElement",
     "CentralSeriesLevel",
     "CentralSeriesPresentation",
-    "LiftPlan",
     "vector_presentation",
     "make_real_witness",
     "make_power_witness",
@@ -97,22 +100,18 @@ class AffineElement:
 
 
 class SemidirectProduct:
-    """Group on pairs (h, n); the action is conjugation of H on N."""
+    """H x| N on pairs (h, n): ``presentation`` describes N and the
+    conjugation action of H on it, and ``h_identity`` is the identity of H."""
 
-    def __init__(self, action: Callable, n_multiply: Callable, n_inverse: Callable,
-                 n_identity, h_identity):
-        self.action = action
-        self.n_multiply = n_multiply
-        self.n_inverse = n_inverse
-        self.n_identity = n_identity
+    def __init__(self, presentation: "CentralSeriesPresentation", h_identity):
+        self.presentation = presentation
         self.h_identity = h_identity
-        self.presentation = None  # set when a CentralSeriesPresentation builds it
 
     def element(self, h, n) -> "SemidirectElement":
         return SemidirectElement(self, h, n)
 
     def identity(self) -> "SemidirectElement":
-        return SemidirectElement(self, self.h_identity, self.n_identity)
+        return SemidirectElement(self, self.h_identity, self.presentation.identity)
 
 
 @dataclass(frozen=True)
@@ -122,15 +121,14 @@ class SemidirectElement:
     n: object
 
     def __mul__(self, other: "SemidirectElement") -> "SemidirectElement":
-        G = self.group
-        h2_inv = other.h.inverse()
-        return SemidirectElement(
-            G, self.h * other.h, G.n_multiply(G.action(h2_inv, self.n), other.n)
-        )
+        N = self.group.presentation
+        return SemidirectElement(self.group, self.h * other.h,
+                                 N.multiply(N.action(other.h.inverse(), self.n), other.n))
 
     def inverse(self) -> "SemidirectElement":
-        G = self.group
-        return SemidirectElement(G, self.h.inverse(), G.action(self.h, G.n_inverse(self.n)))
+        N = self.group.presentation
+        return SemidirectElement(self.group, self.h.inverse(),
+                                 N.action(self.h, N.inverse(self.n)))
 
     def identity(self) -> "SemidirectElement":
         return self.group.identity()
@@ -165,25 +163,19 @@ class CentralSeriesPresentation:
         self.identity = identity
         self.action = action
         self.levels = tuple(levels)
-        self._plans: dict = {}
-        self._products: dict = {}
+        self._witnessed: dict = {}
 
-    def lift_plan(self, x) -> "LiftPlan":
-        """x's plan, built on first use and kept on this instance."""
-        plan = self._plans.get(x)
-        if plan is None:
-            plan = self._plans[x] = LiftPlan(x, self.semidirect(x.identity()))
-        return plan
-
-    def semidirect(self, h_identity) -> SemidirectProduct:
-        """H x| N for the H with identity h_identity, built once and kept on
-        this instance, which it names as its ``presentation``."""
-        G = self._products.get(h_identity)
-        if G is None:
-            G = self._products[h_identity] = SemidirectProduct(
-                self.action, self.multiply, self.inverse, self.identity, h_identity)
-            G.presentation = self
-        return G
+    def check_witness(self, x, h, relation) -> tuple:
+        """(h^-1, ``_level_factors`` of y = relation(x)), once
+        h x h^-1 = y has been checked.  Only a passed check is recorded,
+        so a wrong h fails every time."""
+        entry = self._witnessed.get((x, h, relation))
+        if entry is None:
+            h_inverse, y = h.inverse(), relation.of(x)
+            if h * x * h_inverse != y:
+                raise UsageError(f"h does not witness the {relation.describe()} relation for x")
+            entry = self._witnessed[(x, h, relation)] = (h_inverse, _level_factors(self, y))
+        return entry
 
 
 def vector_presentation(field: Field, dim: int, matrix_of: Callable) -> CentralSeriesPresentation:
@@ -198,29 +190,6 @@ def _level_factors(pres: CentralSeriesPresentation, y) -> tuple:
     """Each level's ``RowReduction`` of I - Y_j for the level actions Y_j of y."""
     return tuple(RowReduction.of(Matrix.identity_of(pres.field, lvl.dim) - lvl.act(y))
                  for lvl in pres.levels)
-
-
-class LiftPlan:
-    """What every lift of one x through one presentation shares: the
-    product H x| N its pairs live in and, for each (h, relation) that passed
-    h x h^-1 = relation(x), h^-1 and ``_level_factors`` of relation(x).
-    Only a passed check is recorded, so a wrong h fails every time."""
-
-    def __init__(self, x, group: SemidirectProduct):
-        self.x = x
-        self.group = group
-        self._witnessed: dict = {}
-
-    def check_witness(self, h, relation) -> tuple:
-        """(h^-1, factors), once h x h^-1 = relation(x) has been checked."""
-        entry = self._witnessed.get((h, relation))
-        if entry is None:
-            h_inverse, y = h.inverse(), relation.of(self.x)
-            if h * self.x * h_inverse != y:
-                raise UsageError(f"h does not witness the {relation.describe()} relation for x")
-            entry = self._witnessed[(h, relation)] = (
-                h_inverse, _level_factors(self.group.presentation, y))
-        return entry
 
 
 def lift_central_series(h, a, y, c, pres: CentralSeriesPresentation, relation, factors):
@@ -279,13 +248,12 @@ def make_power_witness(x: Matrix, b: Vector, h: Matrix, k: int) -> Certificate:
     return _vector_witness(x, b, h, Power(k), AffineElement, lambda g: g)
 
 
-def _witness_via_lift(x, n, pres: CentralSeriesPresentation, h, relation) -> Certificate:
-    """The pair (x, n) is (x, act(x, n)) in left coordinates and its target
-    (y, m) is (y, act(y, m)); the solved (h, w) is the pair
-    (h, act(h^-1, w)), checked by the certificate in the full group."""
-    plan = pres.lift_plan(x)
-    h_inverse, factors = plan.check_witness(h, relation)
-    G = plan.group
+def _witness_via_lift(x, n, G: SemidirectProduct, h, relation) -> Certificate:
+    """The pair (x, n) of G is (x, act(x, n)) in left coordinates and its
+    target (y, m) is (y, act(y, m)); the solved (h, w) is the pair
+    (h, act(h^-1, w)), checked by the certificate in G."""
+    pres = G.presentation
+    h_inverse, factors = pres.check_witness(x, h, relation)
     subject = G.element(x, n)
     target = relation.of(subject)
     w = lift_central_series(h, pres.action(x, n), target.h,
@@ -293,7 +261,7 @@ def _witness_via_lift(x, n, pres: CentralSeriesPresentation, h, relation) -> Cer
     return Certificate.make(subject, G.element(h, pres.action(h_inverse, w)), relation)
 
 
-def real_witness_via_lift(x, n, pres: CentralSeriesPresentation, h) -> Certificate:
-    """Certificate for (x,n) ~ (x,n)^-1 in H x| N from the level-by-level
-    solve and an H-level reality witness h."""
-    return _witness_via_lift(x, n, pres, h, Inverse())
+def real_witness_via_lift(x, n, G: SemidirectProduct, h) -> Certificate:
+    """Certificate for (x,n) ~ (x,n)^-1 in the caller's H x| N from the
+    level-by-level solve and an H-level reality witness h."""
+    return _witness_via_lift(x, n, G, h, Inverse())

@@ -16,11 +16,14 @@ products.  ``conjugacy_classes`` and ``rational_classes`` read the finite
 class table as lists of classes.  ``extract_block_certificate`` restricts a
 linear conjugator to the image block of the eigenvalue-1 splitting, and
 ``kron`` flattens matrix equations like g X = Y g into the linear systems
-that the affine tests eliminate.
+that the affine tests eliminate.  ``count_calls`` records the calls of one
+function, and ``bench_module`` loads a module of ``bench/``.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import pathlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -43,6 +46,7 @@ from conjcert.semidirect import (
     CentralSeriesLevel,
     CentralSeriesPresentation,
     SemidirectProduct,
+    vector_presentation,
 )
 from conjcert.sl2 import DEFAULT_T_GRID, SL2Element, antidiagonal_witness, rho
 
@@ -53,14 +57,14 @@ from conjcert.sl2 import DEFAULT_T_GRID, SL2Element, antidiagonal_witness, rho
 
 @dataclass
 class SolvableInstance:
-    """An A |x N fixture with finite candidate pools for bounded searches."""
+    """An A |x N fixture with finite candidate pools for bounded searches;
+    N is described by ``group.presentation``."""
 
     name: str
     group: SemidirectProduct
     acting_sample: list          # sample of A
     n_sample: list               # sample of N
     candidates: list             # finite pool of candidate conjugators in G
-    presentation: Optional[CentralSeriesPresentation] = None
 
     def element(self, a, n):
         return self.group.element(a, n)
@@ -94,13 +98,8 @@ def rotation_instance() -> SolvableInstance:
     quarter = RotationMarker(Matrix.from_rows(QQ, [[0, -1], [1, 0]]))
     markers = [quarter.identity(), quarter, quarter * quarter,
                quarter * quarter * quarter]
-    group = SemidirectProduct(
-        action=lambda a, v: a.plane_action.apply(v),
-        n_multiply=lambda u, w: u + w,
-        n_inverse=lambda u: -u,
-        n_identity=Vector.zero(QQ, 2),
-        h_identity=quarter.identity(),
-    )
+    group = SemidirectProduct(vector_presentation(QQ, 2, lambda a: a.plane_action),
+                              quarter.identity())
     grid = [Vector.of(QQ, [a, b])
             for a in (-2, -1, 0, 1, 2) for b in (-2, -1, 0, 1, 2)]
     candidates = [group.element(m, v) for m in markers for v in grid]
@@ -140,8 +139,7 @@ def torus_on_heisenberg_instance() -> SolvableInstance:
         return GSpElement.of(Matrix.from_rows(QQ, [[s, 0], [0, Fraction(1, 1) / Fraction(s)]]))
 
     acting = [torus(1), torus(-1), torus(2), torus(Fraction(1, 2)), torus(3)]
-    pres = _h3_presentation()
-    group = pres.semidirect(acting[0].identity())
+    group = SemidirectProduct(_h3_presentation(), acting[0].identity())
     n_sample = [
         HeisenbergElement.of(QQ, [1, 2], Fraction(1, 2)),
         HeisenbergElement.of(QQ, [0, 0], 1),
@@ -152,8 +150,7 @@ def torus_on_heisenberg_instance() -> SolvableInstance:
                  for a in (-1, 0, 1) for b in (-1, 0, 1)]
     candidates = [group.element(a, z * w)
                   for a in acting for z in center_grid for w in base_grid]
-    return SolvableInstance("torus-on-H3", group, acting, n_sample, candidates,
-                            presentation=pres)
+    return SolvableInstance("torus-on-H3", group, acting, n_sample, candidates)
 
 
 def minus_identity_two_level_instance() -> SolvableInstance:
@@ -183,14 +180,14 @@ def minus_identity_two_level_instance() -> SolvableInstance:
         action=lambda h, n: h.apply(n),
         levels=levels,
     )
-    group = pres.semidirect(ident)
+    group = SemidirectProduct(pres, ident)
     grid = [Vector.of(QQ, [a, b, c, d])
             for a in (-1, 0, 1) for b in (-1, 0, 1)
             for c in (-1, 0, 1) for d in (-1, 0, 1)]
     candidates = [group.element(h, v) for h in (ident, minus) for v in grid[:20]]
     return SolvableInstance("sign-flip-Q4", group, [ident, minus],
                             [Vector.of(QQ, [3, -7, 2, 5]), Vector.zero(QQ, 4)],
-                            candidates, presentation=pres)
+                            candidates)
 
 
 def _bounded_witness(instance: SolvableInstance, subject) -> Optional[Certificate]:
@@ -208,7 +205,7 @@ def check_square_law(instance: SolvableInstance) -> dict:
     found = 0
     checked = 0
     for a in instance.acting_sample:
-        for n in [G.n_identity] + list(instance.n_sample):
+        for n in [G.presentation.identity] + list(instance.n_sample):
             subject = G.element(a, n)
             cert = _bounded_witness(instance, subject)
             checked += 1
@@ -225,11 +222,9 @@ def check_square_law(instance: SolvableInstance) -> dict:
 def check_strong_reality(instance: SolvableInstance, x, n) -> Certificate:
     """Under x^2 = e and fixed-point-free quotient actions, the element
     (x, n) is its own inverse; asserted by exact multiplication."""
-    if instance.presentation is None:
-        raise UsageError("strong-reality check needs a central-series presentation")
     if x * x != x.identity():
         raise UsageError("x must be an involution")
-    for j, lvl in enumerate(instance.presentation.levels):
+    for j, lvl in enumerate(instance.group.presentation.levels):
         if has_fixed_point(lvl.act(x)):
             raise UsageError(f"action of x on level {j} has a fixed point")
     subject = instance.group.element(x, n)
@@ -245,19 +240,19 @@ def check_center_rigidity(instance: SolvableInstance, central_sample: Sequence,
     real in A Z(N): the conjugacy class is a singleton and n = n^-1 forces
     2 t = 0, impossible in characteristic zero."""
     G = instance.group
-    field = instance.presentation.field if instance.presentation else QQ
-    if field.characteristic != 0:
+    N = G.presentation
+    if N.field.characteristic != 0:
         raise UsageError("center rigidity needs characteristic zero "
                          "(torsion breaks the 2t = 0 argument)")
     for a in instance.acting_sample:
         for z in central_sample:
-            if G.action(a, z) != z:
+            if N.action(a, z) != z:
                 raise UsageError(f"action of {a!r} is not trivial on the center")
     az_candidates = [g for g in instance.candidates if is_central(g.n)]
     refuted = 0
     for a in instance.acting_sample:
         for n in central_sample:
-            if n == G.n_identity:
+            if n == N.identity:
                 continue
             subject = G.element(a, n)
             # inside A Z(N) the conjugacy class of (a, n) is a singleton
@@ -297,7 +292,7 @@ def validate_presentation(pres: CentralSeriesPresentation, h_samples: Sequence =
                 if lvl.project(lifted) != v + w:
                     raise PresentationError(f"level {j}: project is not additive")
         for h in h_samples:
-            ident = h.identity()
+            ident = h * h.inverse()
             if lvl.act(ident) != Matrix.identity_of(pres.field, lvl.dim):
                 raise PresentationError(f"level {j}: act(e) != I")
             for h2 in h_samples:
@@ -382,6 +377,16 @@ def count_calls(monkeypatch, owner, name, wrap=lambda f: f) -> list:
 
     monkeypatch.setattr(owner, name, wrap(recorded))
     return calls
+
+
+def bench_module(name: str):
+    """bench/<name>.py loaded as a fresh module, for the tests that read the
+    benchmark's workloads or its tracer's metric map."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def reference_negation_search(v: Vector, n: int) -> Optional[SL2Element]:

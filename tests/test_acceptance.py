@@ -27,6 +27,7 @@ from conjcert.groups import (
 from conjcert.heisenberg import (
     ComplexHeisenbergElement,
     HeisenbergElement,
+    complex_heisenberg_group,
     complex_heisenberg_reality,
     standard_gsp_example,
     symplectic_form,
@@ -35,6 +36,7 @@ from conjcert.heisenberg import (
 from conjcert.linalg import Matrix, Vector, has_fixed_point
 from conjcert.semidirect import (
     AffineElement,
+    SemidirectProduct,
     make_power_witness,
     make_real_witness,
     real_witness_via_lift,
@@ -200,7 +202,8 @@ def test_oracle_equivalence():
             # spot-exercise the central-series lift on a deterministic slice
             if real_h is not None and index % 7 == 0:
                 pair_v = x.inverse().apply(v)
-                assert real_witness_via_lift(x, pair_v, pres, real_h.witness).verified
+                assert real_witness_via_lift(x, pair_v, SemidirectProduct(pres, x.identity()),
+                                             real_h.witness).verified
         assert checked > 0
 
 
@@ -357,13 +360,13 @@ def test_gsp_heisenberg():
     assert y.g * x.g * y.g.inverse() == x.g.inverse()
 
     rng = random.Random(400)
-    pres = heisenberg_presentation()
+    G = SemidirectProduct(heisenberg_presentation(), x.identity())
     for _ in range(100):
         n = HeisenbergElement.of(
             QQ,
             [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)],
             Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
-        assert real_witness_via_lift(x, n, pres, y).verified
+        assert real_witness_via_lift(x, n, G, y).verified
 
 
 # ---------------------------------------------------------------------------
@@ -408,15 +411,16 @@ def test_solvable_conformance():
     assert check_strong_reality(two_level, minus4,
                                 Vector.of(QQ, [3, -7, 2, 5])).verified
 
-    pres = vector_presentation(QQ, 2, lambda h: h)
-    plane = SolvableInstance("plane-flip", pres.semidirect(Matrix.identity_of(QQ, 2)),
-                             [-Matrix.identity_of(QQ, 2)], [], [],
-                             presentation=pres)
+    plane = SolvableInstance("plane-flip",
+                             SemidirectProduct(vector_presentation(QQ, 2, lambda h: h),
+                                               Matrix.identity_of(QQ, 2)),
+                             [-Matrix.identity_of(QQ, 2)], [], [])
     assert check_strong_reality(plane, -Matrix.identity_of(QQ, 2),
                                 Vector.of(QQ, [3, -7])).verified
 
     rng = random.Random(500)
     two = QQI.coerce(2)
+    G = complex_heisenberg_group()
     for trial in range(500):
         a = GaussianRational.of(Fraction(rng.randint(-5, 5), rng.randint(1, 2)),
                                 Fraction(rng.randint(-5, 5), rng.randint(1, 2)))
@@ -427,7 +431,7 @@ def test_solvable_conformance():
         else:
             c = GaussianRational.of(Fraction(rng.randint(-5, 5), rng.randint(1, 2)),
                                     Fraction(rng.randint(-5, 5), rng.randint(1, 2)))
-        verdict = complex_heisenberg_reality(ComplexHeisenbergElement(a, b, c), -1)
+        verdict = complex_heisenberg_reality(ComplexHeisenbergElement(a, b, c), -1, G)
         assert verdict.real == (a * b == two * c)
         if verdict.real:
             assert all(cert.verified for cert in verdict.certificates)

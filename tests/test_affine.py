@@ -1,6 +1,4 @@
-import importlib.util
 import itertools
-import pathlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -20,7 +18,7 @@ from conjcert.affine import (
     split_at_eigenvalue_one,
 )
 from conjcert.semidirect import AffineElement
-from conformance_fixtures import extract_block_certificate, kron
+from conformance_fixtures import bench_module, extract_block_certificate, kron
 
 
 def mat(rows, field=QQ):
@@ -301,11 +299,7 @@ def test_oracle_agreement_f3_direct_route():
 
 def _bench_linear_part(name):
     """A linear part of the affine benchmark, as a QQ matrix, with its order."""
-    root = pathlib.Path(__file__).parent.parent
-    spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                  root / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = bench_module("workloads")
     order, blocks = next((order, blocks) for part, order, blocks, _ in
                          workloads.AFFINE_LINEAR_PARTS if part == name)
     rows, _ = workloads._linear_part(order, blocks)

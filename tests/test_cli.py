@@ -1,7 +1,6 @@
 import copy
 import functools
 import hashlib
-import importlib.util
 import json
 import pathlib
 import random
@@ -25,6 +24,7 @@ from conjcert.cli import (
     main,
     verify_report,
 )
+from conformance_fixtures import bench_module
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
@@ -263,18 +263,31 @@ def test_heisenberg_fixed_point_without_a_solution_names_the_level(tmp_path, cap
 
 
 def test_heisenberg_run_builds_one_presentation_and_one_product(monkeypatch):
-    """The runner lifts through the codec's presentation, and the lifts
-    build no SemidirectProduct of their own."""
-    scenario = json.loads((ROOT / "scenarios" / "heisenberg_gsp4.json").read_text())
-    calls, products = [], []
-    build = cli.heisenberg_presentation
-    monkeypatch.setattr(cli, "heisenberg_presentation", lambda: calls.append(1) or build())
-    init = semidirect.SemidirectProduct.__init__
-    monkeypatch.setattr(semidirect.SemidirectProduct, "__init__",
-                        lambda self, *args: products.append(1) or init(self, *args))
-    for runs in (1, 2):
-        assert len(build_report(scenario, 0, DEFAULT_BOUND)["results"]) > 1
-        assert len(calls) == len(products) == runs
+    """The heisenberg runner lifts through the codec's group, and the
+    solvable runner classifies in it: neither the lifts nor the complex
+    Heisenberg case analysis builds a presentation or a SemidirectProduct
+    of its own, so each build_report builds one of each."""
+    counts = {"builds": 0, "presentations": 0, "products": 0}
+
+    def counted(key, call):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return call(*args, **kwargs)
+        return wrapper
+
+    for cls, key in ((semidirect.CentralSeriesPresentation, "presentations"),
+                     (semidirect.SemidirectProduct, "products")):
+        monkeypatch.setattr(cls, "__init__", counted(key, cls.__init__))
+    for name, builder in (("heisenberg_gsp4", "heisenberg_presentation"),
+                          ("solvable_complex_heisenberg", "complex_heisenberg_group")):
+        build = counted("builds", getattr(heisenberg, builder))
+        for module in (cli, heisenberg):
+            monkeypatch.setattr(module, builder, build)
+        scenario = json.loads((ROOT / "scenarios" / f"{name}.json").read_text())
+        counts.update(dict.fromkeys(counts, 0))
+        for runs in (1, 2):
+            assert len(build_report(scenario, 0, DEFAULT_BOUND)["results"]) > 1
+            assert counts == dict.fromkeys(counts, runs), (name, counts)
 
 
 def test_solvable_scenario(tmp_path, capsys):
@@ -535,14 +548,24 @@ def test_verify_refuses_a_zero_unit_scalar(tmp_path, capsys):
     assert f"verification failure: {message}" in err and "Traceback" not in err
 
 
+KERNEL_METRICS = ("linalg.matmul_calls", "linalg.matmul_s", "linalg.apply_calls",
+                  "linalg.apply_s")
+
+
 @pytest.mark.parametrize("workload", ["finite_gl23", "sl2v_sweep", "affine_kron",
                                       "lift_verify"])
 def test_traced_workload_sees_every_mapped_layer(workload):
-    """bench/tracer.py wraps route functions, GroupCodec.encode/decode and
-    the lift through semidirect.lift_central_series, SemidirectElement.__mul__
-    and heisenberg.gsp_act, all by name: a kind record that the runners or
-    verify_report call past those methods, or a route taken around them,
-    leaves a metric mapped to the workload at zero."""
+    """One traced run of each workload.  bench/tracer.py wraps route
+    functions, GroupCodec.encode/decode, the lift through
+    semidirect.lift_central_series, SemidirectElement.__mul__,
+    heisenberg.gsp_act, rho, Matrix.__mul__, apply, det and inverse,
+    solve_linear, kernel_basis and column_space_basis, all by name, and
+    counts the scalar operators of each field.  A kind record that the
+    runners or verify_report call past those methods, a route taken around
+    them, a kernel that routes products past them, or an inlined or
+    uncached rho leaves a metric at zero: one the tracer maps to the
+    workload, a linalg kernel metric where matrices are multiplied
+    (affine_kron and finite_gl23), or any sl2 metric on sl2v_sweep."""
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                            "--seconds", "0", "--trace", "1"],
                           cwd=ROOT, capture_output=True, timeout=300, check=False)
@@ -552,19 +575,25 @@ def test_traced_workload_sees_every_mapped_layer(workload):
     assert summary["correct"] is True, out[-2000:]
     reference = json.loads((ROOT / "bench" / "fingerprints.json").read_text())[workload]["0"]
     assert re.search(r"\bfingerprint=(\w+)", out).group(1) == reference
-    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    mapped = {name for name, _, nonzero_on in tracer.PER_LAYER if workload in nonzero_on}
-    zero = sorted(name for name in mapped if not summary["metrics"][name]["value"])
-    assert not zero, zero
+    value = {name: metric["value"] for name, metric in summary["metrics"].items()}
+    mapped = {name for name, _, nonzero_on in bench_module("tracer").PER_LAYER
+              if workload in nonzero_on}
+    assert {"fields.q_ops", "fields.fp_ops", "fields.qqi_ops"} & mapped
+    required = set(mapped)
+    if workload in ("affine_kron", "finite_gl23"):
+        required.update(KERNEL_METRICS)
+    if workload == "sl2v_sweep":
+        sl2_metrics = {name for name in value if name.startswith("sl2.")}
+        assert sl2_metrics
+        required |= sl2_metrics
+    zero = sorted(name for name in required if not value[name])
+    assert not zero, {name: value[name] for name in sorted(required)}
     if workload != "lift_verify":
         return
     assert {"semidirect.lift_calls", "semidirect.pair_mults", "heisenberg.gsp_act_calls",
             "cli.encode_s", "cli.decode_s"} <= mapped
     # the lift and the complex Heisenberg solve work in N alone, so every
     # pair product left is one of the two of a certificate's re-multiplication
-    value = {name: metric["value"] for name, metric in summary["metrics"].items()}
     checks = value["groups.cert_checks.build"] + value["groups.cert_checks.verify"]
     assert value["semidirect.pair_mults"] == 2 * checks
 
@@ -720,22 +749,14 @@ WORKLOAD_DIGESTS = {
 }
 
 
-def _bench_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                  ROOT / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
-
-
 def test_workload_digests_cover_every_workload_and_seed():
-    assert set(WORKLOAD_DIGESTS) == {(w, seed) for w in _bench_workloads().WORKLOADS
+    assert set(WORKLOAD_DIGESTS) == {(w, seed) for w in bench_module("workloads").WORKLOADS
                                      for seed in WORKLOAD_SEEDS}
 
 
 @pytest.mark.parametrize("workload,seed", sorted(WORKLOAD_DIGESTS))
 def test_workload_reports_are_pinned(workload, seed):
-    scenarios, _ = _bench_workloads().WORKLOADS[workload](seed)
+    scenarios, _ = bench_module("workloads").WORKLOADS[workload](seed)
     integrity = "\n".join(build_report(s, 0, DEFAULT_BOUND)["integrity"] for s in scenarios)
     assert hashlib.sha256(integrity.encode()).hexdigest() == WORKLOAD_DIGESTS[workload, seed]
 

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from conjcert.errors import UsageError
+from conjcert.errors import FixedPointError, UsageError
 from conjcert.fields import GaussianRational, QQ, QQI
 from conjcert.groups import Certificate, Inverse
 from conjcert.linalg import Matrix, Vector, has_fixed_point
 from conjcert.heisenberg import (
+    DEFAULT_LAMBDA_GRID,
     ComplexHeisenbergElement,
     GSpElement,
     HeisenbergElement,
@@ -18,9 +19,10 @@ from conjcert.heisenberg import (
     standard_gsp_example,
     symplectic_form,
 )
-from conjcert.semidirect import real_witness_via_lift
+from conjcert.semidirect import SemidirectProduct, real_witness_via_lift, vector_presentation
 from conformance_fixtures import (
     SolvableInstance,
+    bench_module,
     check_center_rigidity,
     check_square_law,
     check_strong_reality,
@@ -94,14 +96,14 @@ def test_presentation_round_trips_and_actions():
 def test_demo_gsp_heisenberg_specific_and_random():
     """Reality certificates for (x, n) over named and sampled n in H_5, via
     the two-level lift with the block-swap witness."""
-    pres = heisenberg_presentation()
     x, y = standard_gsp_example()
+    G = SemidirectProduct(heisenberg_presentation(), x.identity())
     named = [
         HeisenbergElement.of(QQ, [0, 0, 0, 0], 0),
         HeisenbergElement.of(QQ, [1, 0, 0, 0], 0),
         HeisenbergElement.of(QQ, [1, 2, 3, 4], 5),
     ]
-    certs = [real_witness_via_lift(x, n, pres, y) for n in named]
+    certs = [real_witness_via_lift(x, n, G, y) for n in named]
     assert all(c.verified for c in certs)
     assert certs[0].witness.h == y and certs[0].witness.n == named[0].identity()
     rng = random.Random(3)
@@ -110,7 +112,7 @@ def test_demo_gsp_heisenberg_specific_and_random():
         v = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)]
         t = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
         sampled.append(HeisenbergElement.of(QQ, v, t))
-    certs = [real_witness_via_lift(x, n, pres, y) for n in sampled]
+    certs = [real_witness_via_lift(x, n, G, y) for n in sampled]
     assert len(certs) == 20 and all(c.verified for c in certs)
 
 
@@ -148,13 +150,10 @@ def test_strong_reality_two_level_instance():
 
 
 def test_strong_reality_plane_flip():
-    from conjcert.semidirect import vector_presentation
-
-    pres = vector_presentation(QQ, 2, lambda h: h)
     minus = -Matrix.identity_of(QQ, 2)
-    group = pres.semidirect(Matrix.identity_of(QQ, 2))
-    inst = SolvableInstance("plane-flip", group, [minus],
-                            [Vector.of(QQ, [3, -7])], [], presentation=pres)
+    group = SemidirectProduct(vector_presentation(QQ, 2, lambda h: h),
+                              Matrix.identity_of(QQ, 2))
+    inst = SolvableInstance("plane-flip", group, [minus], [Vector.of(QQ, [3, -7])], [])
     cert = check_strong_reality(inst, minus, Vector.of(QQ, [3, -7]))
     assert cert.verified
 
@@ -221,7 +220,7 @@ def test_complex_heisenberg_group_axioms():
 
 def test_complex_heisenberg_real_when_ab_equals_2c():
     n = ComplexHeisenbergElement.of(2, 1, 1)  # a b = 2 c
-    verdict = complex_heisenberg_reality(n, -1)
+    verdict = complex_heisenberg_reality(n, -1, complex_heisenberg_group())
     assert verdict.real and not verdict.reason
     assert all(c.verified for c in verdict.certificates)
     assert len(verdict.certificates) == 6  # every grid lambda verifies
@@ -229,28 +228,30 @@ def test_complex_heisenberg_real_when_ab_equals_2c():
 
 def test_complex_heisenberg_not_real_when_ab_differs():
     n = ComplexHeisenbergElement.of(1, 1, 1)
-    verdict = complex_heisenberg_reality(n, -1)
+    verdict = complex_heisenberg_reality(n, -1, complex_heisenberg_group())
     assert not verdict.real
     assert verdict.reason.endswith(f"a b - 2 c = {QQI.coerce(-1)}, which is nonzero")
 
 
 def test_complex_heisenberg_case_x_plus_one():
+    G = complex_heisenberg_group()
     # non-central: explicit single-entry witness
     for n in (ComplexHeisenbergElement.of(1, 1, 1),
               ComplexHeisenbergElement.of(0, 2, GaussianRational.of(1, 1)),
               ComplexHeisenbergElement.of(GaussianRational.of(0, 1), 0, 3)):
-        verdict = complex_heisenberg_reality(n, 1)
+        verdict = complex_heisenberg_reality(n, 1, G)
         assert verdict.real and verdict.certificates[0].verified
     # central, nonzero: rigid
     central = ComplexHeisenbergElement.of(0, 0, 5)
-    verdict = complex_heisenberg_reality(central, 1)
+    verdict = complex_heisenberg_reality(central, 1, G)
     assert not verdict.real
     # identity
-    assert complex_heisenberg_reality(ComplexHeisenbergElement.of(0, 0, 0), 1).real
+    assert complex_heisenberg_reality(ComplexHeisenbergElement.of(0, 0, 0), 1, G).real
 
 
 def test_complex_heisenberg_verdict_matches_predicate_random():
     rng = random.Random(23)
+    G = complex_heisenberg_group()
     for _ in range(60):
         a = GaussianRational.of(rng.randint(-4, 4), rng.randint(-4, 4))
         b = GaussianRational.of(rng.randint(-4, 4), rng.randint(-4, 4))
@@ -259,7 +260,7 @@ def test_complex_heisenberg_verdict_matches_predicate_random():
         else:
             c = GaussianRational.of(rng.randint(-4, 4), rng.randint(-4, 4))
         n = ComplexHeisenbergElement(a, b, c)
-        verdict = complex_heisenberg_reality(n, -1)
+        verdict = complex_heisenberg_reality(n, -1, G)
         assert verdict.real == (a * b == QQI.coerce(2) * c)
 
 
@@ -268,9 +269,55 @@ def test_complex_heisenberg_witness_ignores_center_entry():
     G = complex_heisenberg_group()
     n = ComplexHeisenbergElement.of(2, 1, 1)
     subject = G.element(QQI.coerce(-1), n)
-    verdict = complex_heisenberg_reality(n, -1)
+    verdict = complex_heisenberg_reality(n, -1, G)
     base = verdict.certificates[2]  # lambda = i
     k = base.witness.n
     for z in (QQI.coerce(7), GaussianRational.of(1, -2)):
         shifted = G.element(base.witness.h, ComplexHeisenbergElement(k.a, k.b, z))
         assert Certificate.make(subject, shifted, Inverse()).verified
+
+
+# -- the complex Heisenberg presentation: an oracle for the lift ----------------
+
+def test_complex_heisenberg_presentation_is_valid():
+    """N > Z(N) > {e}: the (a, b) plane under diag(lambda, 1/lambda) and the
+    center line under the identity, and the level actions agree with
+    ``scaled_by`` on N."""
+    pres = complex_heisenberg_group().presentation
+    validate_presentation(pres, h_samples=DEFAULT_LAMBDA_GRID)
+    n = ComplexHeisenbergElement.of(GaussianRational.of(1, -2), 3, GaussianRational.of(0, 5))
+    for lam in DEFAULT_LAMBDA_GRID:
+        moved = pres.action(lam, n)
+        for lvl in pres.levels:
+            assert lvl.project(moved) == lvl.act(lam).apply(lvl.project(n))
+    assert pres.levels[1].act(GaussianRational.of(1, 1)) == Matrix.identity_of(QQI, 1)
+
+
+def test_lift_agrees_with_the_case_analysis_on_the_lift_verify_scenario():
+    """For every x = -1 element of the seed-1 lift_verify solvable scenario
+    and every lambda of DEFAULT_LAMBDA_GRID, the lift on the complex
+    Heisenberg presentation returns a verified certificate with the case
+    analysis's witness exactly where the case analysis says real, and
+    fails at level 1 exactly where it says not_real."""
+    scenario = next(s for s in bench_module("workloads").lift_verify(1)[0]
+                    if s["kind"] == "solvable")
+    G = complex_heisenberg_group()
+    minus = QQI.coerce(-1)
+    verdicts = []
+    for payload in scenario["elements"]:
+        if payload.get("x", -1) != -1:
+            continue
+        n = ComplexHeisenbergElement.of(*(QQI.parse(payload[key]) for key in "abc"))
+        verdict = complex_heisenberg_reality(n, -1, G)
+        verdicts.append(verdict.real)
+        certificates = iter(verdict.certificates)
+        for lam in DEFAULT_LAMBDA_GRID:
+            if verdict.real:
+                cert = real_witness_via_lift(minus, n, G, lam)
+                assert cert.verified and cert.witness == next(certificates).witness
+            else:
+                with pytest.raises(FixedPointError) as err:
+                    real_witness_via_lift(minus, n, G, lam)
+                assert err.value.level == 1
+        assert next(certificates, None) is None
+    assert True in verdicts and False in verdicts

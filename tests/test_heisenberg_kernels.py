@@ -21,6 +21,7 @@ from conjcert.heisenberg import (
     ComplexHeisenbergElement,
     GSpElement,
     HeisenbergElement,
+    complex_heisenberg_group,
     complex_heisenberg_reality,
     standard_gsp_example,
     symplectic_form,
@@ -197,7 +198,7 @@ def _count_pair_products(monkeypatch):
 def test_reality_multiplies_pairs_only_in_certificates(monkeypatch, a, b):
     n = ComplexHeisenbergElement.of(a, b, QQI.coerce(a) * QQI.coerce(b) / QQI.coerce(2))
     counts = _count_pair_products(monkeypatch)
-    verdict = complex_heisenberg_reality(n, -1)
+    verdict = complex_heisenberg_reality(n, -1, complex_heisenberg_group())
     assert verdict.real and len(verdict.certificates) == len(heisenberg.DEFAULT_LAMBDA_GRID)
     assert counts == {"all": 2 * len(verdict.certificates), "solve": 0}
 
@@ -211,4 +212,5 @@ def test_lambda_dependent_mismatch_still_trips_the_invariance_check(monkeypatch)
 
     monkeypatch.setattr(heisenberg, "_solve_conjugation_entries", drifting)
     with pytest.raises(TheoremViolation, match="varied with lambda"):
-        complex_heisenberg_reality(ComplexHeisenbergElement.of(2, 1, 1), -1)
+        complex_heisenberg_reality(ComplexHeisenbergElement.of(2, 1, 1), -1,
+                                   complex_heisenberg_group())

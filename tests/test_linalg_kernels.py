@@ -1,18 +1,13 @@
 """The zero-skipping elimination and the integer product kernels against a
 dense reference, the cached integer view's invisibility, the scalar work of
-one large kron system, of one matrix power and of one finite closure, the
-hashing of one finite build, and traced benchmark runs that must still see
-every linalg layer."""
+one large kron system, of one matrix power and of one finite closure, and
+the hashing of one finite build.  The traced benchmark runs that must see
+every linalg layer are tests/test_cli.py::test_traced_workload_sees_every_mapped_layer."""
 
 import copy
 import dataclasses
-import importlib.util
 import itertools
-import json
-import pathlib
 import pickle
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -24,9 +19,7 @@ from conjcert.fields import GF, QQ, QQI, FpElement, GaussianRational
 from conjcert.groups import generate_closure
 from conjcert.linalg import Matrix, Vector, kernel_basis, solve_linear
 from conjcert.semidirect import AffineElement
-from conformance_fixtures import count_calls, kron
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+from conformance_fixtures import bench_module, count_calls, kron
 
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 FIELDS = {
@@ -255,20 +248,12 @@ def test_cached_integer_view_is_invisible(field, rows):
 
 # -- work guard ---------------------------------------------------------------
 
-def _bench_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                  ROOT / "bench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_kernel_basis_multiplication_budget(monkeypatch):
     """The 64x64 system kron(I, x^T) - kron(x^5, I) for the order-12,
     dimension-8 linear part of the affine benchmark has 518 nonzeros.  A
     dense elimination makes 109,056 Fraction multiplications on it; the
     zero-skipping one makes about 21,400."""
-    workloads = _bench_workloads()
+    workloads = bench_module("workloads")
     order, blocks = next((order, blocks) for name, order, blocks, _ in
                          workloads.AFFINE_LINEAR_PARTS if name == "o12_d8")
     rows, _ = workloads._linear_part(order, blocks)
@@ -296,7 +281,7 @@ def test_integer_products_make_no_scalar_arithmetic(monkeypatch):
     """x ** 12 for the order-12, dimension-8 linear part of the affine
     benchmark: a scalar product loop makes 655 Fraction.__mul__ and 655
     Fraction.__add__ calls on it, the integer kernel none."""
-    workloads = _bench_workloads()
+    workloads = bench_module("workloads")
     order, blocks = next((order, blocks) for name, order, blocks, _ in
                          workloads.AFFINE_LINEAR_PARTS if name == "o12_d8")
     rows, _ = workloads._linear_part(order, blocks)
@@ -314,7 +299,7 @@ def test_finite_closure_multiplication_budget(monkeypatch):
     affine elements.  Scalar product loops make 8,424 FpElement.__mul__
     calls in it and the integer kernels none; the budget of 500 leaves room
     for scalar work outside the products, not for a scalar product loop."""
-    workloads = _bench_workloads()
+    workloads = bench_module("workloads")
     field = GF(3)
     gens = [AffineElement.of(Matrix.from_rows(field, rows), [0, 0])
             for rows in workloads.GL23_GENERATORS]
@@ -333,43 +318,9 @@ def test_finite_build_hashing_budget(monkeypatch):
     build made 48,498 FpElement.__hash__ calls when every lookup rehashed
     its matrix too, 27,778 when inverses and powers were multiplied out and
     looked up, and makes 15,858 now that they are index walks."""
-    scenario = _bench_workloads().finite_gl23(1)[0][0]
+    scenario = bench_module("workloads").finite_gl23(1)[0][0]
     hashes = count_calls(monkeypatch, FpElement, "__hash__")
     report = build_report(scenario, 1, DEFAULT_BOUND)
     monkeypatch.undo()
     assert len(report["results"]) == len(scenario["elements"])
     assert len(hashes) <= 17_500, len(hashes)
-
-
-# -- tracer smoke test ----------------------------------------------------------
-
-KERNEL_METRICS = ("linalg.matmul_calls", "linalg.matmul_s", "linalg.apply_calls",
-                  "linalg.apply_s")
-
-
-@pytest.mark.parametrize("workload", ["affine_kron", "finite_gl23", "sl2v_sweep", "lift_verify"])
-def test_traced_benchmark_sees_every_linalg_layer(workload):
-    """bench/tracer.py wraps Matrix.__mul__, Matrix.apply, Matrix.det,
-    Matrix.inverse, solve_linear, kernel_basis and column_space_basis by
-    name, and counts the scalar operators of each field.  A kernel that
-    routes products past those names, or leaves a metric the tracer maps
-    to the workload (fields.q_ops on affine_kron, fields.fp_ops on
-    finite_gl23, sl2.order_probe_mults on sl2v_sweep, semidirect.lift_calls
-    on lift_verify, ...) at zero, fails here.  The linalg kernel metrics are
-    required where matrices are multiplied: on affine_kron and finite_gl23."""
-    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
-                           "--seconds", "0", "--trace", "1"],
-                          cwd=ROOT, capture_output=True, timeout=300, check=False)
-    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
-    summary = json.loads(proc.stdout.splitlines()[-1])
-    assert summary["correct"] is True, proc.stdout.decode(errors="replace")[-2000:]
-    values = {name: m["value"] for name, m in summary["metrics"].items()}
-    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    required = {name for name, _, nonzero_on in tracer.PER_LAYER if workload in nonzero_on}
-    if workload in ("affine_kron", "finite_gl23"):
-        required.update(KERNEL_METRICS)
-    assert {"fields.q_ops", "fields.fp_ops", "fields.qqi_ops"} & required
-    zero = sorted(name for name in required if not values[name])
-    assert not zero, {name: values[name] for name in sorted(required)}

@@ -1,7 +1,5 @@
 import collections
-import importlib.util
 import itertools
-import pathlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -33,6 +31,7 @@ from conjcert.semidirect import (
     CentralSeriesLevel,
     CentralSeriesPresentation,
     SemidirectElement,
+    SemidirectProduct,
     lift_central_series,
     make_power_witness,
     make_real_witness,
@@ -40,17 +39,12 @@ from conjcert.semidirect import (
     vector_presentation,
 )
 from conjcert.sl2 import SL2Element, SL2VElement, antidiagonal_witness, rho
-from conformance_fixtures import reduce_translation, reference_lift, validate_presentation
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-
-def _bench_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                  ROOT / "bench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conformance_fixtures import (
+    bench_module,
+    reduce_translation,
+    reference_lift,
+    validate_presentation,
+)
 
 
 def mat(rows, field=QQ):
@@ -363,7 +357,7 @@ def test_semidirect_group_laws():
     rng = random.Random(3)
     for field in (QQ, GF(5)):
         pres = vector_presentation(field, 2, lambda h: h)
-        G = pres.semidirect(Matrix.identity_of(field, 2))
+        G = SemidirectProduct(pres, Matrix.identity_of(field, 2))
 
         def rnd_elem():
             h = rnd_invertible(rng, 2, field)
@@ -383,7 +377,7 @@ def test_semidirect_group_laws():
 def test_semidirect_consistent_with_affine_via_convention_map():
     rng = random.Random(4)
     pres = vector_presentation(QQ, 2, lambda h: h)
-    G = pres.semidirect(Matrix.identity_of(QQ, 2))
+    G = SemidirectProduct(pres, Matrix.identity_of(QQ, 2))
     for _ in range(20):
         h1, h2 = rnd_invertible(rng, 2), rnd_invertible(rng, 2)
         v1 = vec([rnd_fraction(rng) for _ in range(2)])
@@ -417,13 +411,17 @@ def test_lift_identity_input():
     assert lift_central_series(h, zero, x.inverse(), zero, pres, Inverse(), factors) == zero
 
 
+def pairs(pres, x):
+    """H x| N for the N of ``pres`` and the H of x."""
+    return SemidirectProduct(pres, x.identity())
+
+
 def lift(pres, x, n, h, relation):
     """lift_central_series on the pair (x, n) of H x| N, in the left
-    coordinates (x, act(x, n)) and with the plan's level factorisations,
-    as ``_witness_via_lift`` hands them to it."""
-    G = pres.semidirect(x.identity())
-    target = relation.of(G.element(x, n))
-    _, factors = pres.lift_plan(x).check_witness(h, relation)
+    coordinates (x, act(x, n)) and with the presentation's level
+    factorisations, as ``_witness_via_lift`` hands them to it."""
+    target = relation.of(pairs(pres, x).element(x, n))
+    _, factors = pres.check_witness(x, h, relation)
     return lift_central_series(h, pres.action(x, n), target.h,
                                pres.action(target.h, target.n), pres, relation, factors)
 
@@ -431,7 +429,7 @@ def lift(pres, x, n, h, relation):
 def assert_left_witness(pres, x, n, h, relation, w):
     """(h, w) in left coordinates, the pair (h, act(h^-1, w)), conjugates
     (x, n) to relation((x, n)) in H x| N."""
-    G = pres.semidirect(x.identity())
+    G = pairs(pres, x)
     g = G.element(h, pres.action(h.inverse(), w))
     subject = G.element(x, n)
     assert g * subject * g.inverse() == relation.of(subject)
@@ -518,7 +516,7 @@ def test_lift_fixed_point_reports_level():
 
 def count_level_factors(monkeypatch):
     """Count the factorisations of I - Y_j that the solver makes, one per
-    level for each (x, h, relation) whose lift plan entry it fills."""
+    level for each (x, h, relation) whose presentation entry it fills."""
     calls = []
     of = RowReduction.of
 
@@ -544,23 +542,23 @@ def test_level_factors_are_built_once_per_x_h_and_relation(monkeypatch):
     rng = random.Random(11)
     for _ in range(50):
         n = vec([rnd_fraction(rng) for _ in range(4)])
-        assert real_witness_via_lift(x, n, pres, block_swap()).verified
+        assert real_witness_via_lift(x, n, pairs(pres, x), block_swap()).verified
     ident = Matrix.identity_of(QQ, 2)
     inverse_factors = [ident - mat([["1/2", 0], [0, 2]]), ident - mat([["1/3", 0], [0, 3]])]
     assert calls == inverse_factors
-    # an equal x and an equal h share the plan entry; another relation of x
+    # an equal x and an equal h share the entry; another relation of x
     # solves against y = x, another h for the same relation fills its own
     # entry, and so does a new presentation
     equal = mat([[2, 0, 0, 0], [0, Fraction(1, 2), 0, 0],
                  [0, 0, 3, 0], [0, 0, 0, Fraction(1, 3)]])
-    assert real_witness_via_lift(equal, n, pres, block_swap()).verified
+    assert real_witness_via_lift(equal, n, pairs(pres, x), block_swap()).verified
     assert len(calls) == 2
-    assert semidirect._witness_via_lift(x, n, pres, x, Power(1)).verified
+    assert semidirect._witness_via_lift(x, n, pairs(pres, x), x, Power(1)).verified
     assert calls[2:] == [ident - mat([[2, 0], [0, "1/2"]]), ident - mat([[3, 0], [0, "1/3"]])]
-    assert real_witness_via_lift(x, n, pres, block_swap().scale(2)).verified
+    assert real_witness_via_lift(x, n, pairs(pres, x), block_swap().scale(2)).verified
     assert calls[4:] == inverse_factors
     other = two_level_abelian_presentation()
-    assert real_witness_via_lift(x, n, other, block_swap()).verified
+    assert real_witness_via_lift(x, n, pairs(other, x), block_swap()).verified
     assert len(calls) == 8
 
 
@@ -569,7 +567,7 @@ def test_lift_verify_heisenberg_build_factors_each_level_once(monkeypatch):
     through one x, one h and the inverse relation: two levels, two
     factorisations for the whole report."""
     calls = count_level_factors(monkeypatch)
-    scenario = _bench_workloads().lift_verify(1)[0][0]
+    scenario = bench_module("workloads").lift_verify(1)[0][0]
     assert scenario["kind"] == "heisenberg"
     assert len(build_report(scenario, 1, DEFAULT_BOUND)["results"]) > 1
     assert len(calls) == 2
@@ -604,10 +602,10 @@ def test_lift_fixed_point_is_reported_on_every_call(monkeypatch):
         assert err.value.level == 1
         assert err.value.kernel == [vec([1, 0]), vec([0, 1])]  # in level 1 coordinates
         with pytest.raises(FixedPointError) as err:
-            real_witness_via_lift(x, vec([1, 1, 1, 1]), pres, h)
+            real_witness_via_lift(x, vec([1, 1, 1, 1]), pairs(pres, x), h)
         assert err.value.level == 1
         # a consistent level-1 equation is solved through the same fixed point
-        assert real_witness_via_lift(x, vec([1, 1, 0, 0]), pres, h).verified
+        assert real_witness_via_lift(x, vec([1, 1, 0, 0]), pairs(pres, x), h).verified
     # the two factorisations for y = x^-1 are kept; only the solve fails
     assert len(calls) == 2
 
@@ -618,14 +616,14 @@ def test_wrong_h_fails_on_every_call():
     wrong, right = Matrix.identity_of(QQ, 2), mat([[0, 1], [1, 0]])
     for _ in range(3):
         with pytest.raises(UsageError):
-            real_witness_via_lift(x, vec([1, 1]), pres, wrong)
+            real_witness_via_lift(x, vec([1, 1]), pairs(pres, x), wrong)
     for _ in range(3):
-        assert real_witness_via_lift(x, vec([1, 2]), pres, right).verified
+        assert real_witness_via_lift(x, vec([1, 2]), pairs(pres, x), right).verified
         with pytest.raises(UsageError):
-            real_witness_via_lift(x, vec([1, 1]), pres, wrong)
+            real_witness_via_lift(x, vec([1, 1]), pairs(pres, x), wrong)
         # a check that passed for one relation does not cover another
         with pytest.raises(UsageError):
-            semidirect._witness_via_lift(x, vec([1, 1]), pres, right, Power(1))
+            semidirect._witness_via_lift(x, vec([1, 1]), pairs(pres, x), right, Power(1))
 
 
 def test_witnesses_via_lift():
@@ -647,10 +645,10 @@ def test_witnesses_via_lift():
     rng = random.Random(6)
     for _ in range(5):
         n = vec([rnd_fraction(rng) for _ in range(4)])
-        cert = real_witness_via_lift(x, n, pres, h)
+        cert = real_witness_via_lift(x, n, pairs(pres, x), h)
         assert cert.verified and isinstance(cert.relation, Inverse)
     # trivial n gives the plain embedded witness
-    cert = real_witness_via_lift(x, Vector.zero(QQ, 4), pres, h)
+    cert = real_witness_via_lift(x, Vector.zero(QQ, 4), pairs(pres, x), h)
     assert cert.witness.h == h and cert.witness.n == Vector.zero(QQ, 4)
     assert swap * mat([[2, 0], [0, "1/2"]]) * swap.inverse() == mat([["1/2", 0], [0, 2]])
 
@@ -661,7 +659,7 @@ def test_rational_witness_via_lift_f2():
     x = mat([[1, 1], [1, 0]], f2)
     h = mat([[0, 1], [1, 0]], f2)
     for v in [(0, 0), (1, 0), (0, 1), (1, 1)]:
-        cert = semidirect._witness_via_lift(x, vec(list(v), f2), pres, h, Power(2))
+        cert = semidirect._witness_via_lift(x, vec(list(v), f2), pairs(pres, x), h, Power(2))
         assert cert.verified and cert.relation == Power(2)
 
 
@@ -669,7 +667,7 @@ def test_lift_rejects_wrong_witness():
     pres = vector_presentation(QQ, 2, lambda h: h)
     x = mat([[2, 0], [0, "1/2"]])
     with pytest.raises(UsageError):
-        real_witness_via_lift(x, vec([1, 1]), pres, Matrix.identity_of(QQ, 2))
+        real_witness_via_lift(x, vec([1, 1]), pairs(pres, x), Matrix.identity_of(QQ, 2))
 
 
 def test_any_set_theoretic_section_is_accepted():
@@ -786,10 +784,10 @@ def assert_lift_matches_full_group(pres, x, n, h, relation) -> bool:
         assert err.level in fixed
         return "failed"
     assert_left_witness(pres, x, n, h, relation, w)
-    cert = semidirect._witness_via_lift(x, n, pres, h, relation)
+    cert = semidirect._witness_via_lift(x, n, pairs(pres, x), h, relation)
     assert cert.verified
     if not fixed:
-        G = pres.semidirect(x.identity())
+        G = pairs(pres, x)
         u_el = G.element(G.h_identity, reference_lift(x, n, pres))
         assert cert.witness == u_el * G.element(h, pres.identity) * u_el.inverse()
     return "fixed" if fixed else "free"
@@ -915,19 +913,19 @@ def test_fixed_point_free_witness_matches_the_reference_lift(shape):
         if field is QQ:
             draws.append(((diagonal, block_swap(), Inverse()), vec([1, -2, 3, 5])))
     for (x, h, relation), n in draws:
-        cert = semidirect._witness_via_lift(x, n, pres, h, relation)
+        cert = semidirect._witness_via_lift(x, n, pairs(pres, x), h, relation)
         u = reference_lift(x, n, pres)
         assert cert.verified and cert.witness.h == h
         assert cert.witness.n == pres.multiply(pres.action(h.inverse(), u), pres.inverse(u))
 
 
 def test_heisenberg_lift_makes_only_the_certificate_products(monkeypatch):
-    """With its plan built, a lifted certificate multiplies pairs only in
-    Certificate.check: the lift and the composed witness work in N."""
+    """A lifted certificate multiplies pairs only in Certificate.check:
+    the lift, its witnessed (x, h, relation) entry and the composed witness
+    work in H and N."""
     pres = heisenberg_presentation()
     x, y = standard_gsp_example()
     n = HeisenbergElement.of(QQ, [1, Fraction(-2, 3), 0, 5], Fraction(7, 2))
-    pres.lift_plan(x)
     calls = []
     multiply = SemidirectElement.__mul__
 
@@ -936,5 +934,5 @@ def test_heisenberg_lift_makes_only_the_certificate_products(monkeypatch):
         return multiply(self, other)
 
     monkeypatch.setattr(SemidirectElement, "__mul__", counted)
-    assert real_witness_via_lift(x, n, pres, y).verified
+    assert real_witness_via_lift(x, n, pairs(pres, x), y).verified
     assert len(calls) <= 2
