@@ -17,13 +17,17 @@ class table as lists of classes.  ``extract_block_certificate`` restricts a
 linear conjugator to the image block of the eigenvalue-1 splitting, and
 ``kron`` flattens matrix equations like g X = Y g into the linear systems
 that the affine tests eliminate.  ``count_calls`` records the calls of one
-function, and ``bench_module`` loads a module of ``bench/``.
+function, ``bench_module`` loads a module of ``bench/``, and ``traced_run``
+runs one benchmark workload traced, once per test session.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import pathlib
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -387,6 +391,16 @@ def bench_module(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@functools.lru_cache(maxsize=None)
+def traced_run(workload: str) -> subprocess.CompletedProcess:
+    """``bench/run.py --workload <workload> --seconds 0 --trace 1`` run once
+    and kept, so the tests that read one traced workload share one run."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    return subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
+                           "--seconds", "0", "--trace", "1"],
+                          cwd=root, capture_output=True, timeout=300, check=False)
 
 
 def reference_negation_search(v: Vector, n: int) -> Optional[SL2Element]:

@@ -1,12 +1,13 @@
 """The zero-skipping elimination and the integer product kernels against a
 dense reference, the cached integer view's invisibility, the scalar work of
 one large kron system, of one matrix power and of one finite closure, and
-the hashing of one finite build.  The traced benchmark runs that must see
-every linalg layer are tests/test_cli.py::test_traced_workload_sees_every_mapped_layer."""
+the hashing of one finite build, and traced benchmark runs that must still
+see every linalg layer."""
 
 import copy
 import dataclasses
 import itertools
+import json
 import pickle
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from conjcert.fields import GF, QQ, QQI, FpElement, GaussianRational
 from conjcert.groups import generate_closure
 from conjcert.linalg import Matrix, Vector, kernel_basis, solve_linear
 from conjcert.semidirect import AffineElement
-from conformance_fixtures import bench_module, count_calls, kron
+from conformance_fixtures import bench_module, count_calls, kron, traced_run
 
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 FIELDS = {
@@ -324,3 +325,33 @@ def test_finite_build_hashing_budget(monkeypatch):
     monkeypatch.undo()
     assert len(report["results"]) == len(scenario["elements"])
     assert len(hashes) <= 17_500, len(hashes)
+
+
+# -- tracer smoke test ----------------------------------------------------------
+
+KERNEL_METRICS = ("linalg.matmul_calls", "linalg.matmul_s", "linalg.apply_calls",
+                  "linalg.apply_s")
+
+
+@pytest.mark.parametrize("workload", ["affine_kron", "finite_gl23", "sl2v_sweep", "lift_verify"])
+def test_traced_benchmark_sees_every_linalg_layer(workload):
+    """bench/tracer.py wraps Matrix.__mul__, Matrix.apply, Matrix.det,
+    Matrix.inverse, solve_linear, kernel_basis and column_space_basis by
+    name, and counts the scalar operators of each field.  A kernel that
+    routes products past those names, or leaves a metric the tracer maps
+    to the workload (fields.q_ops on affine_kron, fields.fp_ops on
+    finite_gl23, sl2.order_probe_mults on sl2v_sweep, semidirect.lift_calls
+    on lift_verify, ...) at zero, fails here.  The linalg kernel metrics are
+    required where matrices are multiplied: on affine_kron and finite_gl23."""
+    proc = traced_run(workload)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert summary["correct"] is True, proc.stdout.decode(errors="replace")[-2000:]
+    values = {name: m["value"] for name, m in summary["metrics"].items()}
+    required = {name for name, _, nonzero_on in bench_module("tracer").PER_LAYER
+                if workload in nonzero_on}
+    if workload in ("affine_kron", "finite_gl23"):
+        required.update(KERNEL_METRICS)
+    assert {"fields.q_ops", "fields.fp_ops", "fields.qqi_ops"} & required
+    zero = sorted(name for name in required if not values[name])
+    assert not zero, {name: values[name] for name in sorted(required)}

@@ -1,8 +1,9 @@
 """The symmetric-power kernel built from nonzero terms against the full
-binomial convolution, and its scalar work on the monomial elements the sl2v
-classifier uses.  The traced benchmark run that must see every sl2 layer is
-tests/test_cli.py::test_traced_workload_sees_every_mapped_layer."""
+binomial convolution, its scalar work on the monomial elements the sl2v
+classifier uses, and a traced benchmark run that must still see every sl2
+layer."""
 
+import json
 from fractions import Fraction
 from math import comb
 
@@ -16,6 +17,7 @@ from conjcert.sl2 import (
     antidiagonal_witness,
     rho,
 )
+from conformance_fixtures import traced_run
 
 
 # -- dense reference: both expansions in full, zero terms included -----------
@@ -111,3 +113,18 @@ def test_monomial_rho_multiplication_budget(monkeypatch):
 def test_general_rho_still_matches_reference():
     h = SL2Element.of(2, 3, 1, 2)
     assert _substitution_matrix(h, 24) == dense_substitution(h, 24)
+
+
+# -- tracer smoke test ----------------------------------------------------------
+
+def test_traced_benchmark_sees_every_sl2_layer():
+    """bench/tracer.py wraps rho by name and reads rho.cache_info(); a
+    refactor that inlines rho, drops its cache or removes the order probe
+    leaves an sl2 metric at zero."""
+    proc = traced_run("sl2v_sweep")
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert summary["correct"] is True, proc.stdout.decode(errors="replace")[-2000:]
+    sl2 = {name: m["value"] for name, m in summary["metrics"].items()
+           if name.startswith("sl2.")}
+    assert sl2 and all(sl2.values()), sl2
