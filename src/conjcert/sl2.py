@@ -13,7 +13,11 @@ conjugation system on the invariant middle coordinate.  That system is
 ``semidirect``'s one witness equation on the images rho(x), rho(h), and
 its certificate is made in SL(2,Q) |x V_n itself.  The negation search
 scans one antidiagonal family: diag(s, 1/s) conjugates [[0, t], [-1/t, 0]]
-to [[0, s^2 t], [-1/(s^2 t), 0]], so no conjugate is multiplied out.
+to [[0, s^2 t], [-1/(s^2 t), 0]], so no conjugate is multiplied out, and
+it reads both images in closed form instead of building them:
+-I substitutes x -> -x, y -> -y, so rho(-I) = (-1)^n I, and
+A(t) = [[0, t], [-1/t, 0]] substitutes x -> -y/t, y -> t x, so
+rho(A(t)) e_i = (-1)^(n-i) t^(2i-n) e_(n-i) for e_i = x^(n-i) y^i.
 The order of (x, v) is 1, 2 or infinite, decided by one two-step probe.
 
 rho(h) is built column by column from the nonzero terms of the two
@@ -33,7 +37,7 @@ from functools import lru_cache
 from math import comb
 from typing import Optional
 
-from .errors import UsageError
+from .errors import DimensionMismatch, UsageError
 from .fields import QQ
 from .groups import Certificate, Inverse, Power, element_order
 from .linalg import Matrix, Vector
@@ -204,12 +208,26 @@ def negation_witness_search(v: Vector, n: int) -> Optional[SL2Element]:
     Families: -I, then the antidiagonals [[0,u],[-1/u,0]] over
     DEFAULT_T_GRID conjugated by diag(s, 1/s) over _DIAG_GRID (s = 1
     first).  Such a conjugate is the antidiagonal of t = s^2 u, so the scan
-    is one antidiagonal family, each distinct t tried once, in that order."""
-    target = -v
-    ts = dict.fromkeys(s * s * u for s in _DIAG_GRID for u in DEFAULT_T_GRID)
-    for h in (SL2Element.of(-1, 0, 0, -1), *map(antidiagonal_witness, ts)):
-        if rho(h, n).apply(v) == target:
-            return h
+    is one antidiagonal family, each distinct t tried once, in that order.
+
+    Both images are read in closed form and no rho matrix is built.  -I
+    substitutes x -> -x, y -> -y, so rho(-I) = (-1)^n I: -I negates v
+    exactly when n is odd or v = 0.  A(t) = [[0,t],[-1/t,0]] substitutes
+    x -> -y/t, y -> t x, sending x^(n-i) y^i to (-1)^(n-i) t^(2i-n)
+    x^i y^(n-i), so rho(A(t)) v = -v exactly when
+    (-1)^j t^(n-2j) v_(n-j) = -v_j for every j; a t is dropped at its
+    first coordinate that fails."""
+    if n < 0:
+        raise UsageError("degree must be nonnegative")
+    if v.dim != n + 1:
+        raise DimensionMismatch(f"{n + 1}x{n + 1} applied to dim {v.dim}")
+    if n % 2 or v.is_zero():
+        return SL2Element.of(-1, 0, 0, -1)
+    coordinates = tuple(zip(range(n + 1), v.entries, reversed(v.entries)))
+    for t in dict.fromkeys(s * s * u for s in _DIAG_GRID for u in DEFAULT_T_GRID):
+        if all(t ** (n - 2 * j) * mirror == (c if j % 2 else -c)
+               for j, c, mirror in coordinates):
+            return antidiagonal_witness(t)
     return None
 
 

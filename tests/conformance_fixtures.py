@@ -12,7 +12,10 @@ samples.  ``reduce_translation`` and ``reference_lift`` are the earlier
 translation solve and (e, u) central-series lift, kept as references for
 the level-by-level witness solve; ``reference_negation_search`` is the
 earlier sl2 negation search, with its diagonal conjugates built by SL(2)
-products.  ``conjugacy_classes`` and ``rational_classes`` read the finite
+products and each candidate applied as a rho matrix.  ``dense_substitution``
+is rho by the full binomial convolution, and ``sl2v_model`` maps an sl2v
+element of a report to a matrix through it, so a certificate can be
+re-checked with ``Matrix`` products alone.  ``conjugacy_classes`` and ``rational_classes`` read the finite
 class table as lists of classes.  ``extract_block_certificate`` restricts a
 linear conjugator to the image block of the eigenvalue-1 splitting, and
 ``kron`` flattens matrix equations like g X = Y g into the linear systems
@@ -30,7 +33,7 @@ import subprocess
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import Callable, Optional, Sequence
 
 from conjcert.affine import EigenOneSplitting
@@ -420,6 +423,39 @@ def reference_negation_search(v: Vector, n: int) -> Optional[SL2Element]:
             if rho(h, n).apply(v) == -v:
                 return h
     return None
+
+
+def dense_binomial(p, q, e):
+    """All e + 1 coefficients of (p x + q y)^e, zero terms included."""
+    return [comb(e, j) * p ** (e - j) * q ** j for j in range(e + 1)]
+
+
+def dense_substitution(g, n):
+    """rho(g, n) by the full convolution: p |-> p(ax + cy, bx + dy), the
+    substitution p((x, y) g), with both binomial expansions dense."""
+    cols = []
+    for i in range(n + 1):
+        out = [Fraction(0)] * (n + 1)
+        for j1, c1 in enumerate(dense_binomial(g.a, g.c, n - i)):
+            for j2, c2 in enumerate(dense_binomial(g.b, g.d, i)):
+                out[j1 + j2] += c1 * c2
+        cols.append(out)
+    return Matrix(QQ, n + 1, n + 1,
+                  tuple(cols[i][j] for j in range(n + 1) for i in range(n + 1)))
+
+
+def sl2v_model(payload: dict) -> Matrix:
+    """The sl2v element of a report, {"h": [a, b, c, d], "v": [...]}, as
+    M(h, v) = h (+) [[rho(h), v], [0, 1]] with rho from ``dense_substitution``.
+    Keeping h makes the map faithful for even n, where rho has kernel +-I."""
+    a, b, c, d = map(Fraction, payload["h"])
+    v = [Fraction(x) for x in payload["v"]]
+    n = len(v) - 1
+    image = dense_substitution(SL2Element(a, b, c, d), n)
+    rows = [[a, b] + [0] * (n + 2), [c, d] + [0] * (n + 2)]
+    rows += [[0, 0, *image.row(i), v[i]] for i in range(n + 1)]
+    rows.append([0] * (n + 3) + [1])
+    return Matrix.from_rows(QQ, rows)
 
 
 def conjugacy_classes(G: FiniteGroup) -> list[tuple]:

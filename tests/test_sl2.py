@@ -1,12 +1,20 @@
+import json
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conformance_fixtures import count_calls, reference_negation_search
+from conformance_fixtures import (
+    bench_module,
+    count_calls,
+    reference_negation_search,
+    sl2v_model,
+)
 from conjcert import sl2
-from conjcert.errors import UsageError
+from conjcert.cli import DEFAULT_BOUND, build_report
+from conjcert.errors import DimensionMismatch, UsageError
 from conjcert.fields import QQ
 from conjcert.groups import Certificate, Inverse, Power, element_order
 from conjcert.linalg import Matrix, Vector
@@ -236,18 +244,36 @@ def _negation_vectors(n, rng):
 
 
 def test_negation_search_is_one_antidiagonal_family(monkeypatch):
-    """The conjugates d A(t) d^-1 are the antidiagonals A(s^2 t), so the search
-    multiplies no SL(2) elements, and it finds the same h as the earlier
-    scan of the explicitly conjugated families, in the same order."""
+    """The conjugates d A(t) d^-1 are the antidiagonals A(s^2 t), and rho(-I)
+    and rho(A(t)) are read in closed form, so the search multiplies no SL(2)
+    elements and builds no rho matrix.  It finds the same h as the earlier
+    rho-based scan of the explicitly conjugated families, in the same order,
+    and each h it finds negates v under the real rho."""
     rng = random.Random(27)
-    cases = [(n, v) for n in range(2, 25) for v in _negation_vectors(n, rng)]
+    cases = [(n, v) for n in range(25) for v in _negation_vectors(n, rng)]
     expected = [reference_negation_search(v, n) for n, v in cases]
     # some cases need a conjugated family, and some no family negates
     assert any(h is not None and h.b not in sl2.DEFAULT_T_GRID for h in expected)
     assert None in expected
     products = count_calls(monkeypatch, SL2Element, "__mul__")
-    assert [negation_witness_search(v, n) for n, v in cases] == expected
-    assert products == []
+    images = count_calls(monkeypatch, sl2, "rho")
+    found = [negation_witness_search(v, n) for n, v in cases]
+    assert found == expected
+    assert products == [] and images == []
+    monkeypatch.undo()
+    for (n, v), h in zip(cases, found):
+        if h is not None:
+            assert rho(h, n).apply(v) == -v
+
+
+def test_negation_search_checks_the_dimension():
+    """v must have n + 1 coordinates; the rho-based reference refuses the
+    same inputs with the same error."""
+    for n, v in ((3, vec([1, 2, 3])), (2, vec([1, 0, 0, 1])), (0, vec([]))):
+        with pytest.raises(DimensionMismatch):
+            reference_negation_search(v, n)
+        with pytest.raises(DimensionMismatch):
+            negation_witness_search(v, n)
 
 
 def test_classify_real_unknown_is_honest():
@@ -331,3 +357,30 @@ def test_classify_rational_records_the_probed_bound(monkeypatch):
     for x, v, verdict in cases:
         assert classify_rational_sl2v(x, v).verdict == verdict
     assert [kwargs["bound"] for _, kwargs in probes] == [2] * len(cases)
+
+
+def _sl2v_reports():
+    scenario = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "sl2v_quadratic.json"
+    scenarios = [json.loads(scenario.read_text())]
+    for seed in (0, 1, 3, 11):
+        scenarios += bench_module("workloads").WORKLOADS["sl2v_sweep"](seed)[0]
+    return [build_report(s, 0, DEFAULT_BOUND) for s in scenarios]
+
+
+def test_sl2v_certificates_hold_in_the_matrix_model():
+    """Every certificate W for S in the shipped sl2v reports satisfies
+    M(W) M(S) = M(R(S)) M(W) in the matrix model, with R(S) = S^-1 or S^k
+    taken in the model and rho from the dense convolution, so no
+    SL2VElement or rho product takes part in the check."""
+    checked = []
+    for report in _sl2v_reports():
+        for result in report["results"]:
+            subject = sl2v_model(result["element"])
+            for cert in result["certificates"]:
+                witness = sl2v_model(cert["witness"])
+                relation = cert["relation"]
+                image = subject.inverse() if relation == "inverse" else subject ** relation["power"]
+                assert witness * subject == image * witness, (result["element"], cert)
+                checked.append("inverse" if relation == "inverse" else "power")
+    # the reports are pinned byte for byte in test_cli.py, so their count is fixed
+    assert len(checked) == 75 and set(checked) == {"inverse", "power"}
